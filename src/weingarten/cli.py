@@ -21,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .coeffring import TAU, PoleError, render
+from .exactmat import row_pseudo_inverse_check
 from .groupalg import AlgebraElement, jm_product_unitary
 from .haarmc import MomentSpec, estimate_moment, grid_crosscheck
 from .orthogonal import (
@@ -31,8 +32,14 @@ from .orthogonal import (
     verify_stability_lemma,
     weingarten_orthogonal,
 )
-from .symcore import Partition, partitions_of, permutations_of, standard_tableaux
-from .unitary import pseudo_inverse_check, weingarten_unitary, wg_function_unitary
+from .symcore import (
+    Partition,
+    generator_index_maps,
+    partitions_of,
+    permutations_of,
+    standard_tableaux,
+)
+from .unitary import weingarten_unitary, wg_function_unitary
 from .young import CharacterTable, central_idempotent, young_idempotent
 
 # default desk-scale caps; --force lifts them
@@ -78,6 +85,24 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a rational P/Q: {exc}")
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer >= low; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weingarten",
@@ -87,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, tau_default="symbolic"):
         p.add_argument("--group", required=True, choices=("unitary", "orthogonal"))
-        p.add_argument("--n", required=True, type=int)
+        p.add_argument("--n", required=True, type=_positive_int)
         p.add_argument("--tau", type=_parse_tau, default=_parse_tau(tau_default))
         p.add_argument("--force", action="store_true", help="lift the desk-scale size caps")
 
@@ -107,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wgfn.add_argument("--tau", type=_parse_tau, default=TAU)
 
     p_chars = sub.add_parser("characters", help="emit/refresh the cached character table")
-    p_chars.add_argument("--n", required=True, type=int)
+    p_chars.add_argument("--n", required=True, type=_positive_int)
 
     p_verify = sub.add_parser("verify", help="run verification suites for sizes 1..n")
     p_verify.add_argument(
@@ -118,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
             "doubling", "keyid", "stability", "commute", "all",
         ),
     )
-    p_verify.add_argument("--n", required=True, type=int)
+    p_verify.add_argument("--n", required=True, type=_positive_int)
     p_verify.add_argument("--tau", type=_parse_rational, default=None,
                           help="rational parameter for the numeric-only sizes")
     p_verify.add_argument("--tau2", type=_parse_rational, default=None,
@@ -129,9 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="Monte-Carlo cross-check against exact predictions")
     p_mc.add_argument("--group", required=True, choices=("unitary", "orthogonal"))
-    p_mc.add_argument("--n", required=True, type=int)
+    p_mc.add_argument("--n", required=True, type=_positive_int)
     p_mc.add_argument("--tau", required=True, type=int)
-    p_mc.add_argument("--samples", type=int, default=200_000)
+    # z-scores need a sample variance; below 100 draws they mean nothing
+    p_mc.add_argument("--samples", type=_int_at_least(100), default=200_000)
     p_mc.add_argument("--seed", type=int, default=1)
     p_mc.add_argument(
         "--indices",
@@ -233,9 +259,6 @@ def _cmd_wgfn(args) -> int:
 
 
 def _cmd_characters(args) -> int:
-    if args.n < 1:
-        print(f"--n must be positive, got {args.n}", file=sys.stderr)
-        return 2
     table = CharacterTable.build(args.n)
     table.save(cache_dir() / f"characters-n{args.n}.json")
     print(json.dumps(table.to_json_dict()))
@@ -304,20 +327,21 @@ def _suite_central(max_n, tau, tau2, deep):
         yield f"central idempotents, both routes n={n}", ok
 
 
+def _pseudo_inverse_ok(table) -> bool:
+    maps = generator_index_maps(table.basis)
+    return row_pseudo_inverse_check(table.gram, table.weingarten, maps).ok
+
+
 def _suite_pseudoinverse(max_n, tau, tau2, deep):
     numeric_tau = tau if tau is not None else Fraction(7)
     for n in range(1, max_n + 1):
         t = TAU if n <= 4 else numeric_tau
-        table = weingarten_unitary(n, t)
-        report = pseudo_inverse_check(table.gram, table.weingarten)
         label = "symbolic" if n <= 4 else f"tau={t}"
-        yield f"pseudo-inverse unitary n={n} ({label})", report.ok
+        yield f"pseudo-inverse unitary n={n} ({label})", _pseudo_inverse_ok(weingarten_unitary(n, t))
     for n in range(1, min(max_n, 4) + 1):
         t = TAU if n <= 3 else numeric_tau
-        table = weingarten_orthogonal(n, t)
-        report = pseudo_inverse_check(table.gram, table.weingarten)
         label = "symbolic" if n <= 3 else f"tau={t}"
-        yield f"pseudo-inverse orthogonal n={n} ({label})", report.ok
+        yield f"pseudo-inverse orthogonal n={n} ({label})", _pseudo_inverse_ok(weingarten_orthogonal(n, t))
 
 
 def _suite_doubling(max_n, tau, tau2, deep):
@@ -363,9 +387,6 @@ SUITES = {
 
 
 def _cmd_verify(args) -> int:
-    if args.n < 1:
-        print(f"--n must be positive, got {args.n}", file=sys.stderr)
-        return 2
     if args.suite == "all":
         chosen = [(name, min(args.n, SUITE_CAPS[name])) for name in SUITES]
     else:

@@ -192,9 +192,6 @@ class TauPolynomial:
             acc = acc * t + c
         return acc
 
-    def derivative(self) -> "TauPolynomial":
-        return TauPolynomial(i * c for i, c in enumerate(self.coeffs) if i)
-
     def __repr__(self):
         return f"TauPolynomial({render(self)!r})"
 

@@ -2,11 +2,23 @@
 
 Matrices are plain lists of row lists whose entries live in any of the
 package's coefficient rings; everything here is exact, nothing is numeric.
+
+The identity checks run on one row.  Both Weingarten matrices and both Gram
+matrices are invariant under a group acting transitively on the basis (left
+multiplication on S_n, conjugation on pairings), and a product of invariant
+matrices is invariant again, so it is fixed by its row at the base index.
+The row checks first prove that invariance and transitivity from the
+generators' index maps, then compare that single row, in O(N^2) dictionary
+work and a handful of exact ring operations.  ``mat_mul`` is the dense O(N^3)
+product, kept as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 
 def mat_mul(a, b):
@@ -53,5 +65,136 @@ def mat_is_symmetric(a) -> bool:
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def mat_map(a, fn):
-    return [[fn(x) for x in row] for row in a]
+@dataclass
+class PseudoInverseReport:
+    """Outcome of the exact pseudo-inverse identities GWG=G, WGW=W, W=W^T.
+
+    `invariant` is the structure the one-row check rests on: both matrices are
+    invariant under the generators and the base index's orbit is the whole
+    basis.  When it fails the identities are not established and read False.
+    The dense products need no structure and leave it True.
+    """
+
+    gwg_equals_g: bool
+    wgw_equals_w: bool
+    w_symmetric: bool
+    invariant: bool = True
+
+    @property
+    def ok(self) -> bool:
+        return self.invariant and self.gwg_equals_g and self.wgw_equals_w and self.w_symmetric
+
+
+# pair (a, b) of value numbers packed into one int; far above any count of distinct values
+_SHIFT = 32
+
+
+class _Values:
+    """Distinct ring values, numbered once; equal values share a number.
+
+    Matrices become rows of numbers, so invariance is integer comparison, and
+    a row times a matrix sums each column by counting its (row value, matrix
+    value) pairs.  Both memos are keyed by value numbers alone, so every
+    product and every sum of one pair multiset is computed once per check.
+    """
+
+    def __init__(self):
+        self.number: dict = {}
+        self.values: list = []
+        self._products: dict[int, object] = {}
+        self._sums: dict[frozenset, int] = {}
+
+    def of(self, x) -> int:
+        k = self.number.get(x)
+        if k is None:
+            k = self.number[x] = len(self.values)
+            self.values.append(x)
+        return k
+
+    def matrix(self, rows) -> list[list[int]]:
+        return [[self.of(x) for x in row] for row in rows]
+
+    def row_times(self, row: list[int], columns: list[tuple[int, ...]]) -> list[int]:
+        shifted = [a << _SHIFT for a in row]
+        out = []
+        for col in columns:
+            signature = frozenset(Counter(map(add, shifted, col)).items())
+            k = self._sums.get(signature)
+            if k is None:
+                k = self._sums[signature] = self.of(self._sum(signature))
+            out.append(k)
+        return out
+
+    def _sum(self, signature):
+        acc = Fraction(0)
+        mask = (1 << _SHIFT) - 1
+        for pair, count in signature:
+            term = self._products.get(pair)
+            if term is None:
+                term = self._products[pair] = self.values[pair >> _SHIFT] * self.values[pair & mask]
+            acc = acc + (term if count == 1 else term * count)
+        return acc
+
+
+def _orbit_covers(maps, size: int) -> bool:
+    """Every map permutes range(size) and index 0 reaches every index."""
+    everything = set(range(size))
+    if any(len(p) != size or set(p) != everything for p in maps):
+        return False
+    seen, frontier = {0}, [0]
+    while frontier:
+        i = frontier.pop()
+        for p in maps:
+            if p[i] not in seen:
+                seen.add(p[i])
+                frontier.append(p[i])
+    return len(seen) == size
+
+
+def _invariant(m: list[list[int]], maps) -> bool:
+    """m[p[i]][p[j]] == m[i][j] for every map p and every i, j."""
+    return all(
+        [m[p[i]][k] for k in p] == m[i]
+        for p in maps
+        for i in range(len(m))
+    )
+
+
+def _structured(maps, *matrices) -> bool:
+    if not maps:
+        return False
+    size = len(maps[0])
+    if any(len(m) != size or any(len(row) != size for row in m) for m in matrices):
+        return False
+    return _orbit_covers(maps, size) and all(_invariant(m, maps) for m in matrices)
+
+
+def row_pseudo_inverse_check(gram, wg, maps) -> PseudoInverseReport:
+    """GWG=G, WGW=W on the base row, W=W^T, after proving the structure.
+
+    `maps` are the generators' index maps on the basis (entry i is the index
+    of g . basis[i], or None when the image is missing); index 0 is the base.
+    Invariance under the generators gives invariance under the group they
+    generate, and an orbit covering the basis makes every row an image of
+    row 0, so the two identities hold everywhere once they hold there.
+    Failures are reported, never raised.
+    """
+    values = _Values()
+    g, w = values.matrix(gram), values.matrix(wg)
+    if not _structured(maps, g, w):
+        return PseudoInverseReport(False, False, False, invariant=False)
+    g_cols, w_cols = list(zip(*g)), list(zip(*w))
+    return PseudoInverseReport(
+        gwg_equals_g=values.row_times(values.row_times(g[0], w_cols), g_cols) == g[0],
+        wgw_equals_w=values.row_times(values.row_times(w[0], g_cols), w_cols) == w[0],
+        w_symmetric=all(list(col) == row for row, col in zip(w, w_cols)),
+    )
+
+
+def row_commutation_check(a, b, maps) -> bool:
+    """AB = BA, compared on the base row after proving the same structure."""
+    values = _Values()
+    ai, bi = values.matrix(a), values.matrix(b)
+    if not _structured(maps, ai, bi):
+        return False
+    return values.row_times(ai[0], list(zip(*bi))) == values.row_times(bi[0], list(zip(*ai)))

@@ -319,23 +319,6 @@ def hook_dimension(shape: Partition) -> int:
     return factorial(shape.weight) // reduce(mul, hooks, 1)
 
 
-def cycle_type(sigma: Permutation) -> Partition:
-    return sigma.cycle_type()
-
-
-def num_cycles(sigma: Permutation) -> int:
-    return sigma.num_cycles()
-
-
-def compose(sigma: Permutation, other: Permutation) -> Permutation:
-    """(compose(s, t))(i) = s(t(i))."""
-    return sigma * other
-
-
-def inverse(sigma: Permutation) -> Permutation:
-    return sigma.inverse()
-
-
 def enumerate_pairings(n: int) -> list[Pairing]:
     """All (2n-1)!! pairings of {1,...,2n}, lexicographic on pair lists.
 
@@ -372,6 +355,30 @@ def loop_count(pi: Pairing, rho: Pairing) -> int:
     if len(pi) != len(rho):
         raise ValueError(f"size mismatch: {len(pi)} vs {len(rho)}")
     return (pi * rho).num_cycles() // 2
+
+
+def generator_index_maps(basis) -> list[list[int | None]]:
+    """Index maps of the generators (1 2 ... m) and (1 2) of S_m on a basis.
+
+    Permutations of {1,...,m} are moved by left multiplication, pairings of
+    {1,...,m} by conjugation; both Gram and Weingarten matrices are invariant
+    under these actions.  Entry i of a map is the index of g . basis[i], or
+    None when that image is not in the basis (or basis[i] is not of size m).
+    S_1 has only the identity.
+    """
+    m = len(basis[0])
+    position = {b: i for i, b in enumerate(basis)}
+    generators = [Permutation(tuple(range(2, m + 1)) + (1,))]
+    if m >= 2:
+        generators.append(Permutation.transposition(1, 2, m))
+    conjugate = isinstance(basis[0], Pairing)
+    return [
+        [
+            position.get(Pairing.conjugate_by(b, g) if conjugate else g * b) if len(b) == m else None
+            for b in basis
+        ]
+        for g in generators
+    ]
 
 
 def double_shape(shape: Partition) -> Partition:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 from .coeffring import invert, is_symbolic, render
-from .exactmat import mat_is_symmetric, mat_mul, mat_eq
+from .exactmat import PseudoInverseReport, mat_eq, mat_is_symmetric, mat_mul
 from .symcore import Partition, Permutation, hook_dimension, partitions_of, permutations_of
 from .young import character
 
@@ -125,21 +125,12 @@ def weingarten_unitary(n: int, tau) -> WeingartenTableU:
     )
 
 
-@dataclass
-class PseudoInverseReport:
-    """Outcome of the exact pseudo-inverse identities GWG=G, WGW=W, W=W^T."""
-
-    gwg_equals_g: bool
-    wgw_equals_w: bool
-    w_symmetric: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.gwg_equals_g and self.wgw_equals_w and self.w_symmetric
-
-
 def pseudo_inverse_check(gram, wg) -> PseudoInverseReport:
-    """Verify by exact multiplication; failures are reported, never raised."""
+    """Dense O(N^3) check by exact multiplication, the reference for the tests.
+
+    Production paths use ``exactmat.row_pseudo_inverse_check``, which needs
+    only one row.  Failures are reported, never raised.
+    """
     gw = mat_mul(gram, wg)
     return PseudoInverseReport(
         gwg_equals_g=mat_eq(mat_mul(gw, gram), gram),

@@ -16,6 +16,8 @@ plain rationals; promotion to symbolic happens downstream on demand.
 from __future__ import annotations
 
 import json
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -117,19 +119,55 @@ class CharacterTable:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "CharacterTable":
-        if payload.get("schema") != CHARACTER_SCHEMA:
-            raise ValueError(f"unrecognized character cache schema: {payload.get('schema')!r}")
-        parts = tuple(Partition.from_text(t) for t in payload["partitions"])
-        values = tuple(tuple(int(v) for v in row) for row in payload["values"])
-        return cls(int(payload["n"]), parts, values)
+        schema = payload.get("schema") if isinstance(payload, dict) else None
+        if schema != CHARACTER_SCHEMA:
+            raise ValueError(f"unrecognized character cache schema: {schema!r}")
+        try:
+            parts = tuple(Partition.from_text(t) for t in payload["partitions"])
+            values = tuple(tuple(int(v) for v in row) for row in payload["values"])
+            n = int(payload["n"])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed character cache: {exc!r}") from exc
+        return cls(n, parts, values)
+
+    def validate(self, n: int) -> None:
+        """Raise ValueError unless this is the character table of S_n.
+
+        Checks n, the partition list and the column orthogonality
+        sum_lam chi_lam(mu) chi_lam(nu) = delta_mu,nu z_mu, in O(p(n)^3).
+        """
+        if self.n != n:
+            raise ValueError(f"character cache holds n={self.n}, expected n={n}")
+        if list(self.partitions) != partitions_of(n):
+            raise ValueError(f"character cache does not list the partitions of n={n}")
+        size = len(self.partitions)
+        if len(self.values) != size or any(len(row) != size for row in self.values):
+            raise ValueError("character cache values are not a square table")
+        for j, mu in enumerate(self.partitions):
+            for k in range(j, size):
+                dot = sum(row[j] * row[k] for row in self.values)
+                if dot != (centralizer_order(mu) if j == k else 0):
+                    raise ValueError(f"character cache columns {j} and {k} are not orthogonal")
 
     def save(self, path: Path) -> None:
+        """Write through a temporary file in the same directory, then rename."""
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_json_dict()) + "\n")
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(self.to_json_dict()) + "\n")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
-    def load(cls, path: Path) -> "CharacterTable":
+    def load(cls, path: Path, n: int | None = None) -> "CharacterTable":
+        """Read a cache file and validate it for S_n (by default the file's own n).
+
+        Raises ValueError, before anything reaches the memo, if the file is
+        not a valid table.
+        """
         table = cls.from_json_dict(json.loads(path.read_text()))
+        table.validate(table.n if n is None else n)
         table.warm_memo()
         return table
 
@@ -145,7 +183,10 @@ class CharacterTable:
             return cls.build(n)
         path = Path(cache_dir) / f"characters-n{n}.json"
         if path.exists():
-            return cls.load(path)
+            try:
+                return cls.load(path, n)
+            except ValueError as exc:
+                print(f"warning: rebuilding {path}: {exc}", file=sys.stderr)
         table = cls.build(n)
         table.save(path)
         return table

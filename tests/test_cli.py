@@ -215,3 +215,55 @@ def test_mc_bad_indices(capsys):
     )
     assert code == 3
     assert "semicolon" in err
+
+
+@pytest.mark.parametrize("samples", ["1", "0", "-5"])
+@pytest.mark.parametrize("indices", [[], ["--indices", "1;1;1;1"]])
+def test_mc_too_few_samples_is_a_usage_error(capsys, samples, indices):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "mc", "--group", "unitary", "--n", "1", "--tau", "2",
+                "--samples", samples, "--seed", "1", *indices)
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--group", "unitary", "--n", "0"],
+    ["gram", "--group", "orthogonal", "--n", "0"],
+    ["mc", "--group", "unitary", "--n", "0", "--tau", "2", "--samples", "1000"],
+    ["table", "--group", "orthogonal", "--n", "-2", "--tau", "3"],
+])
+def test_nonpositive_n_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv)
+    assert exc.value.code == 2
+    assert "--n" in capsys.readouterr().err
+
+
+def _cached_n4(tmp_path, capsys):
+    assert run_cli(capsys, "characters", "--n", "4")[0] == 0
+    return tmp_path / "cache" / "characters-n4.json"
+
+
+def test_edited_character_cache_is_rebuilt(tmp_path, capsys):
+    path = _cached_n4(tmp_path, capsys)
+    data = json.loads(path.read_text())
+    data["values"][0][0] += 1
+    data["values"][0][1] += 1
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "table", "--group", "orthogonal", "--n", "2", "--tau", "5")
+    assert code == 0
+    assert json.loads(out)["weingarten"][0][0] == "3/70"
+    assert err.startswith("warning: rebuilding") and err.count("\n") == 1
+    assert json.loads(path.read_text())["values"][0] == [1, 1, 1, 1, 1]
+
+
+def test_truncated_character_cache_is_rebuilt(tmp_path, capsys):
+    path = _cached_n4(tmp_path, capsys)
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    code, out, err = run_cli(capsys, "table", "--group", "orthogonal", "--n", "2", "--tau", "5")
+    assert code == 0
+    assert json.loads(out)["weingarten"][0][0] == "3/70"
+    assert "warning: rebuilding" in err
+    assert path.read_text() == text

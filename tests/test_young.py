@@ -219,3 +219,25 @@ def test_load_or_build_creates_cache(tmp_path):
 def test_bad_schema_rejected():
     with pytest.raises(ValueError):
         CharacterTable.from_json_dict({"schema": "nope", "n": 2, "partitions": [], "values": []})
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '{"schema": "weingarten/character-table/1", "n": 4, "partitions": 3, "values": []}',
+    '{"schema": "weingarten/character-table/1", "n": 4, "partitions": ["[4]"], "values": [[1]]}',
+    "three",
+    "",
+])
+def test_malformed_cache_is_rebuilt_with_a_warning(tmp_path, capsys, text):
+    path = tmp_path / "characters-n4.json"
+    path.write_text(text)
+    table = CharacterTable.load_or_build(4, tmp_path)
+    assert table == CharacterTable.build(4)
+    assert CharacterTable.load(path) == table
+    assert capsys.readouterr().err.startswith(f"warning: rebuilding {path}")
+
+
+def test_cache_for_another_n_is_rebuilt(tmp_path, capsys):
+    CharacterTable.build(3).save(tmp_path / "characters-n4.json")
+    assert CharacterTable.load_or_build(4, tmp_path) == CharacterTable.build(4)
+    assert "expected n=4" in capsys.readouterr().err
