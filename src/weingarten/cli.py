@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--tau", required=True, type=int)
     # z-scores need a sample variance; below 100 draws they mean nothing
     p_mc.add_argument("--samples", type=_int_at_least(100), default=200_000)
-    p_mc.add_argument("--seed", type=int, default=1)
+    p_mc.add_argument("--seed", type=_int_at_least(0), default=1)
     p_mc.add_argument(
         "--indices",
         default=None,

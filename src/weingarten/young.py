@@ -133,8 +133,14 @@ class CharacterTable:
     def validate(self, n: int) -> None:
         """Raise ValueError unless this is the character table of S_n.
 
-        Checks n, the partition list and the column orthogonality
-        sum_lam chi_lam(mu) chi_lam(nu) = delta_mu,nu z_mu, in O(p(n)^3).
+        Checks n, the partition list, the column orthogonality
+        sum_lam chi_lam(mu) chi_lam(nu) = delta_mu,nu z_mu, in O(p(n)^3), and
+        that each row belongs to its label: chi_lam(1) = dim(lam) and, on a
+        transposition, chi_lam = dim(lam) * 2 c(lam) / (n(n-1)), where c is the
+        content sum.  Orthogonality survives any permutation of the rows; the
+        pair (dim, c) tells every two shapes apart for n <= 11, which covers
+        every capped cache (up to S_10).  From n = 12 it does not: [7,1^5] and
+        [4,4,4] share it, so swapping their rows is not detected.
         """
         if self.n != n:
             raise ValueError(f"character cache holds n={self.n}, expected n={n}")
@@ -143,6 +149,12 @@ class CharacterTable:
         size = len(self.partitions)
         if len(self.values) != size or any(len(row) != size for row in self.values):
             raise ValueError("character cache values are not a square table")
+        # the classes (1^n) and (2,1^(n-2)) come last in the canonical order
+        for lam, row in zip(self.partitions, self.values):
+            dim = hook_dimension(lam)
+            content = sum(j - i for i, j in lam.cells())
+            if row[-1] != dim or (n > 1 and row[-2] * n * (n - 1) != 2 * dim * content):
+                raise ValueError(f"character cache row {lam.to_text()} is not the character of that shape")
         for j, mu in enumerate(self.partitions):
             for k in range(j, size):
                 dot = sum(row[j] * row[k] for row in self.values)

@@ -227,6 +227,15 @@ def test_mc_too_few_samples_is_a_usage_error(capsys, samples, indices):
     assert "--samples" in capsys.readouterr().err
 
 
+def test_mc_negative_seed_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "mc", "--group", "unitary", "--n", "1", "--tau", "2",
+                "--samples", "1000", "--seed", "-1")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["table", "--group", "unitary", "--n", "0"],
     ["gram", "--group", "orthogonal", "--n", "0"],
@@ -266,4 +275,19 @@ def test_truncated_character_cache_is_rebuilt(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["weingarten"][0][0] == "3/70"
     assert "warning: rebuilding" in err
+    assert path.read_text() == text
+
+
+def test_swapped_conjugate_rows_are_rebuilt(tmp_path, capsys):
+    assert run_cli(capsys, "characters", "--n", "6")[0] == 0
+    path = tmp_path / "cache" / "characters-n6.json"
+    text = path.read_text()
+    data = json.loads(text)
+    i, j = data["partitions"].index("[4,2]"), data["partitions"].index("[2,2,1,1]")
+    data["values"][i], data["values"][j] = data["values"][j], data["values"][i]
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "table", "--group", "orthogonal", "--n", "3", "--tau", "7")
+    assert code == 0
+    assert json.loads(out)["weingarten"][0][0] == "34/10395"
+    assert err.startswith("warning: rebuilding") and err.count("\n") == 1
     assert path.read_text() == text

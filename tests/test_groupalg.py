@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weingarten import cli, groupalg, young
 from weingarten.coeffring import TAU
 from weingarten.groupalg import (
     AlgebraElement,
+    _mul_fractions,
+    _mul_terms,
     average_projector,
     full_basis,
     hyperoctahedral_elements,
@@ -17,7 +20,15 @@ from weingarten.groupalg import (
     jm_product_unitary,
     regular_matrix,
 )
-from weingarten.symcore import Pairing, Permutation, enumerate_pairings, permutations_of
+from weingarten.symcore import (
+    Pairing,
+    Permutation,
+    StandardTableau,
+    enumerate_pairings,
+    partitions_of,
+    permutations_of,
+    standard_tableaux,
+)
 from weingarten.exactmat import mat_eq, mat_identity
 
 
@@ -239,3 +250,99 @@ def test_scalar_multiplication_and_zero_pruning():
     assert not (a - a)
     assert a.scale(Fraction(0)) == AlgebraElement.zero(2)
     assert Fraction(2) * a == a + a
+
+
+# -- integer product kernel against the term-by-term loop ---------------------
+
+
+def loop_product(a, b):
+    return AlgebraElement(a.n, _mul_terms(a.terms, b.terms))
+
+
+@st.composite
+def fraction_elements(draw, n):
+    perms = permutations_of(n)
+    chosen = draw(st.lists(st.sampled_from(perms), min_size=1, max_size=len(perms), unique=True))
+    coeffs = st.fractions(min_value=-60, max_value=60, max_denominator=12).filter(bool)
+    return AlgebraElement(n, {p: draw(coeffs) for p in chosen})
+
+
+@st.composite
+def fraction_pairs(draw):
+    n = draw(st.integers(1, 5))
+    return draw(fraction_elements(n)), draw(fraction_elements(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fraction_pairs())
+def test_kernel_matches_loop(pair):
+    a, b = pair
+    assert _mul_fractions(a.n, a.terms, b.terms) is not None
+    assert a * b == loop_product(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fraction_pairs(), st.integers(1, 9))
+def test_kernel_chunks_merge_exactly(pair, chunk_pairs):
+    a, b = pair
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(groupalg, "_CHUNK_PAIRS", chunk_pairs)
+        assert a * b == loop_product(a, b)
+
+
+def test_kernel_n1_and_mixed_denominators():
+    one = Permutation.identity(1)
+    a = AlgebraElement(1, {one: Fraction(-3, 4)})
+    assert a * AlgebraElement(1, {one: Fraction(2, 9)}) == AlgebraElement(1, {one: Fraction(-1, 6)})
+    b = delta([2, 1, 3]).scale(Fraction(1, 6)) + delta([1, 3, 2]).scale(Fraction(-5, 4))
+    c = AlgebraElement.unit(3, Fraction(7, 10)) + delta([3, 1, 2]).scale(Fraction(-2, 15))
+    assert b * c == loop_product(b, c)
+    assert c * b == loop_product(c, b)
+
+
+def test_kernel_cancels_orthogonal_idempotents():
+    tableaux = [t for lam in partitions_of(4) for t in standard_tableaux(lam)]
+    e, f = young.young_idempotent(tableaux[1]), young.young_idempotent(tableaux[2])
+    assert _mul_fractions(4, e.terms, f.terms) == {}
+    assert not e * f and not loop_product(e, f)
+    assert e * e == e == loop_product(e, e)
+
+
+def test_kernel_int64_bound():
+    big = 2**62
+    a = AlgebraElement(3, {Permutation.identity(3): Fraction(big)})
+    b = delta([2, 1, 3]) + delta([1, 3, 2])
+    # big * 1 * min(1, 2) < 2**63: the kernel runs
+    assert _mul_fractions(3, a.terms, b.terms) is not None
+    assert a * b == loop_product(a, b)
+    # big * 1 * min(2, 2) = 2**63: the loop runs, still exact
+    a2 = a + delta([3, 2, 1]).scale(Fraction(-(big - 1), 3))
+    assert _mul_fractions(3, a2.terms, b.terms) is None
+    prod = a2 * b
+    assert prod == loop_product(a2, b)
+    assert prod.coefficient(Permutation.from_images([2, 1, 3])) == big
+    assert prod.coefficient(Permutation.from_images([3, 1, 2])) == Fraction(-(big - 1), 3)
+
+
+def test_non_fraction_coefficients_take_the_loop():
+    sym = AlgebraElement.unit(3, TAU) + delta([2, 1, 3])
+    rat = delta([1, 3, 2]).scale(Fraction(1, 2))
+    assert _mul_fractions(3, sym.terms, rat.terms) is None
+    assert sym * rat == loop_product(sym, rat)
+    ints = AlgebraElement(3, {Permutation.from_images([2, 3, 1]): 2})
+    assert _mul_fractions(3, ints.terms, rat.terms) is None
+    assert ints * rat == loop_product(ints, rat)
+    assert not AlgebraElement.zero(3) * rat and not rat * AlgebraElement.zero(3)
+
+
+@pytest.mark.parametrize("suite", ["idempotents", "central"])
+def test_perturbed_idempotent_fails_the_checks(monkeypatch, capsys, suite):
+    t = StandardTableau([[1, 2, 4], [3, 5]])
+    e = young.young_idempotent(t)
+    p = next(iter(e.terms))
+    bad = AlgebraElement(5, {**e.terms, p: e.terms[p] + Fraction(1, 1440)})
+    monkeypatch.setitem(young._IDEMPOTENT_CACHE, t.rows, bad)
+    assert cli.main(["verify", "--suite", suite, "--n", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("FAIL") and "n=5" in lines[-1]
+    assert all(line.startswith("ok") for line in lines[:-1])

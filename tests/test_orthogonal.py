@@ -277,7 +277,7 @@ def test_doubling_2n8_sample():
 
 
 @pytest.mark.skipif("WG_DEEP" not in __import__("os").environ,
-                    reason="2n=8 doubling is opt-in (set WG_DEEP=1); takes ~25 min")
+                    reason="2n=8 doubling is opt-in (set WG_DEEP=1); takes ~12 min")
 def test_doubling_2n8_full_opt_in():
     report = verify_doubling(4)
     assert report.ok

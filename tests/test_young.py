@@ -237,6 +237,19 @@ def test_malformed_cache_is_rebuilt_with_a_warning(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith(f"warning: rebuilding {path}")
 
 
+def test_every_row_swap_is_rejected():
+    table = CharacterTable.build(6)
+    table.validate(6)
+    size = len(table.partitions)
+    for i in range(size):
+        for j in range(i + 1, size):
+            rows = list(table.values)
+            rows[i], rows[j] = rows[j], rows[i]
+            swapped = CharacterTable(6, table.partitions, tuple(rows))
+            with pytest.raises(ValueError, match="is not the character of that shape"):
+                swapped.validate(6)
+
+
 def test_cache_for_another_n_is_rebuilt(tmp_path, capsys):
     CharacterTable.build(3).save(tmp_path / "characters-n4.json")
     assert CharacterTable.load_or_build(4, tmp_path) == CharacterTable.build(4)
