@@ -310,18 +310,23 @@ def test_kernel_cancels_orthogonal_idempotents():
 
 def test_kernel_int64_bound():
     big = 2**62
-    a = AlgebraElement(3, {Permutation.identity(3): Fraction(big)})
-    b = delta([2, 1, 3]) + delta([1, 3, 2])
+    ident, swap = Permutation.identity(3), Permutation.from_images([2, 1, 3])
+    b = AlgebraElement(3, {ident: Fraction(1), swap: Fraction(1)})
     # big * 1 * min(1, 2) < 2**63: the kernel runs
+    a = AlgebraElement(3, {ident: Fraction(big)})
     assert _mul_fractions(3, a.terms, b.terms) is not None
     assert a * b == loop_product(a, b)
-    # big * 1 * min(2, 2) = 2**63: the loop runs, still exact
-    a2 = a + delta([3, 2, 1]).scale(Fraction(-(big - 1), 3))
-    assert _mul_fractions(3, a2.terms, b.terms) is None
-    prod = a2 * b
-    assert prod == loop_product(a2, b)
-    assert prod.coefficient(Permutation.from_images([2, 1, 3])) == big
-    assert prod.coefficient(Permutation.from_images([3, 1, 2])) == Fraction(-(big - 1), 3)
+    # big * 1 * min(2, 2) = 2**63: two pairs land on the identity, and their
+    # sum 2**63 would wrap in int64, so the loop runs and stays exact
+    a = AlgebraElement(3, {ident: Fraction(big), swap: Fraction(big)})
+    assert _mul_fractions(3, a.terms, b.terms) is None
+    assert (a * b).coefficient(ident) == 2**63
+    assert a * b == loop_product(a, b)
+    # the common denominator 15 lifts the numerator (big - 1) / 3 past the bound
+    a = AlgebraElement(3, {ident: Fraction(big - 1, 3), swap: Fraction(1, 5)})
+    assert _mul_fractions(3, a.terms, b.terms) is None
+    assert (a * b).coefficient(ident) == Fraction(big - 1, 3) + Fraction(1, 5)
+    assert a * b == loop_product(a, b)
 
 
 def test_non_fraction_coefficients_take_the_loop():
