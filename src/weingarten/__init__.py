@@ -8,6 +8,13 @@ Monte-Carlo Haar integration.
 """
 
 from .coeffring import TAU, PoleError, Rational, TauPolynomial, TauRational, parse, render
+from .exactmat import (
+    PseudoInverseReport,
+    WeingartenTable,
+    content_product,
+    pseudo_inverse_check,
+    weingarten_table,
+)
 from .groupalg import (
     AlgebraElement,
     average_projector,
@@ -28,8 +35,6 @@ from .haarmc import (
     sample_haar,
 )
 from .orthogonal import (
-    CosetRepresentative,
-    WeingartenTableO,
     adjacent_pairing,
     c_orthogonal,
     coset_representative,
@@ -57,16 +62,9 @@ from .symcore import (
     partitions_of,
     permutations_of,
     standard_tableaux,
+    type_matrix,
 )
-from .unitary import (
-    PseudoInverseReport,
-    WeingartenTableU,
-    c_unitary,
-    gram_unitary,
-    pseudo_inverse_check,
-    weingarten_unitary,
-    wg_function_unitary,
-)
+from .unitary import c_unitary, gram_unitary, weingarten_unitary, wg_function_unitary
 from .young import CharacterTable, central_idempotent, character, young_idempotent
 
 __version__ = "0.1.0"

@@ -20,8 +20,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .coeffring import TAU, PoleError, render
-from .exactmat import row_pseudo_inverse_check
+from .coeffring import TAU, PoleError, is_symbolic, render
+from .exactmat import render_matrix, weingarten_table
 from .groupalg import AlgebraElement, jm_product_unitary
 from .haarmc import MomentSpec, estimate_moment, grid_crosscheck
 from .orthogonal import (
@@ -34,7 +34,7 @@ from .orthogonal import (
 )
 from .symcore import (
     Partition,
-    generator_index_maps,
+    enumerate_pairings,
     partitions_of,
     permutations_of,
     standard_tableaux,
@@ -59,6 +59,7 @@ SUITE_CAPS = {
     "commute": 4,
 }
 MC_GRID_CAP = 2
+BASES = {"unitary": permutations_of, "orthogonal": enumerate_pairings}
 
 
 def cache_dir() -> Path:
@@ -190,8 +191,8 @@ def _matrix_csv(labels: list[str], matrix) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + labels)
-    for label, row in zip(labels, matrix):
-        writer.writerow([label] + [render(x) for x in row])
+    for label, row in zip(labels, render_matrix(matrix)):
+        writer.writerow([label] + row)
     return buf.getvalue()
 
 
@@ -203,52 +204,22 @@ def _build_table(group: str, n: int, tau):
 
 
 def _cmd_table(args) -> int:
-    from .coeffring import is_symbolic
-
+    """``table`` writes G and W (CSV: W alone); ``gram`` builds and writes G alone."""
     kind = "symbolic" if is_symbolic(args.tau) else "numeric"
     message = _check_cap(args.n, CAPS[args.group][kind], args.force, f"{kind} {args.group}")
     if message:
         print(message, file=sys.stderr)
         return 2
-    table = _build_table(args.group, args.n, args.tau)
+    if args.command == "table":
+        table = _build_table(args.group, args.n, args.tau)
+        matrix = table.weingarten
+    else:
+        table = weingarten_table(args.group, args.n, args.tau, BASES[args.group](args.n))
+        matrix = table.gram
     if args.format == "json":
         _emit(json.dumps(table.to_json_dict()), args.out)
     else:
-        labels = [p.to_text() for p in table.basis]
-        _emit(_matrix_csv(labels, table.weingarten), args.out)
-    return 0
-
-
-def _cmd_gram(args) -> int:
-    from .coeffring import is_symbolic
-    from .orthogonal import gram_orthogonal
-    from .unitary import gram_unitary
-
-    kind = "symbolic" if is_symbolic(args.tau) else "numeric"
-    message = _check_cap(args.n, CAPS[args.group][kind], args.force, f"{kind} {args.group}")
-    if message:
-        print(message, file=sys.stderr)
-        return 2
-    if args.group == "unitary":
-        basis = permutations_of(args.n)
-        gram = gram_unitary(args.n, args.tau)
-    else:
-        from .symcore import enumerate_pairings
-
-        basis = enumerate_pairings(args.n)
-        gram = gram_orthogonal(args.n, args.tau)
-    labels = [p.to_text() for p in basis]
-    if args.format == "json":
-        payload = {
-            "group": args.group,
-            "n": args.n,
-            "tau": "symbolic" if is_symbolic(args.tau) else render(Fraction(args.tau)),
-            "basis": labels,
-            "gram": [[render(x) for x in row] for row in gram],
-        }
-        _emit(json.dumps(payload), args.out)
-    else:
-        _emit(_matrix_csv(labels, gram), args.out)
+        _emit(_matrix_csv([p.to_text() for p in table.basis], matrix), args.out)
     return 0
 
 
@@ -327,21 +298,18 @@ def _suite_central(max_n, tau, tau2, deep):
         yield f"central idempotents, both routes n={n}", ok
 
 
-def _pseudo_inverse_ok(table) -> bool:
-    maps = generator_index_maps(table.basis)
-    return row_pseudo_inverse_check(table.gram, table.weingarten, maps).ok
-
-
 def _suite_pseudoinverse(max_n, tau, tau2, deep):
     numeric_tau = tau if tau is not None else Fraction(7)
     for n in range(1, max_n + 1):
         t = TAU if n <= 4 else numeric_tau
         label = "symbolic" if n <= 4 else f"tau={t}"
-        yield f"pseudo-inverse unitary n={n} ({label})", _pseudo_inverse_ok(weingarten_unitary(n, t))
+        report = weingarten_unitary(n, t).pseudo_inverse_report()
+        yield f"pseudo-inverse unitary n={n} ({label})", report.ok
     for n in range(1, min(max_n, 4) + 1):
         t = TAU if n <= 3 else numeric_tau
         label = "symbolic" if n <= 3 else f"tau={t}"
-        yield f"pseudo-inverse orthogonal n={n} ({label})", _pseudo_inverse_ok(weingarten_orthogonal(n, t))
+        report = weingarten_orthogonal(n, t).pseudo_inverse_report()
+        yield f"pseudo-inverse orthogonal n={n} ({label})", report.ok
 
 
 def _suite_doubling(max_n, tau, tau2, deep):
@@ -452,7 +420,7 @@ def _cmd_mc(args) -> int:
 
 HANDLERS = {
     "table": _cmd_table,
-    "gram": _cmd_gram,
+    "gram": _cmd_table,
     "wgfn": _cmd_wgfn,
     "characters": _cmd_characters,
     "verify": _cmd_verify,

@@ -1,7 +1,14 @@
-"""Tiny exact dense-matrix helpers shared by the two Weingarten modules.
+"""Exact tables and dense-matrix helpers shared by the two Weingarten modules.
 
 Matrices are plain lists of row lists whose entries live in any of the
 package's coefficient rings; everything here is exact, nothing is numeric.
+
+Both groups' tables come out of ``weingarten_table``.  Each Gram entry and
+each Weingarten entry depends only on the double-coset type of its basis pair
+(``symcore.type_matrix``): the Gram entry is tau^(parts of the type) and the
+Weingarten entry is the group's class-function value on the type.  So every
+value is computed once per type, stored as one shared object in all entries of
+that type, and rendered once per type.
 
 The identity checks run on one row.  Both Weingarten matrices and both Gram
 matrices are invariant under a group acting transitively on the basis (left
@@ -16,9 +23,12 @@ product, kept as the reference the tests compare against.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
+
+from .coeffring import invert, is_symbolic, render
+from .symcore import Partition, generator_index_maps, partitions_of, type_matrix
 
 
 def mat_mul(a, b):
@@ -42,6 +52,20 @@ def mat_mul(a, b):
             row.append(acc if acc is not None else Fraction(0))
         out.append(row)
     return out
+
+
+def pseudo_inverse_check(gram, wg) -> PseudoInverseReport:
+    """Dense O(N^3) check by exact multiplication, the reference for the tests.
+
+    Production paths use ``row_pseudo_inverse_check``, which needs only one
+    row.  Failures are reported, never raised.
+    """
+    gw = mat_mul(gram, wg)
+    return PseudoInverseReport(
+        gwg_equals_g=mat_eq(mat_mul(gw, gram), gram),
+        wgw_equals_w=mat_eq(mat_mul(wg, gw), wg),
+        w_symmetric=mat_is_symmetric(wg),
+    )
 
 
 def mat_eq(a, b) -> bool:
@@ -198,3 +222,118 @@ def row_commutation_check(a, b, maps) -> bool:
     if not _structured(maps, ai, bi):
         return False
     return values.row_times(ai[0], list(zip(*bi))) == values.row_times(bi[0], list(zip(*ai)))
+
+
+def tau_powers(tau, n: int) -> list:
+    """[1, tau, tau^2, ..., tau^n], each power one shared object."""
+    powers = [Fraction(1)]
+    for _ in range(n):
+        powers.append(powers[-1] * tau)
+    return powers
+
+
+def content_product(lam: Partition, tau, alpha: int):
+    """c_lam = product over the boxes (i, j) of lam of (tau + alpha(j-1) - (i-1)).
+
+    alpha = 1 gives the unitary eigenvalue product of (tau + j - i), alpha = 2
+    the orthogonal one of (tau + 2j - 1 - i).
+    """
+    lam = Partition(lam)
+    acc = None
+    for i, j in lam.cells():
+        factor = tau + Fraction(alpha * (j - 1) - (i - 1))
+        acc = factor if acc is None else acc * factor
+    return acc if acc is not None else Fraction(1)
+
+
+def spectral_sum(n: int, tau, alpha: int, weight):
+    """Sum over the shapes lam of n with c_lam != 0 of weight(lam) / c_lam.
+
+    c_lam is content_product(lam, tau, alpha).  Leaving out the shapes where
+    it vanishes is the pseudo-inverse prescription; they are a table's
+    excluded shapes.  Both groups' Weingarten values are such sums.
+    """
+    total = None
+    for lam in partitions_of(n):
+        c = content_product(lam, tau, alpha)
+        if not c:
+            continue
+        w = weight(lam)
+        if not w:
+            continue
+        term = invert(c) * w
+        total = term if total is None else total + term
+    return total if total is not None else Fraction(0)
+
+
+def render_matrix(matrix) -> list[list[str]]:
+    """Text of every entry, each distinct entry object rendered once.
+
+    ``weingarten_table`` shares one value object among all entries of a type,
+    so its matrices render once per type, not once per entry.
+    """
+    texts = {id(x): x for row in matrix for x in row}
+    for key, x in texts.items():
+        texts[key] = render(x)
+    return [[texts[id(x)] for x in row] for row in matrix]
+
+
+@dataclass
+class WeingartenTable:
+    """Gram and Weingarten matrices of U(tau) or O(tau) for one (n, tau).
+
+    The basis is S_n for the unitary group and the pairings of {1,...,2n} for
+    the orthogonal one; `excluded` lists the shapes whose c_lam vanishes at
+    tau.  A Gram-only table has no Weingarten matrix, and its JSON form has
+    neither that matrix nor the excluded shapes.
+    """
+
+    group: str
+    n: int
+    tau: object
+    basis: list
+    gram: list[list]
+    weingarten: list[list] | None = None
+    excluded: list[Partition] = field(default_factory=list)
+
+    def to_json_dict(self) -> dict:
+        payload = {
+            "group": self.group,
+            "n": self.n,
+            "tau": "symbolic" if is_symbolic(self.tau) else render(Fraction(self.tau)),
+            "basis": [p.to_text() for p in self.basis],
+            "gram": render_matrix(self.gram),
+        }
+        if self.weingarten is not None:
+            payload["weingarten"] = render_matrix(self.weingarten)
+            payload["excluded"] = [p.to_text() for p in self.excluded]
+        return payload
+
+    def pseudo_inverse_report(self) -> PseudoInverseReport:
+        """GWG=G, WGW=W and W=W^T by the one-row check on this table's basis."""
+        maps = generator_index_maps(self.basis)
+        return row_pseudo_inverse_check(self.gram, self.weingarten, maps)
+
+
+def weingarten_table(
+    group: str, n: int, tau, basis, value=None, alpha: int | None = None
+) -> WeingartenTable:
+    """Assemble a table from the type matrix of `basis`.
+
+    The Gram entry of a type is tau^(its number of parts), the Weingarten
+    entry is value(type, tau), and the excluded shapes are those whose
+    content_product(lam, tau, alpha) vanishes (none when tau is symbolic).
+    With value None only the Gram matrix is built.
+    """
+    if n < 1:
+        raise ValueError(f"{group} tables require n >= 1, got {n}")
+    types, index = type_matrix(basis)
+    powers = tau_powers(tau, n)
+    gram_of = [powers[len(mu)] for mu in types]
+    gram = [[gram_of[k] for k in row] for row in index]
+    if value is None:
+        return WeingartenTable(group, n, tau, basis, gram)
+    wg_of = [value(mu, tau) for mu in types]
+    wg = [[wg_of[k] for k in row] for row in index]
+    excluded = [lam for lam in partitions_of(n) if not content_product(lam, tau, alpha)]
+    return WeingartenTable(group, n, tau, basis, gram, wg, excluded)

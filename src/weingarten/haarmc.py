@@ -30,7 +30,7 @@ import numpy as np
 
 from .coeffring import render
 from .orthogonal import loop_type, wg_value_orthogonal
-from .symcore import enumerate_pairings, partitions_of, permutations_of
+from .symcore import enumerate_pairings, partitions_of, permutations_of, type_matrix
 from .unitary import wg_function_unitary
 
 _BATCH = 4096  # fixed batch size keeps seeded runs bit-reproducible
@@ -252,11 +252,11 @@ def _tensor_power_flat(q: np.ndarray, n: int) -> np.ndarray:
 def _unitary_prediction_tensor(n: int, tau: int) -> np.ndarray:
     dim = tau**n
     multi = list(itertools.product(range(tau), repeat=n))
-    values = {
-        mu: float(wg_function_unitary(mu, Fraction(tau))) for mu in partitions_of(n)
-    }
-    pred = np.zeros((dim, dim, dim, dim))
     perms = permutations_of(n)
+    # sigma rho^-1 is conjugate to rho^-1 sigma, the inverse of sigma^-1 rho
+    types, index = type_matrix(perms)
+    values = [float(wg_function_unitary(mu, Fraction(tau))) for mu in types]
+    pred = np.zeros((dim, dim, dim, dim))
     deltas = {}
     for s in perms:
         d = np.zeros((dim, dim), dtype=bool)
@@ -265,9 +265,9 @@ def _unitary_prediction_tensor(n: int, tau: int) -> np.ndarray:
                 if all(a[k] == c[s[k] - 1] for k in range(n)):
                     d[a_idx, c_idx] = True
         deltas[s] = d
-    for sigma in perms:
-        for rho in perms:
-            w = values[(sigma * rho.inverse()).cycle_type()]
+    for i, sigma in enumerate(perms):
+        for j, rho in enumerate(perms):
+            w = values[index[i][j]]
             pred += w * (
                 deltas[sigma][:, None, :, None] & deltas[rho][None, :, None, :]
             )
@@ -277,10 +277,9 @@ def _unitary_prediction_tensor(n: int, tau: int) -> np.ndarray:
 def _orthogonal_prediction_tensor(n: int, tau: int) -> np.ndarray:
     dim = tau ** (2 * n)
     multi = list(itertools.product(range(tau), repeat=2 * n))
-    values = {
-        mu: float(wg_value_orthogonal(mu, Fraction(tau))) for mu in partitions_of(n)
-    }
     pairings = enumerate_pairings(n)
+    types, index = type_matrix(pairings)
+    values = [float(wg_value_orthogonal(mu, Fraction(tau))) for mu in types]
     deltas = {}
     for pi in pairings:
         deltas[pi] = np.array(
@@ -288,9 +287,9 @@ def _orthogonal_prediction_tensor(n: int, tau: int) -> np.ndarray:
             dtype=bool,
         )
     pred = np.zeros((dim, dim))
-    for pi in pairings:
-        for rho in pairings:
-            pred += values[loop_type(pi, rho)] * np.outer(deltas[pi], deltas[rho])
+    for i, pi in enumerate(pairings):
+        for j, rho in enumerate(pairings):
+            pred += values[index[i][j]] * np.outer(deltas[pi], deltas[rho])
     return pred
 
 
@@ -300,47 +299,39 @@ def grid_crosscheck(
     """Estimate every balanced degree-(n, n) unitary (or degree-2n orthogonal)
     entry moment in one pass and z-score it against the exact prediction.
 
-    Sample accumulation uses one fixed-size batch loop and two matrix products
-    per batch, so the run is deterministic for a given seed.
+    Sample accumulation uses one fixed-size batch loop and a fixed sequence of
+    matrix products per batch, so the run is deterministic for a given seed.
     """
+    if group not in ("unitary", "orthogonal"):
+        raise ValueError(f"unknown group {group!r}")
     rng = np.random.default_rng(seed)
-    if group == "unitary":
-        dim = tau**n
-        sum_re = np.zeros((dim * dim, dim * dim))
-        sum_sq = np.zeros((dim * dim, dim * dim))
-        remaining = samples
-        while remaining:
-            count = min(_BATCH, remaining)
-            q = _haar_batch("unitary", tau, count, rng)
-            flat = _tensor_power_flat(q, n)
+    dim = tau**n
+    sum_re = np.zeros((dim * dim, dim * dim))
+    sum_sq = np.zeros((dim * dim, dim * dim))
+    remaining = samples
+    while remaining:
+        count = min(_BATCH, remaining)
+        flat = _tensor_power_flat(_haar_batch(group, tau, count, rng), n)
+        if group == "unitary":
             re, im = np.ascontiguousarray(flat.real), np.ascontiguousarray(flat.imag)
             sum_re += re.T @ re + im.T @ im
             sum_sq += (re * re).T @ (re * re)
             sum_sq += 2.0 * (re * im).T @ (re * im)
             sum_sq += (im * im).T @ (im * im)
-            remaining -= count
+        else:
+            sum_re += flat.T @ flat
+            sum_sq += (flat * flat).T @ (flat * flat)
+        remaining -= count
+    if group == "unitary":
         mean = (sum_re / samples).reshape(dim, dim, dim, dim)
         mean_sq = (sum_sq / samples).reshape(dim, dim, dim, dim)
         pred = _unitary_prediction_tensor(n, tau)
-    elif group == "orthogonal":
-        dim = tau**n
-        sum_re = np.zeros((dim * dim, dim * dim))
-        sum_sq = np.zeros((dim * dim, dim * dim))
-        remaining = samples
-        while remaining:
-            count = min(_BATCH, remaining)
-            q = _haar_batch("orthogonal", tau, count, rng)
-            flat = _tensor_power_flat(q, n)
-            sum_re += flat.T @ flat
-            sum_sq += (flat * flat).T @ (flat * flat)
-            remaining -= count
+    else:
         # index (a1 b1 a2 b2) -> (a1 a2 b1 b2): rows and columns interleave
         full = tau ** (2 * n)
         mean = _regroup_pair_axes(sum_re / samples, dim).reshape(full, full)
         mean_sq = _regroup_pair_axes(sum_sq / samples, dim).reshape(full, full)
         pred = _orthogonal_prediction_tensor(n, tau)
-    else:
-        raise ValueError(f"unknown group {group!r}")
 
     variance = np.maximum(mean_sq - mean * mean, 0.0)
     stderr = np.sqrt(variance * (samples / (samples - 1)) / samples)

@@ -21,9 +21,9 @@ with central-projector entries
 That sum runs over a single left coset of the centralizer of pi' (order
 2^n n!), and its value depends only on the loop-length type of the pair
 (pi, pi') (simultaneous conjugation moves any pair to any other of the same
-type while permuting the coset).  Table assembly therefore computes one
-cycle-type histogram per loop type and reuses it, which is what keeps the
-945-pairing case affordable.
+type while permuting the coset).  Table assembly (``exactmat.weingarten_table``)
+therefore computes one value, from one cycle-type histogram, per loop type,
+which is what keeps the 945-pairing case affordable.
 
 The verify_* operations check the structural identities this construction
 rests on, term by term and exactly.
@@ -33,12 +33,20 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .coeffring import TAU, invert, is_symbolic, render
-from .exactmat import mat_eq, row_commutation_check
+from .coeffring import TAU, invert
+from .exactmat import (
+    WeingartenTable,
+    content_product,
+    mat_eq,
+    row_commutation_check,
+    spectral_sum,
+    tau_powers,
+    weingarten_table,
+)
 from .groupalg import (
     AlgebraElement,
     average_projector,
@@ -60,7 +68,6 @@ from .symcore import (
     partitions_of,
     standard_tableaux,
 )
-from .unitary import _tau_powers
 from .young import character, young_idempotent, _extend_idempotent
 
 
@@ -82,26 +89,7 @@ def adjacent_pairing(n: int) -> Pairing:
     return Pairing(images)
 
 
-@dataclass(frozen=True)
-class CosetRepresentative:
-    """A permutation carrying the adjacent pairing onto `pairing`."""
-
-    pairing: Pairing
-    sigma: Permutation
-
-
-def _representative_images(pi: Pairing) -> Permutation:
-    size = len(pi)
-    if size == 2:
-        return Permutation.identity(2)
-    if pi[size - 1] == size - 1:
-        inner = _representative_images(Pairing(pi[: size - 2]))
-        return Permutation(tuple(inner) + (size - 1, size))
-    swap = Permutation.transposition(pi[size - 1], size - 1, size)
-    return swap * _representative_images(pi.conjugate_by(swap))
-
-
-def coset_representative(pi: Pairing) -> CosetRepresentative:
+def coset_representative(pi: Pairing) -> Permutation:
     """Deterministic coset representative, by recursion on the last point.
 
     If pi already pairs (2n-1, 2n), extend the representative of the
@@ -110,7 +98,14 @@ def coset_representative(pi: Pairing) -> CosetRepresentative:
     chosen representatives are exactly the permutations appearing in the
     expansion of the odd Jucys-Murphy product.
     """
-    return CosetRepresentative(pi, _representative_images(pi))
+    size = len(pi)
+    if size == 2:
+        return Permutation.identity(2)
+    if pi[size - 1] == size - 1:
+        inner = coset_representative(Pairing(pi[: size - 2]))
+        return Permutation(tuple(inner) + (size - 1, size))
+    swap = Permutation.transposition(pi[size - 1], size - 1, size)
+    return swap * coset_representative(pi.conjugate_by(swap))
 
 
 def loop_type(pi: Pairing, rho: Pairing) -> Partition:
@@ -128,19 +123,12 @@ def loop_type(pi: Pairing, rho: Pairing) -> Partition:
 
 def gram_orthogonal(n: int, tau):
     """(2n-1)!! square Gram matrix over the canonical pairing basis."""
-    basis = enumerate_pairings(n)
-    powers = _tau_powers(tau, n)
-    return [[powers[loop_count(pi, rho)] for rho in basis] for pi in basis]
+    return weingarten_table("orthogonal", n, tau, enumerate_pairings(n)).gram
 
 
 def c_orthogonal(lam: Partition, tau):
     """Eigenvalue product for the orthogonal case: prod (tau + 2j - 1 - i)."""
-    lam = Partition(lam)
-    acc = None
-    for i, j in lam.cells():
-        factor = tau + Fraction(2 * j - 1 - i)
-        acc = factor if acc is None else acc * factor
-    return acc if acc is not None else Fraction(1)
+    return content_product(lam, tau, 2)
 
 
 def pairing_centralizer(pi: Pairing) -> list[Permutation]:
@@ -233,65 +221,18 @@ def projector_entry(lam: Partition, pi: Pairing, rho: Pairing, sigma0=None) -> F
     return Fraction(hook_dimension(lam2) * total, factorial(2 * n))
 
 
-@dataclass
-class WeingartenTableO:
-    """Gram and Weingarten matrices on the pairing basis for one (n, tau)."""
-
-    n: int
-    tau: object
-    basis: list[Pairing]
-    gram: list[list]
-    weingarten: list[list]
-    excluded: list[Partition] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "group": "orthogonal",
-            "n": self.n,
-            "tau": "symbolic" if is_symbolic(self.tau) else render(Fraction(self.tau)),
-            "basis": [p.to_text() for p in self.basis],
-            "gram": [[render(x) for x in row] for row in self.gram],
-            "weingarten": [[render(x) for x in row] for row in self.weingarten],
-            "excluded": [p.to_text() for p in self.excluded],
-        }
-
-
 def wg_value_orthogonal(mu: Partition, tau):
     """Weingarten entry for a pair of pairings of loop type mu."""
     mu = Partition(mu)
     n = mu.weight
     base = adjacent_pairing(n)
     target = _loop_type_representative(mu)
-    total = None
-    for lam in partitions_of(n):
-        c = c_orthogonal(lam, tau)
-        if not c:
-            continue
-        entry = projector_entry(lam, target, base)
-        if not entry:
-            continue
-        term = invert(c) * entry
-        total = term if total is None else total + term
-    return total if total is not None else Fraction(0)
+    return spectral_sum(n, tau, 2, lambda lam: projector_entry(lam, target, base))
 
 
-def weingarten_orthogonal(n: int, tau) -> WeingartenTableO:
-    if n < 1:
-        raise ValueError(f"weingarten_orthogonal requires n >= 1, got {n}")
-    basis = enumerate_pairings(n)
-    values = {mu: wg_value_orthogonal(mu, tau) for mu in partitions_of(n)}
-    wg = [[values[loop_type(pi, rho)] for rho in basis] for pi in basis]
-    excluded = [] if is_symbolic(tau) else [
-        lam for lam in partitions_of(n) if not c_orthogonal(lam, tau)
-    ]
-    return WeingartenTableO(
-        n=n,
-        tau=tau,
-        basis=basis,
-        gram=gram_orthogonal(n, tau),
-        weingarten=wg,
-        excluded=excluded,
-    )
+def weingarten_orthogonal(n: int, tau) -> WeingartenTable:
+    """Gram and Weingarten matrices of O(tau) on the canonical pairing basis."""
+    return weingarten_table("orthogonal", n, tau, enumerate_pairings(n), wg_value_orthogonal, 2)
 
 
 # -- verification operations -------------------------------------------------
@@ -321,11 +262,10 @@ def verify_oid(n: int, tau=TAU) -> OidReport:
     weighted by tau^(loops against the adjacent pairing)."""
     lhs = jm_product_orthogonal(n, tau)
     base = adjacent_pairing(n)
-    powers = _tau_powers(tau, n)
+    powers = tau_powers(tau, n)
     rhs_terms: dict[Permutation, object] = {}
     for pi in enumerate_pairings(n):
-        sigma = coset_representative(pi).sigma
-        rhs_terms[sigma] = powers[loop_count(base, pi)]
+        rhs_terms[coset_representative(pi)] = powers[loop_count(base, pi)]
     expected = double_factorial_odd(n)
     return OidReport(
         n=n,
@@ -349,26 +289,27 @@ class StabilityReport:
         return self.commutes and self.basis_matrix_is_gram
 
 
+def _pairing_basis_matrix(n: int, projected: AlgebraElement):
+    """Matrix of X on the pairing basis, read off from projected = P_H * X.
+
+    Expand sigma_pi * P * X over the standard basis sigma_pi' * P: the cosets
+    sigma_pi' H are disjoint, so the coefficient of the representative
+    itself, rescaled by |H|, reads off the matrix entry.
+    """
+    reps = [coset_representative(pi) for pi in enumerate_pairings(n)]
+    inverses = [r.inverse() for r in reps]
+    order = hyperoctahedral_order(n)
+    return [[order * projected.coefficient(rj_inv * ri) for rj_inv in inverses] for ri in reps]
+
+
 def verify_stability_lemma(n: int, tau=TAU) -> StabilityReport:
     g = jm_product_orthogonal(n, tau)
     proj = average_projector(n)
-    commutes = g * proj == proj * g
-
-    # expand sigma_pi * P * G over the standard basis sigma_pi' * P: the
-    # cosets sigma_pi' H are disjoint, so the coefficient of the
-    # representative itself, rescaled by |H|, reads off the matrix entry.
-    basis = enumerate_pairings(n)
-    reps = [coset_representative(pi).sigma for pi in basis]
-    order = hyperoctahedral_order(n)
     pg = proj * g
-    extracted = [
-        [order * pg.coefficient(reps[j].inverse() * reps[i]) for j in range(len(basis))]
-        for i in range(len(basis))
-    ]
     return StabilityReport(
         n=n,
-        commutes=commutes,
-        basis_matrix_is_gram=mat_eq(extracted, gram_orthogonal(n, tau)),
+        commutes=g * proj == pg,
+        basis_matrix_is_gram=mat_eq(_pairing_basis_matrix(n, pg), gram_orthogonal(n, tau)),
     )
 
 
@@ -469,23 +410,15 @@ def weingarten_matrix_from_central_idempotents(n: int, tau):
     off its matrix on the pairing basis the same way the stability lemma does.
     Used to arbitrate the entrywise formula at desk scale.
     """
-    parts = partitions_of(n)
     w_alg = AlgebraElement.zero(2 * n)
-    for lam in parts:
+    for lam in partitions_of(n):
         c = c_orthogonal(lam, tau)
         if not c:
             continue
         w_alg = w_alg + central_idempotent_doubled(lam).map_coefficients(
             lambda x, inv=invert(c): x * inv
         )
-    basis = enumerate_pairings(n)
-    reps = [coset_representative(pi).sigma for pi in basis]
-    order = hyperoctahedral_order(n)
-    pw = average_projector(n) * w_alg
-    return [
-        [order * pw.coefficient(reps[j].inverse() * reps[i]) for j in range(len(basis))]
-        for i in range(len(basis))
-    ]
+    return _pairing_basis_matrix(n, average_projector(n) * w_alg)
 
 
 def central_idempotent_doubled(lam: Partition) -> AlgebraElement:

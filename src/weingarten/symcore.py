@@ -357,6 +357,52 @@ def loop_count(pi: Pairing, rho: Pairing) -> int:
     return (pi * rho).num_cycles() // 2
 
 
+def type_matrix(basis) -> tuple[list[Partition], list[list[int]]]:
+    """Double-coset type of every basis pair, as (types, index).
+
+    For permutations the type of (b_i, b_j) is the cycle type of b_i^-1 b_j.
+    For pairings it is the loop type: the cycle type of b_i b_j (a pairing is
+    its own inverse) with multiplicities halved, since each loop splits into
+    two equal cycles.  The walk marks both cycles of a loop, so it counts each
+    loop once.  Types are numbered in first-seen order and index[i][j] is the
+    number of the type of (b_i, b_j).  Cycles are walked once per unordered
+    pair over 0-based one-line tuples: the pair (b_j, b_i) gives the inverse
+    product, which has the same cycle type.
+    """
+    halve = isinstance(basis[0], Pairing)
+    rights = [tuple(x - 1 for x in b) for b in basis]
+    lefts = rights if halve else [tuple(x - 1 for x in b.inverse()) for b in basis]
+    size, count = len(rights[0]), len(rights)
+    numbers: dict[tuple[int, ...], int] = {}
+    types: list[Partition] = []
+    index = [[0] * count for _ in range(count)]
+    for i, left in enumerate(lefts):
+        row = index[i]
+        for j in range(i, count):
+            right = rights[j]
+            seen = [False] * size
+            lengths = []
+            for start in range(size):
+                if seen[start]:
+                    continue
+                length, k = 0, start
+                while not seen[k]:
+                    seen[k] = True
+                    if halve:
+                        seen[right[k]] = True
+                    k = left[right[k]]
+                    length += 1
+                lengths.append(length)
+            lengths.sort(reverse=True)
+            key = tuple(lengths)
+            number = numbers.get(key)
+            if number is None:
+                number = numbers[key] = len(types)
+                types.append(Partition(key))
+            row[j] = index[j][i] = number
+    return types, index
+
+
 def generator_index_maps(basis) -> list[list[int | None]]:
     """Index maps of the generators (1 2 ... m) and (1 2) of S_m on a basis.
 

@@ -12,7 +12,7 @@ import pytest
 import sympy
 
 from weingarten.coeffring import TAU, render
-from weingarten.exactmat import mat_eq, mat_identity, mat_mul, row_pseudo_inverse_check
+from weingarten.exactmat import mat_eq, mat_identity, mat_mul
 from weingarten.groupalg import AlgebraElement, jm_element, jm_product_unitary
 from weingarten.haarmc import grid_crosscheck
 from weingarten.orthogonal import (
@@ -26,7 +26,6 @@ from weingarten.orthogonal import (
 )
 from weingarten.symcore import (
     Partition,
-    generator_index_maps,
     hook_dimension,
     partitions_of,
     permutations_of,
@@ -121,30 +120,26 @@ def test_criterion_06_stability_lemma():
     _conclude(6, "stability lemma, symbolic n<=3 and n=4 at tau=7", ok, started)
 
 
-def _pseudo_inverse_ok(table):
-    maps = generator_index_maps(table.basis)
-    return row_pseudo_inverse_check(table.gram, table.weingarten, maps).ok
-
-
 def test_criterion_07_pseudo_inverse_contract():
     started = time.time()
     ok = True
     for n in range(1, 6):
-        ok = ok and _pseudo_inverse_ok(weingarten_unitary(n, TAU))
-    ok = ok and _pseudo_inverse_ok(weingarten_unitary(5, Fraction(7)))
+        ok = ok and weingarten_unitary(n, TAU).pseudo_inverse_report().ok
+    ok = ok and weingarten_unitary(5, Fraction(7)).pseudo_inverse_report().ok
     for n in range(1, 5):
-        ok = ok and _pseudo_inverse_ok(weingarten_orthogonal(n, TAU))
-    ok = ok and _pseudo_inverse_ok(weingarten_orthogonal(4, Fraction(7)))
+        ok = ok and weingarten_orthogonal(n, TAU).pseudo_inverse_report().ok
+    ok = ok and weingarten_orthogonal(4, Fraction(7)).pseudo_inverse_report().ok
+    ok = ok and weingarten_orthogonal(5, Fraction(7)).pseudo_inverse_report().ok
     # degenerate parameters with nonempty excluded sets
     table = weingarten_unitary(3, Fraction(1))
     ok = ok and [tuple(p) for p in table.excluded] == [(2, 1), (1, 1, 1)]
-    ok = ok and _pseudo_inverse_ok(table)
+    ok = ok and table.pseudo_inverse_report().ok
     table = weingarten_orthogonal(2, Fraction(1))
     ok = ok and [tuple(p) for p in table.excluded] == [(1, 1)]
-    ok = ok and _pseudo_inverse_ok(table)
+    ok = ok and table.pseudo_inverse_report().ok
     _conclude(
-        7, "GWG=G, WGW=W, W symmetric on one invariant row, symbolic U n<=5 and O n<=4 "
-        "(incl. degenerate tau)", ok, started,
+        7, "GWG=G, WGW=W, W symmetric on one invariant row, symbolic U n<=5 and O n<=4, "
+        "O n=5 at tau=7 (incl. degenerate tau)", ok, started,
     )
 
 

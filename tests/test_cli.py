@@ -127,14 +127,15 @@ def test_verify_all_n3_passes(capsys):
 
 
 def test_verify_exit_code_reflects_injected_failure(capsys, monkeypatch):
-    from weingarten.unitary import WeingartenTableU, weingarten_unitary
+    from weingarten.exactmat import WeingartenTable
+    from weingarten.unitary import weingarten_unitary
 
     def corrupted(n, tau):
         table = weingarten_unitary(n, tau)
         bad = [row[:] for row in table.weingarten]
         bad[0][0] = bad[0][0] + 1  # no longer a pseudo-inverse
-        return WeingartenTableU(
-            n=table.n, tau=table.tau, basis=table.basis,
+        return WeingartenTable(
+            group=table.group, n=table.n, tau=table.tau, basis=table.basis,
             gram=table.gram, weingarten=bad, excluded=table.excluded,
         )
 

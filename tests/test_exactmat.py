@@ -7,10 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weingarten.coeffring import TAU
-from weingarten.exactmat import mat_eq, mat_mul, row_commutation_check, row_pseudo_inverse_check
+from weingarten.exactmat import (
+    mat_eq,
+    mat_mul,
+    pseudo_inverse_check,
+    row_commutation_check,
+    row_pseudo_inverse_check,
+)
 from weingarten.orthogonal import gram_orthogonal, loop_type, weingarten_orthogonal
 from weingarten.symcore import Permutation, enumerate_pairings, generator_index_maps, permutations_of
-from weingarten.unitary import pseudo_inverse_check, weingarten_unitary
+from weingarten.unitary import weingarten_unitary
 
 BUILDERS = {"unitary": weingarten_unitary, "orthogonal": weingarten_orthogonal}
 

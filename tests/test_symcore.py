@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import factorial
 
 import pytest
@@ -18,6 +19,7 @@ from weingarten.symcore import (
     partitions_of,
     permutations_of,
     standard_tableaux,
+    type_matrix,
 )
 
 
@@ -293,3 +295,63 @@ def test_text_round_trips():
 def test_pairing_text_round_trip_exhaustive(n):
     for pi in enumerate_pairings(n):
         assert Pairing.from_text(pi.to_text()) == pi
+
+
+# -- double-coset type matrix ------------------------------------------------------
+
+
+def _cycle_type_oracle(s, t):
+    return (s.inverse() * t).cycle_type()
+
+
+def _loop_type_oracle(pi, rho):
+    from weingarten.orthogonal import loop_type
+
+    return loop_type(pi, rho)
+
+
+def _assert_first_seen_order(index):
+    seen = []
+    for row in index:
+        for k in row:
+            if k not in seen:
+                assert k == len(seen)
+                seen.append(k)
+
+
+@pytest.mark.parametrize(
+    "basis, oracle",
+    [(permutations_of(n), _cycle_type_oracle) for n in range(1, 6)]
+    + [(enumerate_pairings(n), _loop_type_oracle) for n in range(1, 5)],
+)
+def test_type_matrix_matches_per_pair_oracle_exhaustively(basis, oracle):
+    types, index = type_matrix(basis)
+    for i, b in enumerate(basis):
+        for j, c in enumerate(basis):
+            assert types[index[i][j]] == oracle(b, c)
+    assert len(set(types)) == len(types)
+    _assert_first_seen_order(index)
+
+
+def test_type_matrix_matches_loop_type_on_random_pairs_at_n5():
+    basis = enumerate_pairings(5)
+    types, index = type_matrix(basis)
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        i, j = rng.randrange(len(basis)), rng.randrange(len(basis))
+        assert types[index[i][j]] == _loop_type_oracle(basis[i], basis[j])
+    _assert_first_seen_order(index)
+
+
+@pytest.mark.parametrize("basis, oracle", [
+    (permutations_of(4), _cycle_type_oracle),
+    (enumerate_pairings(3), _loop_type_oracle),
+])
+def test_type_matrix_with_a_duplicated_basis_element(basis, oracle):
+    basis = basis + [basis[2]]
+    types, index = type_matrix(basis)
+    assert index[-1] == index[2]
+    assert [row[-1] for row in index] == [row[2] for row in index]
+    for i, b in enumerate(basis):
+        for j, c in enumerate(basis):
+            assert types[index[i][j]] == oracle(b, c)

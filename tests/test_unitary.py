@@ -5,17 +5,10 @@ import pytest
 import sympy
 
 from weingarten.coeffring import TAU, TauRational, parse, render
-from weingarten.exactmat import mat_eq, mat_identity, mat_mul
+from weingarten.exactmat import mat_eq, mat_identity, mat_mul, pseudo_inverse_check
 from weingarten.groupalg import AlgebraElement, full_basis, jm_product_unitary, regular_matrix
 from weingarten.symcore import Partition, partitions_of, permutations_of
-from weingarten.unitary import (
-    c_unitary,
-    excluded_shapes,
-    gram_unitary,
-    pseudo_inverse_check,
-    weingarten_unitary,
-    wg_function_unitary,
-)
+from weingarten.unitary import c_unitary, gram_unitary, weingarten_unitary, wg_function_unitary
 from weingarten.young import central_idempotent
 
 
@@ -150,8 +143,8 @@ def test_wg_entries_depend_only_on_cycle_type():
 
 
 def test_excluded_shapes_symbolic_empty():
-    assert excluded_shapes(4, TAU) == []
-    assert [tuple(p) for p in excluded_shapes(2, Fraction(1))] == [(1, 1)]
+    assert weingarten_unitary(4, TAU).excluded == []
+    assert [tuple(p) for p in weingarten_unitary(2, Fraction(1)).excluded] == [(1, 1)]
 
 
 def test_table_json_shape():
