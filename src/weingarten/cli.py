@@ -20,43 +20,19 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from . import verify
 from .coeffring import TAU, PoleError, is_symbolic, render
 from .exactmat import render_matrix, weingarten_table
-from .groupalg import AlgebraElement, jm_product_unitary
 from .haarmc import MomentSpec, estimate_moment, grid_crosscheck
-from .orthogonal import (
-    verify_doubling,
-    verify_gram_commutation,
-    verify_key_identity,
-    verify_oid,
-    verify_stability_lemma,
-    weingarten_orthogonal,
-)
-from .symcore import (
-    Partition,
-    enumerate_pairings,
-    partitions_of,
-    permutations_of,
-    standard_tableaux,
-)
+from .orthogonal import weingarten_orthogonal
+from .symcore import Partition, enumerate_pairings, permutations_of
 from .unitary import weingarten_unitary, wg_function_unitary
-from .young import CharacterTable, central_idempotent, young_idempotent
+from .young import CharacterTable
 
 # default desk-scale caps; --force lifts them
 CAPS = {
     "unitary": {"symbolic": 5, "numeric": 5},
     "orthogonal": {"symbolic": 4, "numeric": 5},
-}
-SUITE_CAPS = {
-    "jucys": 6,
-    "oid": 5,
-    "idempotents": 5,
-    "central": 5,
-    "pseudoinverse": 5,
-    "doubling": 4,
-    "keyid": 4,
-    "stability": 4,
-    "commute": 4,
 }
 MC_GRID_CAP = 2
 BASES = {"unitary": permutations_of, "orthogonal": enumerate_pairings}
@@ -136,17 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_chars.add_argument("--n", required=True, type=_positive_int)
 
     p_verify = sub.add_parser("verify", help="run verification suites for sizes 1..n")
-    p_verify.add_argument(
-        "--suite",
-        required=True,
-        choices=(
-            "jucys", "oid", "idempotents", "central", "pseudoinverse",
-            "doubling", "keyid", "stability", "commute", "all",
-        ),
-    )
+    p_verify.add_argument("--suite", required=True, choices=(*verify.SUITES, "all"))
     p_verify.add_argument("--n", required=True, type=_positive_int)
     p_verify.add_argument("--tau", type=_parse_rational, default=None,
-                          help="rational parameter for the numeric-only sizes")
+                          help="rational parameter for the sizes past the symbolic range "
+                               "(default 7), and the first commute parameter (default 3)")
     p_verify.add_argument("--tau2", type=_parse_rational, default=None,
                           help="second parameter for the commute suite (default 7)")
     p_verify.add_argument("--deep", action="store_true",
@@ -236,137 +206,23 @@ def _cmd_characters(args) -> int:
     return 0
 
 
-# -- verify suites -----------------------------------------------------------
-
-
-def _suite_jucys(max_n, tau, tau2, deep):
-    for n in range(1, max_n + 1):
-        lhs = jm_product_unitary(n, TAU)
-        rhs = AlgebraElement(n, {s: TAU**s.num_cycles() for s in permutations_of(n)})
-        yield f"jucys identity n={n}", lhs == rhs
-
-
-def _suite_oid(max_n, tau, tau2, deep):
-    for n in range(1, max_n + 1):
-        if n <= 4:
-            report = verify_oid(n)
-            yield f"odd JM expansion n={n} (symbolic)", report.ok
-        else:
-            t = tau if tau is not None else Fraction(7)
-            report = verify_oid(n, t)
-            yield f"odd JM expansion n={n} (tau={t})", report.ok
-
-
-def _suite_idempotents(max_n, tau, tau2, deep):
-    from .groupalg import jm_element
-
-    for n in range(1, max_n + 1):
-        tableaux = [t for lam in partitions_of(n) for t in standard_tableaux(lam)]
-        idems = [young_idempotent(t) for t in tableaux]
-        ok = True
-        total = AlgebraElement.zero(n)
-        for i, (t, e) in enumerate(zip(tableaux, idems)):
-            total = total + e
-            for j, e2 in enumerate(idems):
-                prod = e * e2
-                ok = ok and (prod == e if i == j else not prod)
-            for k in range(1, n + 1):
-                target = e.scale(Fraction(t.content(k)))
-                m = jm_element(k, n)
-                ok = ok and m * e == target and e * m == target
-        ok = ok and total == AlgebraElement.unit(n)
-        yield f"orthogonal idempotents complete n={n} ({len(tableaux)} tableaux)", ok
-
-
-def _suite_central(max_n, tau, tau2, deep):
-    for n in range(1, max_n + 1):
-        ok = True
-        projs = []
-        for lam in partitions_of(n):
-            a = central_idempotent(lam, "tableau-sum")
-            b = central_idempotent(lam, "character")
-            ok = ok and a == b
-            projs.append(a)
-        for i, p in enumerate(projs):
-            for j, q in enumerate(projs):
-                prod = p * q
-                ok = ok and (prod == p if i == j else not prod)
-        total = AlgebraElement.zero(n)
-        for p in projs:
-            total = total + p
-        ok = ok and total == AlgebraElement.unit(n)
-        yield f"central idempotents, both routes n={n}", ok
-
-
-def _suite_pseudoinverse(max_n, tau, tau2, deep):
-    numeric_tau = tau if tau is not None else Fraction(7)
-    for n in range(1, max_n + 1):
-        t = TAU if n <= 4 else numeric_tau
-        label = "symbolic" if n <= 4 else f"tau={t}"
-        report = weingarten_unitary(n, t).pseudo_inverse_report()
-        yield f"pseudo-inverse unitary n={n} ({label})", report.ok
-    for n in range(1, min(max_n, 4) + 1):
-        t = TAU if n <= 3 else numeric_tau
-        label = "symbolic" if n <= 3 else f"tau={t}"
-        report = weingarten_orthogonal(n, t).pseudo_inverse_report()
-        yield f"pseudo-inverse orthogonal n={n} ({label})", report.ok
-
-
-def _suite_doubling(max_n, tau, tau2, deep):
-    top = max_n if (deep or max_n <= 3) else 3
-    for n in range(1, top + 1):
-        report = verify_doubling(n)
-        yield f"doubling survivors 2n={2 * n}", report.ok
-
-
-def _suite_keyid(max_n, tau, tau2, deep):
-    for n in range(1, max_n + 1):
-        ok = all(verify_key_identity(n, k) for k in range(1, n + 1))
-        yield f"projector key identity n={n}", ok
-
-
-def _suite_stability(max_n, tau, tau2, deep):
-    numeric_tau = tau if tau is not None else Fraction(7)
-    for n in range(1, max_n + 1):
-        t = TAU if n <= 3 else numeric_tau
-        report = verify_stability_lemma(n, t)
-        label = "symbolic" if n <= 3 else f"tau={t}"
-        yield f"stability lemma n={n} ({label})", report.ok
-
-
-def _suite_commute(max_n, tau, tau2, deep):
-    t1 = tau if tau is not None else Fraction(3)
-    t2 = tau2 if tau2 is not None else Fraction(7)
-    for n in range(1, max_n + 1):
-        yield f"Gram commutation n={n} (tau={t1},{t2})", verify_gram_commutation(n, t1, t2)
-
-
-SUITES = {
-    "jucys": _suite_jucys,
-    "oid": _suite_oid,
-    "idempotents": _suite_idempotents,
-    "central": _suite_central,
-    "pseudoinverse": _suite_pseudoinverse,
-    "doubling": _suite_doubling,
-    "keyid": _suite_keyid,
-    "stability": _suite_stability,
-    "commute": _suite_commute,
-}
-
-
 def _cmd_verify(args) -> int:
     if args.suite == "all":
-        chosen = [(name, min(args.n, SUITE_CAPS[name])) for name in SUITES]
+        chosen = [(name, min(args.n, verify.CAPS[name])) for name in verify.SUITES]
     else:
-        cap = SUITE_CAPS[args.suite]
-        message = _check_cap(args.n, cap, args.force, f"'{args.suite}' suite")
+        message = _check_cap(args.n, verify.CAPS[args.suite], args.force, f"'{args.suite}' suite")
         if message:
             print(message, file=sys.stderr)
             return 2
         chosen = [(args.suite, args.n)]
     all_ok = True
     for name, max_n in chosen:
-        for label, ok in SUITES[name](max_n, args.tau, args.tau2, args.deep):
+        if max_n < args.n:
+            print(f"note: --n {args.n} lowered to the '{name}' suite cap {max_n}", file=sys.stderr)
+        if name == "doubling" and max_n > verify.DOUBLING_TOP and not args.deep:
+            print(f"note: 'doubling' stops at 2n={2 * verify.DOUBLING_TOP}; "
+                  f"pass --deep for 2n up to {2 * max_n}", file=sys.stderr)
+        for label, ok in verify.run(name, max_n, args.tau, args.tau2, args.deep):
             print(f"{'ok  ' if ok else 'FAIL'} {label}")
             sys.stdout.flush()
             all_ok = all_ok and ok

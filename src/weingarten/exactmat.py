@@ -136,7 +136,23 @@ class _Values:
         return k
 
     def matrix(self, rows) -> list[list[int]]:
-        return [[self.of(x) for x in row] for row in rows]
+        """Number the entries, hashing each distinct object by value once.
+
+        Table entries are a few shared objects, so each entry is looked up by
+        id() first.  `rows` keeps every entry alive for this call, so no id is
+        reused while the map exists; the map dies with the call.
+        """
+        by_id: dict[int, int] = {}
+        out = []
+        for row in rows:
+            ids = list(map(id, row))
+            numbers = list(map(by_id.get, ids))
+            if None in numbers:
+                for j, x in enumerate(row):
+                    if numbers[j] is None:
+                        numbers[j] = by_id[ids[j]] = self.of(x)
+            out.append(numbers)
+        return out
 
     def row_times(self, row: list[int], columns: list[tuple[int, ...]]) -> list[int]:
         shifted = [a << _SHIFT for a in row]

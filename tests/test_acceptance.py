@@ -11,28 +11,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from weingarten import verify
 from weingarten.coeffring import TAU, render
 from weingarten.exactmat import mat_eq, mat_identity, mat_mul
-from weingarten.groupalg import AlgebraElement, jm_element, jm_product_unitary
 from weingarten.haarmc import grid_crosscheck
-from weingarten.orthogonal import (
-    double_factorial_odd,
-    verify_doubling,
-    verify_gram_commutation,
-    verify_key_identity,
-    verify_oid,
-    verify_stability_lemma,
-    weingarten_orthogonal,
-)
-from weingarten.symcore import (
-    Partition,
-    hook_dimension,
-    partitions_of,
-    permutations_of,
-    standard_tableaux,
-)
+from weingarten.orthogonal import weingarten_orthogonal
+from weingarten.symcore import Partition, hook_dimension, partitions_of
 from weingarten.unitary import weingarten_unitary
-from weingarten.young import CharacterTable, central_idempotent, centralizer_order, young_idempotent
+from weingarten.young import CharacterTable, centralizer_order
 
 MC_SEED = 1  # frozen; both grids pass the 4-SE bound at this seed
 MC_SAMPLES = 200_000
@@ -44,79 +30,44 @@ def _conclude(number, name, ok, started):
     assert ok, f"criterion {number} failed: {name}"
 
 
+def _suites_pass(*calls) -> bool:
+    """Every check of each (suite, max_n, *params) call to `verify.run` passes."""
+    return all(ok for suite, max_n, *params in calls for _, ok in verify.run(suite, max_n, *params))
+
+
 def test_criterion_01_unitary_jm_identity():
     started = time.time()
-    ok = True
-    for n in range(1, 7):
-        lhs = jm_product_unitary(n, TAU)
-        rhs = AlgebraElement(n, {s: TAU**s.num_cycles() for s in permutations_of(n)})
-        ok = ok and lhs == rhs
+    ok = _suites_pass(("jucys", 6))
     _conclude(1, "JM product identity (unitary), symbolic, n=1..6", ok, started)
 
 
 def test_criterion_02_orthogonal_jm_identity():
     started = time.time()
-    ok = True
-    for n in range(1, 5):
-        report = verify_oid(n)
-        ok = (
-            ok
-            and report.ok
-            and report.lhs_terms == double_factorial_odd(n)
-            and report.representatives_distinct
-        )
+    ok = _suites_pass(("oid", 4))
     _conclude(2, "odd JM product identity (orthogonal), symbolic, n=1..4", ok, started)
 
 
 def test_criterion_03_young_machinery_exhaustive():
     started = time.time()
-    ok = True
-    for n in range(1, 6):
-        tableaux = [t for lam in partitions_of(n) for t in standard_tableaux(lam)]
-        idems = [young_idempotent(t) for t in tableaux]
-        total = AlgebraElement.zero(n)
-        for i, (t, e) in enumerate(zip(tableaux, idems)):
-            total = total + e
-            for j, f in enumerate(idems):
-                prod = e * f
-                ok = ok and (prod == e if i == j else not prod)
-            for k in range(1, n + 1):
-                m = jm_element(k, n)
-                target = e.scale(Fraction(t.content(k)))
-                ok = ok and m * e == target and e * m == target
-        ok = ok and total == AlgebraElement.unit(n)
-        for lam in partitions_of(n):
-            ok = ok and central_idempotent(lam, "tableau-sum") == central_idempotent(
-                lam, "character"
-            )
+    ok = _suites_pass(("idempotents", 5), ("central", 5))
     _conclude(3, "orthogonal idempotents + JM diagonalization + routes, n<=5", ok, started)
 
 
 def test_criterion_04_doubling_proposition():
     started = time.time()
-    ok = True
-    for n in (1, 2, 3):
-        report = verify_doubling(n)
-        ok = ok and report.ok and report.even_row_shapes
+    ok = _suites_pass(("doubling", 3))
     _conclude(4, "vanishing/doubling survivors at 2n=2,4,6", ok, started)
 
 
 def test_criterion_05_key_identity():
     started = time.time()
-    ok = all(
-        verify_key_identity(n, k) for n in range(1, 5) for k in range(1, n + 1)
-    )
+    ok = _suites_pass(("keyid", 4))
     _conclude(5, "projector key identity, all k<=n<=4", ok, started)
 
 
 def test_criterion_06_stability_lemma():
     started = time.time()
-    ok = True
-    for n in (1, 2, 3):
-        report = verify_stability_lemma(n)
-        ok = ok and report.ok
-    report = verify_stability_lemma(4, Fraction(7))
-    ok = ok and report.ok
+    ok = _suites_pass(("stability", 4))
     _conclude(6, "stability lemma, symbolic n<=3 and n=4 at tau=7", ok, started)
 
 
@@ -176,7 +127,7 @@ def test_criterion_09_closed_form_spot_values():
 
 def test_criterion_10_gram_commutation():
     started = time.time()
-    ok = all(verify_gram_commutation(n, Fraction(3), Fraction(7)) for n in range(1, 5))
+    ok = _suites_pass(("commute", 4, Fraction(3), Fraction(7)))
     _conclude(10, "orthogonal Gram commutation at (tau1,tau2)=(3,7), n<=4", ok, started)
 
 

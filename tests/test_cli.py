@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from weingarten import cli
+from weingarten import cli, verify
 from weingarten.coeffring import parse
 
 
@@ -139,10 +139,34 @@ def test_verify_exit_code_reflects_injected_failure(capsys, monkeypatch):
             gram=table.gram, weingarten=bad, excluded=table.excluded,
         )
 
-    monkeypatch.setattr(cli, "weingarten_unitary", corrupted)
+    monkeypatch.setattr(verify, "weingarten_unitary", corrupted)
     code, out, _ = run_cli(capsys, "verify", "--suite", "pseudoinverse", "--n", "1")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_notes_the_skipped_doubling_sizes(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "doubling", "--n", "4")
+    assert code == 0
+    assert out == "".join(f"ok   doubling survivors 2n={2 * n}\n" for n in (1, 2, 3))
+    assert err == "note: 'doubling' stops at 2n=6; pass --deep for 2n up to 8\n"
+
+
+def test_verify_all_notes_each_lowered_cap(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n", "5")
+    assert code == 0
+    assert err.splitlines() == [
+        "note: --n 5 lowered to the 'doubling' suite cap 4",
+        "note: 'doubling' stops at 2n=6; pass --deep for 2n up to 8",
+        "note: --n 5 lowered to the 'keyid' suite cap 4",
+        "note: --n 5 lowered to the 'stability' suite cap 4",
+        "note: --n 5 lowered to the 'commute' suite cap 4",
+    ]
+    # stdout is exactly each suite's own output at the lowered size
+    expected = ""
+    for suite, cap in verify.CAPS.items():
+        expected += run_cli(capsys, "verify", "--suite", suite, "--n", str(min(5, cap)))[1]
+    assert out == expected
 
 
 def test_usage_errors_exit_2(capsys):

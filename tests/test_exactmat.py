@@ -1,5 +1,6 @@
 """The one-row identity checks against the dense products they replace."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,14 @@ def _copy(matrix):
     return [row[:] for row in matrix]
 
 
+def _fresh(matrix):
+    """Entrywise copy: equal values, no object shared with `matrix` or within the copy."""
+    return [
+        [Fraction(x.numerator, x.denominator) if isinstance(x, Fraction) else copy.deepcopy(x) for x in row]
+        for row in matrix
+    ]
+
+
 @pytest.mark.parametrize(
     "group, n, tau",
     [("unitary", n, TAU) for n in (1, 2, 3)]
@@ -54,6 +63,20 @@ def test_row_check_agrees_with_dense_oracle_at_random_tau(case, offset):
     tau = n + offset + Fraction(1, 13)  # strictly above n
     table = BUILDERS[group](n, tau)
     assert _row_check(table) == pseudo_inverse_check(table.gram, table.weingarten)
+
+
+@pytest.mark.parametrize(
+    "group, n, tau",
+    [("unitary", 3, TAU), ("unitary", 4, Fraction(7)), ("orthogonal", 2, TAU), ("orthogonal", 3, Fraction(8))],
+)
+def test_entries_are_numbered_by_value_not_by_object(group, n, tau):
+    # table entries are shared objects; a copy with none shared must check the same
+    table = BUILDERS[group](n, tau)
+    gram, wg = _fresh(table.gram), _fresh(table.weingarten)
+    assert all(len({id(x) for row in m for x in row}) == len(m) ** 2 for m in (gram, wg))
+    report = row_pseudo_inverse_check(gram, wg, generator_index_maps(table.basis))
+    assert report == pseudo_inverse_check(gram, wg) == _row_check(table)
+    assert report.ok and report.invariant
 
 
 @pytest.mark.parametrize(

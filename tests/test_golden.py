@@ -1,8 +1,12 @@
-"""Byte-for-byte golden outputs of ``table`` (JSON and CSV) and ``gram`` (JSON).
+"""Byte-for-byte golden outputs of ``table``, ``gram`` and ``verify``.
 
-golden_digests.json maps each command line to the sha256 of its output,
-recorded before both groups' tables were moved onto one assembly path, for
-U n = 1..5 and O n = 1..4 at tau = symbolic, 7 and 1.  Any byte drift fails.
+golden_digests.json maps each ``table`` (JSON and CSV) and ``gram`` (JSON)
+command line to the sha256 of its output, recorded before both groups' tables
+were moved onto one assembly path, for U n = 1..5 and O n = 1..4 at tau =
+symbolic, 7 and 1.  golden_verify.json maps each ``verify`` command line (every
+suite at its cap, ``all`` below and above the caps, non-default taus) to the
+sha256 of its stdout and its exit code, recorded before the suites moved out of
+the CLI into ``weingarten.verify``.  Any byte drift fails.
 """
 
 import hashlib
@@ -13,7 +17,9 @@ import pytest
 
 from weingarten import cli
 
-GOLDEN = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
+HERE = Path(__file__).parent
+GOLDEN = json.loads((HERE / "golden_digests.json").read_text())
+GOLDEN_VERIFY = json.loads((HERE / "golden_verify.json").read_text())
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
@@ -22,3 +28,11 @@ def test_output_matches_golden_digest(command, tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert cli.main(command.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_VERIFY))
+def test_verify_stdout_and_exit_match_golden(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WG_CACHE_DIR", str(tmp_path / "cache"))
+    code = cli.main(command.split())
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert {"stdout_sha256": digest, "exit": code} == GOLDEN_VERIFY[command]
