@@ -269,6 +269,11 @@ def _cmd_mc(args) -> int:
         samples=args.samples,
         seed=args.seed,
     )
+    cap = CAPS[args.group]["numeric"]
+    if (spec.degree or 0) > cap and not args.force:
+        print(f"--indices degree {spec.degree} exceeds the {args.group} cap {cap}; "
+              "pass --force to run anyway", file=sys.stderr)
+        return 2
     report = estimate_moment(spec)
     print(json.dumps(report.to_json_dict()))
     return 0 if abs(report.z) <= 4.0 else 1

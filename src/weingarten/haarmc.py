@@ -4,14 +4,17 @@ This is the package's only inexact module.  Matrices are drawn Haar-uniformly
 by orthonormalizing a Ginibre matrix and fixing the phases (signs) of the
 triangular factor's diagonal; without that correction QR output is *not* Haar
 distributed.  Moment estimates come with standard errors and are compared to
-the exact rational predictions obtained from the Weingarten tables:
+the exact rational predictions obtained from the Weingarten functions.  Both
+groups use one model: a moment of degree n has 2n factor positions (for U,
+the n plain factors, then the n conjugate factors), an index tuple over them
+"ties" a pairing when it is constant on each pair, and
 
-    unitary:     E[prod U(r_k,c_k) prod conj(U)(r'_k,c'_k)]
-                 = sum over sigma, rho in S_n of
-                   [r = r' after sigma][c = c' after rho] * w(sigma rho^-1)
-    orthogonal:  E[prod O(r_k,c_k)]
-                 = sum over pairings pi, pi' of
-                   [r constant on pi][c constant on pi'] * W(pi, pi')
+    E[prod of entries] = sum over basis pairings pi, rho of
+                         [rows tie pi][cols tie rho] * Wg(loop type of pi, rho)
+
+The orthogonal basis is every pairing of the 2n positions.  The unitary basis
+is the bipartite pairings {k, n + sigma(k)}, sigma in S_n, and the loop type
+of two of them is the cycle type of sigma^-1 rho.
 
 Acceptance is statistical: every predicted moment within `threshold` standard
 errors (default 4).  At 4 SE a single Gaussian check false-fails with
@@ -22,6 +25,7 @@ is expected to pass; the seed freezes the outcome either way.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
@@ -29,11 +33,12 @@ from math import sqrt
 import numpy as np
 
 from .coeffring import render
-from .orthogonal import loop_type, wg_value_orthogonal
-from .symcore import enumerate_pairings, partitions_of, permutations_of, type_matrix
+from .orthogonal import wg_value_orthogonal
+from .symcore import Pairing, enumerate_pairings, permutations_of, type_matrix
 from .unitary import wg_function_unitary
 
 _BATCH = 4096  # fixed batch size keeps seeded runs bit-reproducible
+_VALUES = {"unitary": wg_function_unitary, "orthogonal": wg_value_orthogonal}
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,17 @@ class MomentSpec:
             payload["conj_rows"] = list(self.conj_rows)
             payload["conj_cols"] = list(self.conj_cols)
         return payload
+
+    @property
+    def degree(self) -> int | None:
+        """The n of the moment's Weingarten expansion, or None when it vanishes.
+
+        Unbalanced unitary moments vanish by phase invariance, odd orthogonal
+        ones by sign invariance.
+        """
+        if self.group == "unitary":
+            return len(self.rows) if len(self.rows) == len(self.conj_rows) else None
+        return len(self.rows) // 2 if len(self.rows) % 2 == 0 else None
 
 
 @dataclass
@@ -124,51 +140,40 @@ def sample_haar(group: str, tau: int, seed: int) -> np.ndarray:
     return _haar_batch(group, tau, 1, np.random.default_rng(seed))[0]
 
 
+def _basis(group: str, n: int) -> list[Pairing]:
+    """The group's Weingarten basis as pairings of the 2n factor positions."""
+    if group == "unitary":
+        return [
+            Pairing.from_pairs((k, n + s) for k, s in enumerate(sigma, start=1))
+            for sigma in permutations_of(n)
+        ]
+    return enumerate_pairings(n)
+
+
+def _ties(idx, pairing: Pairing) -> bool:
+    """True when the index tuple is constant on every pair of the pairing."""
+    return all(idx[a - 1] == idx[b - 1] for a, b in pairing.pairs())
+
+
 def predict_moment(spec: MomentSpec) -> Fraction:
     """Exact rational value of the Haar moment via the Weingarten expansion."""
-    tau = Fraction(spec.tau)
-    if spec.group == "unitary":
-        if len(spec.rows) != len(spec.conj_rows):
-            return Fraction(0)  # unbalanced degree vanishes by phase invariance
-        n = len(spec.rows)
-        if n == 0:
-            return Fraction(1)
-        values = {mu: wg_function_unitary(mu, tau) for mu in partitions_of(n)}
-        total = Fraction(0)
-        perms = permutations_of(n)
-        row_matches = [
-            s for s in perms
-            if all(spec.rows[k] == spec.conj_rows[s[k] - 1] for k in range(n))
-        ]
-        col_matches = [
-            s for s in perms
-            if all(spec.cols[k] == spec.conj_cols[s[k] - 1] for k in range(n))
-        ]
-        for sigma in row_matches:
-            for rho in col_matches:
-                total += values[(sigma * rho.inverse()).cycle_type()]
-        return total
-    degree = len(spec.rows)
-    if degree % 2 == 1:
-        return Fraction(0)  # odd orthogonal moments vanish by sign invariance
-    if degree == 0:
+    n = spec.degree
+    if n is None:
+        return Fraction(0)
+    if n == 0:
         return Fraction(1)
-    n = degree // 2
-    pairings = enumerate_pairings(n)
-    values = {mu: wg_value_orthogonal(mu, tau) for mu in partitions_of(n)}
-    row_matches = [
-        pi for pi in pairings
-        if all(spec.rows[a - 1] == spec.rows[b - 1] for a, b in pi.pairs())
-    ]
-    col_matches = [
-        pi for pi in pairings
-        if all(spec.cols[a - 1] == spec.cols[b - 1] for a, b in pi.pairs())
-    ]
-    total = Fraction(0)
-    for pi in row_matches:
-        for rho in col_matches:
-            total += values[loop_type(pi, rho)]
-    return total
+    basis = _basis(spec.group, n)
+    rows, cols = spec.rows + spec.conj_rows, spec.cols + spec.conj_cols
+    row_matches = [p for p in basis if _ties(rows, p)]
+    col_matches = [p for p in basis if _ties(cols, p)]
+    if not row_matches or not col_matches:
+        return Fraction(0)
+    matched = list(dict.fromkeys(row_matches + col_matches))
+    where = {p: i for i, p in enumerate(matched)}
+    types, index = type_matrix(matched)
+    counts = Counter(index[where[p]][where[q]] for p in row_matches for q in col_matches)
+    value = _VALUES[spec.group]
+    return sum((value(types[k], Fraction(spec.tau)) * c for k, c in counts.items()), Fraction(0))
 
 
 def estimate_moment(spec: MomentSpec) -> MomentReport:
@@ -249,47 +254,21 @@ def _tensor_power_flat(q: np.ndarray, n: int) -> np.ndarray:
     return m.reshape(count, dim * dim)
 
 
-def _unitary_prediction_tensor(n: int, tau: int) -> np.ndarray:
-    dim = tau**n
-    multi = list(itertools.product(range(tau), repeat=n))
-    perms = permutations_of(n)
-    # sigma rho^-1 is conjugate to rho^-1 sigma, the inverse of sigma^-1 rho
-    types, index = type_matrix(perms)
-    values = [float(wg_function_unitary(mu, Fraction(tau))) for mu in types]
-    pred = np.zeros((dim, dim, dim, dim))
-    deltas = {}
-    for s in perms:
-        d = np.zeros((dim, dim), dtype=bool)
-        for a_idx, a in enumerate(multi):
-            for c_idx, c in enumerate(multi):
-                if all(a[k] == c[s[k] - 1] for k in range(n)):
-                    d[a_idx, c_idx] = True
-        deltas[s] = d
-    for i, sigma in enumerate(perms):
-        for j, rho in enumerate(perms):
-            w = values[index[i][j]]
-            pred += w * (
-                deltas[sigma][:, None, :, None] & deltas[rho][None, :, None, :]
-            )
-    return pred
+def _prediction_matrix(group: str, n: int, tau: int) -> np.ndarray:
+    """Float predictions of every degree-n moment, rows against columns.
 
-
-def _orthogonal_prediction_tensor(n: int, tau: int) -> np.ndarray:
-    dim = tau ** (2 * n)
+    Entry (i, j) is the moment whose row indices over the 2n factor positions
+    are the multi-index i and whose column indices are j (0-based, C order).
+    """
+    basis = _basis(group, n)
     multi = list(itertools.product(range(tau), repeat=2 * n))
-    pairings = enumerate_pairings(n)
-    types, index = type_matrix(pairings)
-    values = [float(wg_value_orthogonal(mu, Fraction(tau))) for mu in types]
-    deltas = {}
-    for pi in pairings:
-        deltas[pi] = np.array(
-            [all(idx[a - 1] == idx[b - 1] for a, b in pi.pairs()) for idx in multi],
-            dtype=bool,
-        )
-    pred = np.zeros((dim, dim))
-    for i, pi in enumerate(pairings):
-        for j, rho in enumerate(pairings):
-            pred += values[index[i][j]] * np.outer(deltas[pi], deltas[rho])
+    types, index = type_matrix(basis)
+    values = [float(_VALUES[group](mu, Fraction(tau))) for mu in types]
+    deltas = [np.array([_ties(idx, p) for idx in multi], dtype=bool) for p in basis]
+    pred = np.zeros((len(multi), len(multi)))
+    for i, delta_i in enumerate(deltas):
+        for j, delta_j in enumerate(deltas):
+            pred += values[index[i][j]] * np.outer(delta_i, delta_j)
     return pred
 
 
@@ -322,16 +301,12 @@ def grid_crosscheck(
             sum_re += flat.T @ flat
             sum_sq += (flat * flat).T @ (flat * flat)
         remaining -= count
-    if group == "unitary":
-        mean = (sum_re / samples).reshape(dim, dim, dim, dim)
-        mean_sq = (sum_sq / samples).reshape(dim, dim, dim, dim)
-        pred = _unitary_prediction_tensor(n, tau)
-    else:
-        # index (a1 b1 a2 b2) -> (a1 a2 b1 b2): rows and columns interleave
-        full = tau ** (2 * n)
-        mean = _regroup_pair_axes(sum_re / samples, dim).reshape(full, full)
-        mean_sq = _regroup_pair_axes(sum_sq / samples, dim).reshape(full, full)
-        pred = _orthogonal_prediction_tensor(n, tau)
+    # ((a1, b1), (a2, b2)) -> ((a1, a2), (b1, b2)): the row indices of all 2n
+    # factor positions against their column indices, as _prediction_matrix
+    full = dim * dim
+    mean = _regroup_pair_axes(sum_re / samples, dim).reshape(full, full)
+    mean_sq = _regroup_pair_axes(sum_sq / samples, dim).reshape(full, full)
+    pred = _prediction_matrix(group, n, tau)
 
     variance = np.maximum(mean_sq - mean * mean, 0.0)
     stderr = np.sqrt(variance * (samples / (samples - 1)) / samples)
@@ -342,6 +317,8 @@ def grid_crosscheck(
             diff / np.where(stderr > 0, stderr, 1.0),
             np.where(np.abs(diff) < 1e-12, 0.0, np.inf),
         )
+    if group == "unitary":
+        z = _regroup_pair_axes(z, dim)  # reported as (rows, cols, conj rows, conj cols)
     abs_z = np.abs(z)
     failures = [
         {"index": [int(v) for v in idx], "z": float(z[idx])}

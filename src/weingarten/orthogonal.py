@@ -353,16 +353,19 @@ def _projector_pairing_trace(proj: AlgebraElement, e: AlgebraElement) -> Fractio
     return total
 
 
-def verify_doubling(n: int, deep_check_products: bool | None = None) -> DoublingReport:
+# largest 2n at which verify_doubling also forms the direct products P * e(T)
+DIRECT_PRODUCT_TOP = 6
+
+
+def verify_doubling(n: int) -> DoublingReport:
     """Classify which size-2n idempotents survive left averaging over H_n.
 
-    By default the expensive direct products P * e(T) are computed (and
-    cross-checked against the trace criterion) for 2n <= 6; for larger sizes
-    only the exact trace criterion is used unless forced.
+    For 2n <= DIRECT_PRODUCT_TOP the expensive direct products P * e(T) are
+    computed and cross-checked against the trace criterion; for larger sizes
+    only the exact trace criterion is used.
     """
     size = 2 * n
-    if deep_check_products is None:
-        deep_check_products = size <= 6
+    direct_products = size <= DIRECT_PRODUCT_TOP
     proj = average_projector(n)
     survivors = set()
     for lam in partitions_of(size):
@@ -372,7 +375,7 @@ def verify_doubling(n: int, deep_check_products: bool | None = None) -> Doubling
             else:
                 e = young_idempotent(t)
             trace_alive = bool(_projector_pairing_trace(proj, e))
-            if deep_check_products:
+            if direct_products:
                 product_alive = bool(proj * e)
                 if product_alive != trace_alive:
                     raise AssertionError(

@@ -233,6 +233,33 @@ def test_mc_grid_cap(capsys):
     assert "--force" in err
 
 
+def test_mc_indices_degree_cap(capsys):
+    # a balanced unitary moment of degree 6 expands over S_6, past the cap 5
+    six = ",".join(["1"] * 6)
+    indices = ";".join([six] * 4)
+    code, out, err = run_cli(
+        capsys, "mc", "--group", "unitary", "--n", "1", "--tau", "2",
+        "--samples", "100", "--seed", "1", "--indices", indices,
+    )
+    assert code == 2
+    assert out == ""
+    assert "degree 6" in err and "--force" in err
+    code, out, _ = run_cli(
+        capsys, "mc", "--group", "unitary", "--n", "1", "--tau", "2",
+        "--samples", "100", "--seed", "1", "--indices", indices, "--force",
+    )
+    assert code in (0, 1)
+    assert json.loads(out)["exact"] == "1/7"
+    # twelve orthogonal factors expand over the pairings of 12 points
+    twelve = ",".join(["1"] * 12)
+    code, _, err = run_cli(
+        capsys, "mc", "--group", "orthogonal", "--n", "1", "--tau", "2",
+        "--samples", "100", "--seed", "1", "--indices", f"{twelve};{twelve}",
+    )
+    assert code == 2
+    assert "degree 6" in err
+
+
 def test_mc_bad_indices(capsys):
     code, _, err = run_cli(
         capsys, "mc", "--group", "orthogonal", "--n", "1", "--tau", "4",

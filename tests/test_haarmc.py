@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from weingarten.haarmc import (
     GridReport,
     MomentSpec,
+    _prediction_matrix,
     estimate_moment,
     grid_crosscheck,
     predict_moment,
@@ -147,15 +149,42 @@ def test_grid_crosscheck_small_and_deterministic():
     assert o.ok
 
 
-def test_grid_matches_single_moment_path():
-    # the vectorized grid and the scalar path must agree on the same seed
-    samples, seed = 30_000, 12
-    grid = grid_crosscheck("unitary", 1, 2, samples, seed=seed)
+def _grid_spec(group: str, tau: int, index: list[int], samples: int, seed: int) -> MomentSpec:
+    """The n = 1 moment at one grid index: U (row, col, conj row, conj col),
+    O (row pair, col pair) flattened over tau x tau."""
+    if group == "unitary":
+        r, c, cr, cc = (v + 1 for v in index)
+        return MomentSpec(group, tau, (r,), (c,), (cr,), (cc,), samples=samples, seed=seed)
+    rows, cols = (tuple(v + 1 for v in divmod(i, tau)) for i in index)
+    return MomentSpec(group, tau, rows, cols, samples=samples, seed=seed)
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+def test_grid_matches_single_moment_path(group):
+    # the vectorized grid and the scalar path must agree on the same seed,
+    # moment by moment; threshold -1 reports every moment
+    samples, seed, tau = 30_000, 12, 2
+    grid = grid_crosscheck(group, 1, tau, samples, seed=seed, threshold=-1)
     assert isinstance(grid, GridReport)
-    single = estimate_moment(
-        MomentSpec("unitary", 2, (1,), (1,), (1,), (1,), samples=samples, seed=seed)
-    )
-    assert abs(single.z) <= max(4.0, grid.max_abs_z + 0.5)
+    assert len(grid.failures) == grid.moment_count == tau**4
+    for failure in grid.failures:
+        single = estimate_moment(_grid_spec(group, tau, failure["index"], samples, seed))
+        assert abs(single.z - failure["z"]) <= 1e-9, failure
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+def test_prediction_matrix_matches_predict_moment(group):
+    n, tau = 2, 2
+    pred = _prediction_matrix(group, n, tau)
+    multi = list(itertools.product(range(1, tau + 1), repeat=2 * n))
+    assert pred.shape == (len(multi), len(multi))
+    for i, rows in enumerate(multi):
+        for j, cols in enumerate(multi):
+            if group == "unitary":
+                spec = MomentSpec(group, tau, rows[:n], cols[:n], rows[n:], cols[n:])
+            else:
+                spec = MomentSpec(group, tau, rows, cols)
+            assert pred[i, j] == float(predict_moment(spec)), (rows, cols)
 
 
 def test_report_json_fields():
