@@ -4,9 +4,10 @@ Subcommands: ``table``, ``gram``, ``wgfn``, ``characters``, ``verify``, ``mc``.
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
 error, 3 pole or domain error.
 
-The character-table cache directory comes from ``WG_CACHE_DIR``, defaulting
-to ``~/.cache/weingarten``; cache files carry a schema tag.  Symbolic values
-render with the variable letter "t".
+``characters --n K`` also writes its table to ``characters-nK.json`` under
+``WG_CACHE_DIR`` (default ``~/.cache/weingarten``), tagged with a schema; no
+command reads that file back.  Symbolic values render with the variable
+letter "t".
 """
 
 from __future__ import annotations
@@ -108,7 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_wgfn.add_argument("--cycle-type", required=True, help='partition text, e.g. "[2,1]"')
     p_wgfn.add_argument("--tau", type=_parse_tau, default=TAU)
 
-    p_chars = sub.add_parser("characters", help="emit/refresh the cached character table")
+    p_chars = sub.add_parser(
+        "characters", help="emit the character table of S_n and write it under WG_CACHE_DIR"
+    )
     p_chars.add_argument("--n", required=True, type=_positive_int)
 
     p_verify = sub.add_parser("verify", help="run verification suites for sizes 1..n")
@@ -166,13 +169,6 @@ def _matrix_csv(labels: list[str], matrix) -> str:
     return buf.getvalue()
 
 
-def _build_table(group: str, n: int, tau):
-    if group == "unitary":
-        return weingarten_unitary(n, tau)
-    CharacterTable.load_or_build(2 * n, cache_dir())
-    return weingarten_orthogonal(n, tau)
-
-
 def _cmd_table(args) -> int:
     """``table`` writes G and W (CSV: W alone); ``gram`` builds and writes G alone."""
     kind = "symbolic" if is_symbolic(args.tau) else "numeric"
@@ -181,7 +177,8 @@ def _cmd_table(args) -> int:
         print(message, file=sys.stderr)
         return 2
     if args.command == "table":
-        table = _build_table(args.group, args.n, args.tau)
+        build = weingarten_unitary if args.group == "unitary" else weingarten_orthogonal
+        table = build(args.n, args.tau)
         matrix = table.weingarten
     else:
         table = weingarten_table(args.group, args.n, args.tau, BASES[args.group](args.n))

@@ -15,6 +15,7 @@ hyperoctahedral averaging projector.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -264,30 +265,19 @@ def jm_product_orthogonal(n: int, tau) -> AlgebraElement:
 def hyperoctahedral_elements(n: int) -> tuple[Permutation, ...]:
     """The stabilizer of the adjacent pairing inside S_2n, canonically ordered.
 
-    Materialized by closure from its standard generators: the pair swaps
-    (2i-1 2i) and the double elementary transpositions (2i-1 2i+1)(2i 2i+2).
+    Each element sends the pair {2i-1, 2i} to some pair {2j-1, 2j}, the
+    pairs permuted by one sigma in S_n, each one either flipped or not.
     Size is 2^n * n!.
     """
     if n < 1:
         raise ValueError(f"hyperoctahedral_elements requires n >= 1, got {n}")
-    size = 2 * n
-    gens = [Permutation.transposition(2 * i - 1, 2 * i, size) for i in range(1, n + 1)]
-    for i in range(1, n):
-        gens.append(
-            Permutation.transposition(2 * i - 1, 2 * i + 1, size)
-            * Permutation.transposition(2 * i, 2 * i + 2, size)
-        )
-    elements = {Permutation.identity(size)}
-    frontier = list(elements)
-    while frontier:
-        fresh = []
-        for g in gens:
-            for h in frontier:
-                gh = g * h
-                if gh not in elements:
-                    elements.add(gh)
-                    fresh.append(gh)
-        frontier = fresh
+    elements = []
+    for order in itertools.permutations(range(1, n + 1)):
+        for flips in itertools.product((False, True), repeat=n):
+            images = []
+            for j, flip in zip(order, flips):
+                images.extend((2 * j, 2 * j - 1) if flip else (2 * j - 1, 2 * j))
+            elements.append(Permutation(images))
     return tuple(sorted(elements))
 
 

@@ -320,9 +320,13 @@ def grid_crosscheck(
     if group == "unitary":
         z = _regroup_pair_axes(z, dim)  # reported as (rows, cols, conj rows, conj cols)
     abs_z = np.abs(z)
+    # the 64 largest |z| beyond the threshold, largest first, ties in index order
+    flat_abs = abs_z.ravel()
+    failing = np.flatnonzero(flat_abs > threshold)
+    worst = failing[np.argsort(-flat_abs[failing], kind="stable")[:64]]
     failures = [
         {"index": [int(v) for v in idx], "z": float(z[idx])}
-        for idx in zip(*np.nonzero(abs_z > threshold))
+        for idx in zip(*np.unravel_index(worst, z.shape))
     ]
     return GridReport(
         group=group,
@@ -333,7 +337,7 @@ def grid_crosscheck(
         moment_count=int(z.size),
         max_abs_z=float(abs_z.max()),
         threshold=threshold,
-        failures=failures[:64],
+        failures=failures,
     )
 
 

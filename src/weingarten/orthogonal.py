@@ -50,6 +50,7 @@ from .exactmat import (
 from .groupalg import (
     AlgebraElement,
     average_projector,
+    hyperoctahedral_elements,
     hyperoctahedral_order,
     jm_element,
     jm_product_orthogonal,
@@ -190,10 +191,9 @@ def coset_cycle_type_histogram(mu: Partition) -> Counter:
     if cached is not None:
         return cached
     n = mu.weight
-    base = adjacent_pairing(n)
-    target = _loop_type_representative(mu)
-    sigma0 = conjugating_permutation(base, target)
-    hist = Counter((sigma0 * c).cycle_type() for c in pairing_centralizer(base))
+    # the centralizer of the adjacent pairing is H_n itself
+    sigma0 = conjugating_permutation(adjacent_pairing(n), _loop_type_representative(mu))
+    hist = Counter((sigma0 * h).cycle_type() for h in hyperoctahedral_elements(n))
     _HISTOGRAM_CACHE[key] = hist
     return hist
 
@@ -210,24 +210,27 @@ def projector_entry(lam: Partition, pi: Pairing, rho: Pairing, sigma0=None) -> F
     n = lam.weight
     if len(pi) != 2 * n or len(rho) != 2 * n:
         raise ValueError(f"pairings must cover 2n = {2 * n} points")
-    lam2 = double_shape(lam)
     if sigma0 is None:
         hist = coset_cycle_type_histogram(loop_type(pi, rho))
     else:
         if not rho.conjugate_by(sigma0) == pi:
             raise ValueError("sigma0 does not conjugate rho to pi")
         hist = Counter((sigma0 * c).cycle_type() for c in pairing_centralizer(rho))
+    return _coset_character_sum(lam, hist)
+
+
+def _coset_character_sum(lam: Partition, hist: Counter) -> Fraction:
+    """dim(2lam)/(2n)! times the sum of count * chi_2lam over a coset histogram."""
+    lam2 = double_shape(lam)
     total = sum(count * character(lam2, ct) for ct, count in hist.items())
-    return Fraction(hook_dimension(lam2) * total, factorial(2 * n))
+    return Fraction(hook_dimension(lam2) * total, factorial(lam2.weight))
 
 
 def wg_value_orthogonal(mu: Partition, tau):
     """Weingarten entry for a pair of pairings of loop type mu."""
     mu = Partition(mu)
-    n = mu.weight
-    base = adjacent_pairing(n)
-    target = _loop_type_representative(mu)
-    return spectral_sum(n, tau, 2, lambda lam: projector_entry(lam, target, base))
+    hist = coset_cycle_type_histogram(mu)
+    return spectral_sum(mu.weight, tau, 2, lambda lam: _coset_character_sum(lam, hist))
 
 
 def weingarten_orthogonal(n: int, tau) -> WeingartenTable:

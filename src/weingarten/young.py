@@ -1,9 +1,10 @@
 """Irreducible characters of S_n and Young's orthogonal idempotents.
 
 Characters come from the Murnaghan-Nakayama rule, implemented on beta sets
-(first-column hook lengths) and memoized in a module-level table; bulk use
-goes through :class:`CharacterTable`, which can be persisted to JSON so the
-S_10 lookups behind orthogonal projector entries are paid for once.
+(first-column hook lengths) and memoized in a module-level table, so a
+computation pays only for the entries it asks for.  :class:`CharacterTable`
+holds a full table of S_n; ``save`` exports it as JSON, and nothing in the
+package reads such a file back.
 
 The minimal idempotents e(T) are built by the Lagrange-interpolation style
 recursion on the last box: e(T) equals e of the restricted tableau times
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -117,50 +117,6 @@ class CharacterTable:
             "values": [list(row) for row in self.values],
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "CharacterTable":
-        schema = payload.get("schema") if isinstance(payload, dict) else None
-        if schema != CHARACTER_SCHEMA:
-            raise ValueError(f"unrecognized character cache schema: {schema!r}")
-        try:
-            parts = tuple(Partition.from_text(t) for t in payload["partitions"])
-            values = tuple(tuple(int(v) for v in row) for row in payload["values"])
-            n = int(payload["n"])
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed character cache: {exc!r}") from exc
-        return cls(n, parts, values)
-
-    def validate(self, n: int) -> None:
-        """Raise ValueError unless this is the character table of S_n.
-
-        Checks n, the partition list, the column orthogonality
-        sum_lam chi_lam(mu) chi_lam(nu) = delta_mu,nu z_mu, in O(p(n)^3), and
-        that each row belongs to its label: chi_lam(1) = dim(lam) and, on a
-        transposition, chi_lam = dim(lam) * 2 c(lam) / (n(n-1)), where c is the
-        content sum.  Orthogonality survives any permutation of the rows; the
-        pair (dim, c) tells every two shapes apart for n <= 11, which covers
-        every capped cache (up to S_10).  From n = 12 it does not: [7,1^5] and
-        [4,4,4] share it, so swapping their rows is not detected.
-        """
-        if self.n != n:
-            raise ValueError(f"character cache holds n={self.n}, expected n={n}")
-        if list(self.partitions) != partitions_of(n):
-            raise ValueError(f"character cache does not list the partitions of n={n}")
-        size = len(self.partitions)
-        if len(self.values) != size or any(len(row) != size for row in self.values):
-            raise ValueError("character cache values are not a square table")
-        # the classes (1^n) and (2,1^(n-2)) come last in the canonical order
-        for lam, row in zip(self.partitions, self.values):
-            dim = hook_dimension(lam)
-            content = sum(j - i for i, j in lam.cells())
-            if row[-1] != dim or (n > 1 and row[-2] * n * (n - 1) != 2 * dim * content):
-                raise ValueError(f"character cache row {lam.to_text()} is not the character of that shape")
-        for j, mu in enumerate(self.partitions):
-            for k in range(j, size):
-                dot = sum(row[j] * row[k] for row in self.values)
-                if dot != (centralizer_order(mu) if j == k else 0):
-                    raise ValueError(f"character cache columns {j} and {k} are not orthogonal")
-
     def save(self, path: Path) -> None:
         """Write through a temporary file in the same directory, then rename."""
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -170,38 +126,6 @@ class CharacterTable:
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-
-    @classmethod
-    def load(cls, path: Path, n: int | None = None) -> "CharacterTable":
-        """Read a cache file and validate it for S_n (by default the file's own n).
-
-        Raises ValueError, before anything reaches the memo, if the file is
-        not a valid table.
-        """
-        table = cls.from_json_dict(json.loads(path.read_text()))
-        table.validate(table.n if n is None else n)
-        table.warm_memo()
-        return table
-
-    def warm_memo(self) -> None:
-        """Feed the in-process memo so later character() calls hit the cache."""
-        for lam, row in zip(self.partitions, self.values):
-            for mu, v in zip(self.partitions, row):
-                _CHAR_MEMO[(tuple(lam), tuple(mu))] = v
-
-    @classmethod
-    def load_or_build(cls, n: int, cache_dir: Path | None = None) -> "CharacterTable":
-        if cache_dir is None:
-            return cls.build(n)
-        path = Path(cache_dir) / f"characters-n{n}.json"
-        if path.exists():
-            try:
-                return cls.load(path, n)
-            except ValueError as exc:
-                print(f"warning: rebuilding {path}: {exc}", file=sys.stderr)
-        table = cls.build(n)
-        table.save(path)
-        return table
 
 
 def _addable_corner_contents(shape: Partition) -> list[int]:

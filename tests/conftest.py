@@ -1,4 +1,5 @@
-"""Shared fixtures: every test starts from empty process-global memos."""
+"""Shared fixtures: every test starts from empty process-global memos and
+writes character files only under its own temporary ``WG_CACHE_DIR``."""
 
 import pytest
 
@@ -14,3 +15,10 @@ def _clear_memos():
     young._IDEMPOTENT_CACHE.clear()
     orthogonal._HISTOGRAM_CACHE.clear()
     groupalg.hyperoctahedral_elements.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def isolated_cache(tmp_path, monkeypatch):
+    """Point ``WG_CACHE_DIR`` at the test's own directory, so no test can
+    write under ``~/.cache/weingarten``."""
+    monkeypatch.setenv("WG_CACHE_DIR", str(tmp_path / "cache"))

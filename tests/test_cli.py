@@ -4,14 +4,8 @@ import json
 
 import pytest
 
-from weingarten import cli, verify
+from weingarten import cli, verify, young
 from weingarten.coeffring import parse
-
-
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("WG_CACHE_DIR", str(tmp_path / "cache"))
-    yield
 
 
 def run_cli(capsys, *argv):
@@ -103,7 +97,8 @@ def test_characters_writes_cache(tmp_path, capsys, monkeypatch):
     assert code == 0
     payload = json.loads(out)
     assert payload["schema"].startswith("weingarten/character-table/")
-    assert (cache / "characters-n4.json").exists()
+    # the written file is exactly what was printed
+    assert (cache / "characters-n4.json").read_bytes() == out.encode()
 
 
 def test_verify_all_n2_passes(capsys):
@@ -301,45 +296,58 @@ def test_nonpositive_n_is_a_usage_error(capsys, argv):
     assert "--n" in capsys.readouterr().err
 
 
-def _cached_n4(tmp_path, capsys):
-    assert run_cli(capsys, "characters", "--n", "4")[0] == 0
-    return tmp_path / "cache" / "characters-n4.json"
-
-
-def test_edited_character_cache_is_rebuilt(tmp_path, capsys):
-    path = _cached_n4(tmp_path, capsys)
-    data = json.loads(path.read_text())
+def _edit_two_integers(text: str) -> str:
+    data = json.loads(text)
     data["values"][0][0] += 1
     data["values"][0][1] += 1
-    path.write_text(json.dumps(data))
-    code, out, err = run_cli(capsys, "table", "--group", "orthogonal", "--n", "2", "--tau", "5")
-    assert code == 0
-    assert json.loads(out)["weingarten"][0][0] == "3/70"
-    assert err.startswith("warning: rebuilding") and err.count("\n") == 1
-    assert json.loads(path.read_text())["values"][0] == [1, 1, 1, 1, 1]
+    return json.dumps(data)
 
 
-def test_truncated_character_cache_is_rebuilt(tmp_path, capsys):
-    path = _cached_n4(tmp_path, capsys)
-    text = path.read_text()
-    path.write_text(text[: len(text) // 2])
-    code, out, err = run_cli(capsys, "table", "--group", "orthogonal", "--n", "2", "--tau", "5")
-    assert code == 0
-    assert json.loads(out)["weingarten"][0][0] == "3/70"
-    assert "warning: rebuilding" in err
-    assert path.read_text() == text
-
-
-def test_swapped_conjugate_rows_are_rebuilt(tmp_path, capsys):
-    assert run_cli(capsys, "characters", "--n", "6")[0] == 0
-    path = tmp_path / "cache" / "characters-n6.json"
-    text = path.read_text()
+def _swap_conjugate_rows(text: str) -> str:
     data = json.loads(text)
-    i, j = data["partitions"].index("[4,2]"), data["partitions"].index("[2,2,1,1]")
-    data["values"][i], data["values"][j] = data["values"][j], data["values"][i]
-    path.write_text(json.dumps(data))
-    code, out, err = run_cli(capsys, "table", "--group", "orthogonal", "--n", "3", "--tau", "7")
-    assert code == 0
-    assert json.loads(out)["weingarten"][0][0] == "34/10395"
-    assert err.startswith("warning: rebuilding") and err.count("\n") == 1
-    assert path.read_text() == text
+    if data["n"] == 6:
+        a, b = data["partitions"].index("[4,2]"), data["partitions"].index("[2,2,1,1]")
+    else:
+        a, b = data["partitions"].index("[3,1]"), data["partitions"].index("[2,1,1]")
+    data["values"][a], data["values"][b] = data["values"][b], data["values"][a]
+    return json.dumps(data)
+
+
+POISONS = {
+    "two edited integers": _edit_two_integers,
+    "truncated": lambda text: text[: len(text) // 2],
+    "swapped conjugate rows": _swap_conjugate_rows,
+    "not JSON": lambda text: "three\n",
+}
+# W[0][0] of O n=2 at tau=5 sums characters of S_4, of O n=3 at tau=7 of S_6
+ORTHOGONAL_TABLES = {
+    4: (["table", "--group", "orthogonal", "--n", "2", "--tau", "5"], "3/70"),
+    6: (["table", "--group", "orthogonal", "--n", "3", "--tau", "7"], "34/10395"),
+}
+
+
+@pytest.mark.parametrize("poison", sorted(POISONS))
+def test_no_character_file_reaches_table(tmp_path, monkeypatch, capsys, poison):
+    # characters come from the in-process memo alone: a poisoned file under
+    # WG_CACHE_DIR changes no output, raises no warning and is never rewritten
+    poisoned = tmp_path / "poisoned"
+    monkeypatch.setenv("WG_CACHE_DIR", str(poisoned))
+    for k in ORTHOGONAL_TABLES:
+        assert run_cli(capsys, "characters", "--n", str(k))[0] == 0
+        path = poisoned / f"characters-n{k}.json"
+        path.write_text(POISONS[poison](path.read_text()))
+    files = {path: path.read_bytes() for path in poisoned.iterdir()}
+    young._CHAR_MEMO.clear()
+    outputs = {}
+    for k, (argv, w00) in ORTHOGONAL_TABLES.items():
+        code, outputs[k], err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(outputs[k])["weingarten"][0][0] == w00
+    assert {path: path.read_bytes() for path in poisoned.iterdir()} == files
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    monkeypatch.setenv("WG_CACHE_DIR", str(empty))
+    for k, (argv, _) in ORTHOGONAL_TABLES.items():
+        assert run_cli(capsys, *argv) == (0, outputs[k], "")
+    assert list(empty.iterdir()) == []

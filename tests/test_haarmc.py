@@ -149,6 +149,16 @@ def test_grid_crosscheck_small_and_deterministic():
     assert o.ok
 
 
+def test_grid_lists_its_worst_failures_first():
+    # 65 536 moments, far more than 64 of them past a threshold of 0.5
+    grid = grid_crosscheck("orthogonal", 2, 4, 20_000, seed=1, threshold=0.5)
+    assert len(grid.failures) == 64
+    assert abs(grid.failures[0]["z"]) == grid.max_abs_z
+    listed = [abs(f["z"]) for f in grid.failures]
+    assert listed == sorted(listed, reverse=True)
+    assert listed[-1] > grid.threshold
+
+
 def _grid_spec(group: str, tau: int, index: list[int], samples: int, seed: int) -> MomentSpec:
     """The n = 1 moment at one grid index: U (row, col, conj row, conj col),
     O (row pair, col pair) flattened over tau x tau."""

@@ -1,10 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from weingarten.coeffring import TAU, render
-from weingarten.exactmat import mat_eq, mat_identity, mat_mul, pseudo_inverse_check
+from weingarten.exactmat import mat_eq, mat_identity, mat_mul, pseudo_inverse_check, spectral_sum
 from weingarten.groupalg import (
     AlgebraElement,
     average_projector,
@@ -12,9 +13,11 @@ from weingarten.groupalg import (
     jm_product_orthogonal,
 )
 from weingarten.orthogonal import (
+    _loop_type_representative,
     adjacent_pairing,
     c_orthogonal,
     conjugating_permutation,
+    coset_cycle_type_histogram,
     coset_representative,
     double_factorial_odd,
     gram_orthogonal,
@@ -169,6 +172,25 @@ def test_projector_entry_independent_of_conjugator():
         assert direct == other == cached
     with pytest.raises(ValueError):
         projector_entry(Partition((2,)), b, o, sigma0=Permutation.identity(4))
+
+
+def test_histogram_over_h_n_matches_centralizer_enumeration_up_to_5():
+    # the cached histogram enumerates H_n from groupalg; the reference walks
+    # pairing_centralizer of the adjacent pairing through projector_entry's
+    # explicit-sigma0 branch, and both must give every value the same
+    for n in range(1, 6):
+        base = adjacent_pairing(n)
+        centralizer = pairing_centralizer(base)
+        for mu in partitions_of(n):
+            target = _loop_type_representative(mu)
+            s0 = conjugating_permutation(base, target)
+            direct = Counter((s0 * c).cycle_type() for c in centralizer)
+            assert coset_cycle_type_histogram(mu) == direct
+            if n <= 4:
+                reference = spectral_sum(
+                    n, Fraction(9), 2, lambda lam: projector_entry(lam, target, base, sigma0=s0)
+                )
+                assert wg_value_orthogonal(mu, Fraction(9)) == reference
 
 
 def test_weingarten_n2_closed_forms_and_sympy_oracle():

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 from math import factorial
 
@@ -7,7 +6,6 @@ import pytest
 from weingarten.groupalg import AlgebraElement, full_basis, jm_element, regular_matrix
 from weingarten.symcore import Partition, StandardTableau, hook_dimension, partitions_of, standard_tableaux
 from weingarten.young import (
-    CHARACTER_SCHEMA,
     CharacterTable,
     central_idempotent,
     centralizer_order,
@@ -190,67 +188,3 @@ def test_central_regular_matrix_symmetric_up_to_4():
 def test_unknown_route_raises():
     with pytest.raises(ValueError):
         central_idempotent(Partition((2,)), route="magic")
-
-
-# -- cache ----------------------------------------------------------------
-
-
-def test_character_table_json_round_trip(tmp_path):
-    table = CharacterTable.build(5)
-    payload = table.to_json_dict()
-    assert payload["schema"] == CHARACTER_SCHEMA
-    assert CharacterTable.from_json_dict(payload) == table
-    path = tmp_path / "chars.json"
-    table.save(path)
-    assert CharacterTable.load(path) == table
-
-
-def test_load_or_build_creates_cache(tmp_path):
-    table = CharacterTable.load_or_build(4, tmp_path)
-    path = tmp_path / "characters-n4.json"
-    assert path.exists()
-    again = CharacterTable.load_or_build(4, tmp_path)
-    assert again == table
-    data = json.loads(path.read_text())
-    assert data["n"] == 4
-    assert data["values"][0] == [1, 1, 1, 1, 1]
-
-
-def test_bad_schema_rejected():
-    with pytest.raises(ValueError):
-        CharacterTable.from_json_dict({"schema": "nope", "n": 2, "partitions": [], "values": []})
-
-
-@pytest.mark.parametrize("text", [
-    "[1, 2]",
-    '{"schema": "weingarten/character-table/1", "n": 4, "partitions": 3, "values": []}',
-    '{"schema": "weingarten/character-table/1", "n": 4, "partitions": ["[4]"], "values": [[1]]}',
-    "three",
-    "",
-])
-def test_malformed_cache_is_rebuilt_with_a_warning(tmp_path, capsys, text):
-    path = tmp_path / "characters-n4.json"
-    path.write_text(text)
-    table = CharacterTable.load_or_build(4, tmp_path)
-    assert table == CharacterTable.build(4)
-    assert CharacterTable.load(path) == table
-    assert capsys.readouterr().err.startswith(f"warning: rebuilding {path}")
-
-
-def test_every_row_swap_is_rejected():
-    table = CharacterTable.build(6)
-    table.validate(6)
-    size = len(table.partitions)
-    for i in range(size):
-        for j in range(i + 1, size):
-            rows = list(table.values)
-            rows[i], rows[j] = rows[j], rows[i]
-            swapped = CharacterTable(6, table.partitions, tuple(rows))
-            with pytest.raises(ValueError, match="is not the character of that shape"):
-                swapped.validate(6)
-
-
-def test_cache_for_another_n_is_rebuilt(tmp_path, capsys):
-    CharacterTable.build(3).save(tmp_path / "characters-n4.json")
-    assert CharacterTable.load_or_build(4, tmp_path) == CharacterTable.build(4)
-    assert "expected n=4" in capsys.readouterr().err
