@@ -41,11 +41,6 @@ from .orthogonal import (
     gram_orthogonal,
     loop_type,
     projector_entry,
-    verify_doubling,
-    verify_gram_commutation,
-    verify_key_identity,
-    verify_oid,
-    verify_stability_lemma,
     weingarten_orthogonal,
     wg_value_orthogonal,
 )

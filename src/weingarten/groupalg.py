@@ -23,7 +23,7 @@ from math import lcm
 import numpy as np
 
 from .coeffring import render
-from .symcore import Permutation, permutations_of
+from .symcore import Permutation
 
 
 class AlgebraElement:
@@ -313,8 +313,3 @@ def regular_matrix(a: AlgebraElement, basis: list[Permutation], side: str = "lef
             # coefficient of bi in bj*a is a[bj^-1 * bi]
             rows.append([a.coefficient(bj_inv * bi) for bj_inv in inv])
     return rows
-
-
-def full_basis(n: int) -> list[Permutation]:
-    """Canonical ordered basis of C[S_n]."""
-    return permutations_of(n)

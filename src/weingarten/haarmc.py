@@ -34,7 +34,7 @@ import numpy as np
 
 from .coeffring import render
 from .orthogonal import wg_value_orthogonal
-from .symcore import Pairing, enumerate_pairings, permutations_of, type_matrix
+from .symcore import Pairing, cross_type_matrix, enumerate_pairings, permutations_of, type_matrix
 from .unitary import wg_function_unitary
 
 _BATCH = 4096  # fixed batch size keeps seeded runs bit-reproducible
@@ -168,10 +168,8 @@ def predict_moment(spec: MomentSpec) -> Fraction:
     col_matches = [p for p in basis if _ties(cols, p)]
     if not row_matches or not col_matches:
         return Fraction(0)
-    matched = list(dict.fromkeys(row_matches + col_matches))
-    where = {p: i for i, p in enumerate(matched)}
-    types, index = type_matrix(matched)
-    counts = Counter(index[where[p]][where[q]] for p in row_matches for q in col_matches)
+    types, index = cross_type_matrix(row_matches, col_matches)
+    counts = Counter(k for row in index for k in row)
     value = _VALUES[spec.group]
     return sum((value(types[k], Fraction(spec.tau)) * c for k, c in counts.items()), Fraction(0))
 

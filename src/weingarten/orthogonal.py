@@ -25,51 +25,37 @@ type while permuting the coset).  Table assembly (``exactmat.weingarten_table``)
 therefore computes one value, from one cycle-type histogram, per loop type,
 which is what keeps the 945-pairing case affordable.
 
-The verify_* operations check the structural identities this construction
-rests on, term by term and exactly.
+``pairing_basis_matrix`` reads an element's matrix on the pairing basis off
+its hyperoctahedral average; the central-idempotent route to W uses it as an
+independent oracle for the entrywise formula.  The identities this
+construction rests on are checked in ``weingarten.verify``.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .coeffring import TAU, invert
-from .exactmat import (
-    WeingartenTable,
-    content_product,
-    mat_eq,
-    row_commutation_check,
-    spectral_sum,
-    tau_powers,
-    weingarten_table,
-)
+from .coeffring import invert
+from .exactmat import WeingartenTable, content_product, spectral_sum, weingarten_table
 from .groupalg import (
     AlgebraElement,
     average_projector,
     hyperoctahedral_elements,
     hyperoctahedral_order,
-    jm_element,
-    jm_product_orthogonal,
 )
 from .symcore import (
     Pairing,
     Partition,
     Permutation,
-    StandardTableau,
     double_shape,
-    double_tableau,
     enumerate_pairings,
-    generator_index_maps,
     hook_dimension,
-    loop_count,
     partitions_of,
-    standard_tableaux,
 )
-from .young import character, young_idempotent, _extend_idempotent
+from .young import central_idempotent, character
 
 
 def double_factorial_odd(n: int) -> int:
@@ -238,61 +224,7 @@ def weingarten_orthogonal(n: int, tau) -> WeingartenTable:
     return weingarten_table("orthogonal", n, tau, enumerate_pairings(n), wg_value_orthogonal, 2)
 
 
-# -- verification operations -------------------------------------------------
-
-
-@dataclass
-class OidReport:
-    """Term-exact comparison of the odd JM product with its pairing expansion."""
-
-    n: int
-    expected_terms: int
-    lhs_terms: int
-    representatives_distinct: bool
-    expansion_matches: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.expansion_matches
-            and self.representatives_distinct
-            and self.lhs_terms == self.expected_terms
-        )
-
-
-def verify_oid(n: int, tau=TAU) -> OidReport:
-    """Check that the odd JM product equals the sum of coset representatives
-    weighted by tau^(loops against the adjacent pairing)."""
-    lhs = jm_product_orthogonal(n, tau)
-    base = adjacent_pairing(n)
-    powers = tau_powers(tau, n)
-    rhs_terms: dict[Permutation, object] = {}
-    for pi in enumerate_pairings(n):
-        rhs_terms[coset_representative(pi)] = powers[loop_count(base, pi)]
-    expected = double_factorial_odd(n)
-    return OidReport(
-        n=n,
-        expected_terms=expected,
-        lhs_terms=len(lhs),
-        representatives_distinct=len(rhs_terms) == expected,
-        expansion_matches=lhs == AlgebraElement(2 * n, rhs_terms),
-    )
-
-
-@dataclass
-class StabilityReport:
-    """G commutes with the averaging projector; its basis matrix is the Gram."""
-
-    n: int
-    commutes: bool
-    basis_matrix_is_gram: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.commutes and self.basis_matrix_is_gram
-
-
-def _pairing_basis_matrix(n: int, projected: AlgebraElement):
+def pairing_basis_matrix(n: int, projected: AlgebraElement):
     """Matrix of X on the pairing basis, read off from projected = P_H * X.
 
     Expand sigma_pi * P * X over the standard basis sigma_pi' * P: the cosets
@@ -305,130 +237,20 @@ def _pairing_basis_matrix(n: int, projected: AlgebraElement):
     return [[order * projected.coefficient(rj_inv * ri) for rj_inv in inverses] for ri in reps]
 
 
-def verify_stability_lemma(n: int, tau=TAU) -> StabilityReport:
-    g = jm_product_orthogonal(n, tau)
-    proj = average_projector(n)
-    pg = proj * g
-    return StabilityReport(
-        n=n,
-        commutes=g * proj == pg,
-        basis_matrix_is_gram=mat_eq(_pairing_basis_matrix(n, pg), gram_orthogonal(n, tau)),
-    )
-
-
-def verify_key_identity(n: int, k: int) -> bool:
-    """P_H * (m_2k - m_(2k-1) - 1) must vanish identically."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got {k}")
-    size = 2 * n
-    diff = jm_element(2 * k, size) - jm_element(2 * k - 1, size) - AlgebraElement.unit(size)
-    return not (average_projector(n) * diff)
-
-
-@dataclass
-class DoublingReport:
-    """Survivors of hyperoctahedral averaging are exactly doubled tableaux."""
-
-    n: int
-    survivors: set
-    expected: set
-    even_row_shapes: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.survivors == self.expected and self.even_row_shapes
-
-
-def _projector_pairing_trace(proj: AlgebraElement, e: AlgebraElement) -> Fraction:
-    """Identity coefficient of proj * e, i.e. the normalized regular trace.
-
-    Both factors are self-adjoint idempotents (antipode-invariant, rational),
-    so the full product vanishes exactly when this single coefficient does:
-    tr((Pe)(Pe)^*) = tr(PeP) = tr(Pe) by idempotence and cyclicity, and the
-    regular trace is faithful on positive elements.
-    """
-    total = Fraction(0)
-    terms = e.terms
-    for h, w in proj.terms.items():
-        c = terms.get(h)
-        if c is not None:
-            total += w * c
-    return total
-
-
-# largest 2n at which verify_doubling also forms the direct products P * e(T)
-DIRECT_PRODUCT_TOP = 6
-
-
-def verify_doubling(n: int) -> DoublingReport:
-    """Classify which size-2n idempotents survive left averaging over H_n.
-
-    For 2n <= DIRECT_PRODUCT_TOP the expensive direct products P * e(T) are
-    computed and cross-checked against the trace criterion; for larger sizes
-    only the exact trace criterion is used.
-    """
-    size = 2 * n
-    direct_products = size <= DIRECT_PRODUCT_TOP
-    proj = average_projector(n)
-    survivors = set()
-    for lam in partitions_of(size):
-        for t in standard_tableaux(lam):
-            if size >= 8:
-                e = _extend_idempotent(t, cache=False)
-            else:
-                e = young_idempotent(t)
-            trace_alive = bool(_projector_pairing_trace(proj, e))
-            if direct_products:
-                product_alive = bool(proj * e)
-                if product_alive != trace_alive:
-                    raise AssertionError(
-                        f"trace criterion disagrees with direct product at {t!r}"
-                    )
-            if trace_alive:
-                survivors.add(t.rows)
-    expected = set()
-    for lam in partitions_of(n):
-        for t in standard_tableaux(lam):
-            expected.add(double_tableau(t).rows)
-    even_rows = all(
-        all(len(row) % 2 == 0 for row in rows) for rows in survivors
-    )
-    return DoublingReport(n=n, survivors=survivors, expected=expected, even_row_shapes=even_rows)
-
-
-def verify_gram_commutation(n: int, tau1: Fraction, tau2: Fraction) -> bool:
-    """Gram matrices at two parameter values must commute exactly.
-
-    Both are invariant under conjugation of pairings, so the products are
-    compared on the base row once that invariance is confirmed.
-    """
-    if tau1 == tau2:
-        raise ValueError("parameters must be distinct for a meaningful check")
-    g1 = gram_orthogonal(n, Fraction(tau1))
-    g2 = gram_orthogonal(n, Fraction(tau2))
-    return row_commutation_check(g1, g2, generator_index_maps(enumerate_pairings(n)))
-
-
 def weingarten_matrix_from_central_idempotents(n: int, tau):
     """Independent route to the Weingarten matrix through C[S_2n] itself.
 
-    Builds W = sum invert(c_lam) * P_2lam as a group-algebra element and reads
-    off its matrix on the pairing basis the same way the stability lemma does.
-    Used to arbitrate the entrywise formula at desk scale.
+    Builds W = sum invert(c_lam) * P_2lam as a group-algebra element, with
+    P_2lam from the young module, and reads off its matrix on the pairing
+    basis the same way the stability lemma does.  Used to arbitrate the
+    entrywise formula at desk scale.
     """
     w_alg = AlgebraElement.zero(2 * n)
     for lam in partitions_of(n):
         c = c_orthogonal(lam, tau)
         if not c:
             continue
-        w_alg = w_alg + central_idempotent_doubled(lam).map_coefficients(
+        w_alg = w_alg + central_idempotent(double_shape(lam), route="character").map_coefficients(
             lambda x, inv=invert(c): x * inv
         )
-    return _pairing_basis_matrix(n, average_projector(n) * w_alg)
-
-
-def central_idempotent_doubled(lam: Partition) -> AlgebraElement:
-    """P_2lam inside C[S_2n], built from the young module."""
-    from .young import central_idempotent
-
-    return central_idempotent(double_shape(lam), route="character")
+    return pairing_basis_matrix(n, average_projector(n) * w_alg)

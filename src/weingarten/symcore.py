@@ -363,22 +363,32 @@ def type_matrix(basis) -> tuple[list[Partition], list[list[int]]]:
     For permutations the type of (b_i, b_j) is the cycle type of b_i^-1 b_j.
     For pairings it is the loop type: the cycle type of b_i b_j (a pairing is
     its own inverse) with multiplicities halved, since each loop splits into
-    two equal cycles.  The walk marks both cycles of a loop, so it counts each
-    loop once.  Types are numbered in first-seen order and index[i][j] is the
-    number of the type of (b_i, b_j).  Cycles are walked once per unordered
-    pair over 0-based one-line tuples: the pair (b_j, b_i) gives the inverse
-    product, which has the same cycle type.
+    two equal cycles.  Types are numbered in first-seen order and index[i][j]
+    is the number of the type of (b_i, b_j).  Cycles are walked once per
+    unordered pair: the pair (b_j, b_i) gives the inverse product, which has
+    the same cycle type.
     """
-    halve = isinstance(basis[0], Pairing)
-    rights = [tuple(x - 1 for x in b) for b in basis]
-    lefts = rights if halve else [tuple(x - 1 for x in b.inverse()) for b in basis]
+    return cross_type_matrix(basis, basis)
+
+
+def cross_type_matrix(rows, cols) -> tuple[list[Partition], list[list[int]]]:
+    """Type of every (row, column) pair, as for `type_matrix`; index is rows x cols.
+
+    Cycles are walked over 0-based one-line tuples; for pairings the walk
+    marks both cycles of a loop, so it counts each loop once.  When rows is
+    cols only the upper triangle is walked, and mirrored.
+    """
+    halve = isinstance(rows[0], Pairing)
+    symmetric = rows is cols
+    lefts = [tuple(x - 1 for x in (b if halve else b.inverse())) for b in rows]
+    rights = [tuple(x - 1 for x in b) for b in cols]
     size, count = len(rights[0]), len(rights)
     numbers: dict[tuple[int, ...], int] = {}
     types: list[Partition] = []
-    index = [[0] * count for _ in range(count)]
+    index = [[0] * count for _ in lefts]
     for i, left in enumerate(lefts):
         row = index[i]
-        for j in range(i, count):
+        for j in range(i if symmetric else 0, count):
             right = rights[j]
             seen = [False] * size
             lengths = []
@@ -399,7 +409,9 @@ def type_matrix(basis) -> tuple[list[Partition], list[list[int]]]:
             if number is None:
                 number = numbers[key] = len(types)
                 types.append(Partition(key))
-            row[j] = index[j][i] = number
+            row[j] = number
+            if symmetric:
+                index[j][i] = number
     return types, index
 
 

@@ -23,8 +23,15 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-from .groupalg import AlgebraElement, jm_element, full_basis
-from .symcore import Partition, StandardTableau, hook_dimension, partitions_of, standard_tableaux
+from .groupalg import AlgebraElement, jm_element
+from .symcore import (
+    Partition,
+    StandardTableau,
+    hook_dimension,
+    partitions_of,
+    permutations_of,
+    standard_tableaux,
+)
 
 _CHAR_MEMO: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
@@ -155,7 +162,7 @@ def _extend_idempotent(t: StandardTableau, cache: bool = True) -> AlgebraElement
             if c_other == c_here:
                 continue
             factor = m_n - AlgebraElement.unit(n, Fraction(c_other))
-            e = (e * factor).scale(Fraction(1, c_here - c_other))
+            e = e * factor.scale(Fraction(1, c_here - c_other))
     if cache:
         _IDEMPOTENT_CACHE[t.rows] = e
     return e
@@ -193,7 +200,7 @@ def central_idempotent(lam: Partition, route: str = "tableau-sum") -> AlgebraEle
         scale = Fraction(hook_dimension(lam), factorial(n))
         chi_by_type = {mu: character(lam, mu) for mu in partitions_of(n)}
         terms = {}
-        for sigma in full_basis(n):
+        for sigma in permutations_of(n):
             chi = chi_by_type[sigma.cycle_type()]
             if chi:
                 terms[sigma] = scale * chi

@@ -2,10 +2,14 @@ import csv
 import io
 import json
 
+from fractions import Fraction
+
 import pytest
 
 from weingarten import cli, verify, young
 from weingarten.coeffring import parse
+from weingarten.groupalg import AlgebraElement
+from weingarten.symcore import Permutation, StandardTableau
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +142,87 @@ def test_verify_exit_code_reflects_injected_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "pseudoinverse", "--n", "1")
     assert code == 1
     assert "FAIL" in out
+
+
+def _plus_transposition(product):
+    """The product with one more term, 1 * (1 2), wherever S_m has (1 2)."""
+    def corrupted(n, tau):
+        out = product(n, tau)
+        if out.n < 2:
+            return out
+        return out + AlgebraElement.basis(Permutation.transposition(1, 2, out.n))
+    return corrupted
+
+
+def _identity_coefficient_shifted(make):
+    """Every element made by `make`, with its identity coefficient raised by 1/7."""
+    def corrupted(*args, **kwargs):
+        e = make(*args, **kwargs)
+        return e + AlgebraElement.unit(e.n, Fraction(1, 7))
+    return corrupted
+
+
+def _size4_coefficient_shifted(extend):
+    """Size-4 idempotents with the coefficient of (2 3), which lies outside H_2, raised by 1.
+
+    The trace criterion reads only coefficients on H_2, so the survivors stay
+    the same while P * e(T) no longer vanishes for the non-doubled tableaux.
+    """
+    def corrupted(t, cache=True):
+        e = extend(t, cache)
+        if e.n != 4:
+            return e
+        return e + AlgebraElement.basis(Permutation.transposition(2, 3, 4))
+    return corrupted
+
+
+def _jm_doubled(jm):
+    return lambda k, n: jm(k, n).scale(Fraction(2))
+
+
+def _off_base_row_changed(gram):
+    """Gram matrices with entry (1, 0) raised by 1; row 0 is the base row."""
+    def corrupted(n, tau):
+        rows = [row[:] for row in gram(n, tau)]
+        if len(rows) > 1:
+            rows[1][0] = rows[1][0] + 1
+        return rows
+    return corrupted
+
+
+INJECTED = {
+    "jucys": (2, "jm_product_unitary", _plus_transposition),
+    "oid": (1, "jm_product_orthogonal", _plus_transposition),
+    "idempotents": (1, "young_idempotent", _identity_coefficient_shifted),
+    "central": (1, "central_idempotent", _identity_coefficient_shifted),
+    "doubling": (2, "_extend_idempotent", _size4_coefficient_shifted),
+    "keyid": (1, "jm_element", _jm_doubled),
+    "stability": (2, "gram_orthogonal", _off_base_row_changed),
+    "commute": (2, "gram_orthogonal", _off_base_row_changed),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(INJECTED))
+def test_verify_suite_fails_on_injected_fault(capsys, monkeypatch, suite):
+    # one corrupted input, read by the suite through weingarten.verify, must
+    # turn a line into FAIL and the exit code into 1
+    n, name, corrupt = INJECTED[suite]
+    monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--n", str(n))
+    assert code == 1
+    assert "FAIL" in out
+
+
+def test_verify_doubling_disagreement_is_a_fail_not_a_traceback(capsys, monkeypatch):
+    # the trace criterion says [[1, 2]] dies while its direct product survives
+    target = young.young_idempotent(StandardTableau([[1, 2]]))
+    trace = verify._projector_pairing_trace
+    monkeypatch.setattr(verify, "_projector_pairing_trace",
+                        lambda proj, e: Fraction(0) if e == target else trace(proj, e))
+    code, out, err = run_cli(capsys, "verify", "--suite", "doubling", "--n", "2")
+    assert code == 1
+    assert out.splitlines() == ["FAIL doubling survivors 2n=2", "ok   doubling survivors 2n=4"]
+    assert "Traceback" not in err
 
 
 def test_verify_notes_the_skipped_doubling_sizes(capsys):

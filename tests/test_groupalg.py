@@ -12,7 +12,6 @@ from weingarten.groupalg import (
     _mul_fractions,
     _mul_terms,
     average_projector,
-    full_basis,
     hyperoctahedral_elements,
     hyperoctahedral_order,
     jm_element,
@@ -204,12 +203,12 @@ def test_projector_commutes_with_odd_jm_product():
 
 
 def test_regular_matrix_of_unit_is_identity():
-    basis = full_basis(3)
+    basis = permutations_of(3)
     assert mat_eq(regular_matrix(AlgebraElement.unit(3), basis), mat_identity(6))
 
 
 def test_regular_matrix_of_delta_is_permutation_matrix():
-    basis = full_basis(3)
+    basis = permutations_of(3)
     rho = Permutation.from_images([2, 3, 1])
     mat = regular_matrix(AlgebraElement.basis(rho), basis, side="left")
     for i, bi in enumerate(basis):
@@ -225,15 +224,15 @@ def test_regular_matrix_of_jm_product_is_gram():
         g = jm_product_unitary(n, TAU)
         expected = gram_unitary(n, TAU)
         for side in ("left", "right"):
-            assert mat_eq(regular_matrix(g, full_basis(n), side), expected)
+            assert mat_eq(regular_matrix(g, permutations_of(n), side), expected)
     for n in (4, 5):
         g = jm_product_unitary(n, TAU)
-        assert mat_eq(regular_matrix(g, full_basis(n), "left"), gram_unitary(n, TAU))
+        assert mat_eq(regular_matrix(g, permutations_of(n), "left"), gram_unitary(n, TAU))
 
 
 def test_regular_matrix_rejects_bad_side():
     with pytest.raises(ValueError):
-        regular_matrix(AlgebraElement.unit(2), full_basis(2), side="diagonal")
+        regular_matrix(AlgebraElement.unit(2), permutations_of(2), side="diagonal")
 
 
 def test_embed_and_json_round_trip():

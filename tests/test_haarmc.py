@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,8 @@ from weingarten.haarmc import (
     predict_moment,
     sample_haar,
 )
+from weingarten.orthogonal import loop_type, wg_value_orthogonal
+from weingarten.symcore import enumerate_pairings
 
 
 def test_samples_are_unitary_to_tolerance():
@@ -89,6 +92,34 @@ def test_predict_degree_two_two_patterns():
 def test_predict_orthogonal_fourth_moment():
     spec = MomentSpec("orthogonal", 4, (1, 1, 1, 1), (1, 1, 1, 1))
     assert predict_moment(spec) == Fraction(1, 8)  # 3/(tau(tau+2))
+
+
+def _tied_by(indices, n):
+    """Pairings of the 2n factor positions that pair only equal indices."""
+    return [
+        p for p in enumerate_pairings(n)
+        if all(indices[a - 1] == indices[b - 1] for a, b in p.pairs())
+    ]
+
+
+def test_predict_orthogonal_matches_brute_force_over_matched_pairs():
+    # sum over (row match, column match) of W(loop type), on seeded specs whose
+    # row and column match lists differ in length
+    rng = random.Random(14)
+    checked = 0
+    while checked < 12:
+        n, tau = rng.choice((2, 3, 4)), rng.choice((2, 3))
+        rows = tuple(rng.randint(1, tau) for _ in range(2 * n))
+        cols = tuple(rng.randint(1, tau) for _ in range(2 * n))
+        row_matches, col_matches = _tied_by(rows, n), _tied_by(cols, n)
+        if not row_matches or not col_matches or len(row_matches) == len(col_matches):
+            continue
+        expected = sum(
+            (wg_value_orthogonal(loop_type(p, q), Fraction(tau)) for p in row_matches for q in col_matches),
+            Fraction(0),
+        )
+        assert predict_moment(MomentSpec("orthogonal", tau, rows, cols)) == expected
+        checked += 1
 
 
 def test_predict_unbalanced_and_odd_vanish():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from weingarten import verify
 from weingarten.coeffring import TAU, render
 from weingarten.exactmat import mat_eq, mat_identity, mat_mul, pseudo_inverse_check, spectral_sum
 from weingarten.groupalg import (
@@ -24,11 +25,6 @@ from weingarten.orthogonal import (
     loop_type,
     pairing_centralizer,
     projector_entry,
-    verify_doubling,
-    verify_gram_commutation,
-    verify_key_identity,
-    verify_oid,
-    verify_stability_lemma,
     weingarten_matrix_from_central_idempotents,
     weingarten_orthogonal,
     wg_value_orthogonal,
@@ -235,22 +231,23 @@ def test_invertible_regime_n3_tau8():
     assert mat_eq(mat_mul(table.weingarten, table.gram), mat_identity(15))
 
 
+def _suite_passes(suite, max_n, *params):
+    return all(ok for _, ok in verify.run(suite, max_n, *params))
+
+
 def test_verify_oid_small():
-    for n in (1, 2, 3):
-        report = verify_oid(n)
-        assert report.ok
-        assert report.lhs_terms == double_factorial_odd(n)
+    assert _suite_passes("oid", 3)
 
 
 def test_verify_oid_numeric_tau():
-    report = verify_oid(3, Fraction(7))
-    assert report.ok
+    # past its symbolic range (n <= 4) the suite checks the expansion at tau
+    checks = list(verify.run("oid", 5, Fraction(7)))
+    assert checks[-1] == ("odd JM expansion n=5 (tau=7)", True)
+    assert all(ok for _, ok in checks)
 
 
 def test_stability_lemma_small():
-    for n in (1, 2, 3):
-        report = verify_stability_lemma(n)
-        assert report.commutes and report.basis_matrix_is_gram
+    assert _suite_passes("stability", 3)
 
 
 def test_projected_product_closed_form():
@@ -267,50 +264,39 @@ def test_projected_product_closed_form():
 
 
 def test_key_identity_up_to_3():
-    for n in (1, 2, 3):
-        for k in range(1, n + 1):
-            assert verify_key_identity(n, k)
-    with pytest.raises(ValueError):
-        verify_key_identity(2, 3)
+    assert _suite_passes("keyid", 3)
 
 
 def test_doubling_small():
-    r1 = verify_doubling(1)
-    assert r1.ok and r1.survivors == {((1, 2),)}
-    r2 = verify_doubling(2)
-    assert r2.ok and len(r2.survivors) == 2
+    assert _suite_passes("doubling", 2)
 
 
 def test_doubling_2n8_sample():
     # one doubled and one non-doubled size-8 tableau through the deep path
-    from weingarten.groupalg import average_projector
-    from weingarten.orthogonal import _projector_pairing_trace
     from weingarten.symcore import StandardTableau, double_tableau
     from weingarten.young import _extend_idempotent
 
     proj = average_projector(4)
     alive = double_tableau(StandardTableau([[1, 2], [3, 4]]))
     e = _extend_idempotent(alive, cache=False)
-    assert _projector_pairing_trace(proj, e) != 0
+    assert verify._projector_pairing_trace(proj, e) != 0
     dead = StandardTableau([[1, 3, 5, 7], [2, 4, 6, 8]])
     e = _extend_idempotent(dead, cache=False)
-    assert _projector_pairing_trace(proj, e) == 0
+    assert verify._projector_pairing_trace(proj, e) == 0
 
 
 @pytest.mark.skipif("WG_DEEP" not in __import__("os").environ,
                     reason="2n=8 doubling is opt-in (set WG_DEEP=1); takes ~12 min")
 def test_doubling_2n8_full_opt_in():
-    report = verify_doubling(4)
-    assert report.ok
-    assert len(report.survivors) == 10  # involutions of S_4
+    # the survivors at 2n=8 are the 10 doubled tableaux (involutions of S_4)
+    assert _suite_passes("doubling", 4, None, None, True)
 
 
 def test_gram_commutation():
-    assert verify_gram_commutation(1, Fraction(2), Fraction(5))
-    assert verify_gram_commutation(2, Fraction(2), Fraction(5))
-    assert verify_gram_commutation(3, Fraction(3), Fraction(7))
+    assert _suite_passes("commute", 3, Fraction(2), Fraction(5))
+    assert _suite_passes("commute", 3, Fraction(3), Fraction(7))
     with pytest.raises(ValueError):
-        verify_gram_commutation(2, Fraction(3), Fraction(3))
+        list(verify.run("commute", 2, Fraction(3), Fraction(3)))
 
 
 def test_projected_g_equals_projected_projector_sum():

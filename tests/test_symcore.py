@@ -19,6 +19,7 @@ from weingarten.symcore import (
     partitions_of,
     permutations_of,
     standard_tableaux,
+    cross_type_matrix,
     type_matrix,
 )
 
@@ -355,3 +356,21 @@ def test_type_matrix_with_a_duplicated_basis_element(basis, oracle):
     for i, b in enumerate(basis):
         for j, c in enumerate(basis):
             assert types[index[i][j]] == oracle(b, c)
+
+
+@pytest.mark.parametrize("basis, oracle", [
+    (permutations_of(4), _cycle_type_oracle),
+    (enumerate_pairings(3), _loop_type_oracle),
+])
+def test_cross_type_matrix_types_every_row_column_pair(basis, oracle):
+    # rows and columns are different seeded samples of different lengths
+    rng = random.Random(7)
+    rows, cols = rng.sample(basis, 5), rng.sample(basis, 9)
+    types, index = cross_type_matrix(rows, cols)
+    assert len(index) == len(rows) and all(len(row) == len(cols) for row in index)
+    for i, b in enumerate(rows):
+        for j, c in enumerate(cols):
+            assert types[index[i][j]] == oracle(b, c)
+    assert len(set(types)) == len(types)
+    _assert_first_seen_order(index)
+

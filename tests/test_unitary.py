@@ -6,7 +6,7 @@ import sympy
 
 from weingarten.coeffring import TAU, TauRational, parse, render
 from weingarten.exactmat import mat_eq, mat_identity, mat_mul, pseudo_inverse_check
-from weingarten.groupalg import AlgebraElement, full_basis, jm_product_unitary, regular_matrix
+from weingarten.groupalg import AlgebraElement, jm_product_unitary, regular_matrix
 from weingarten.symcore import Partition, partitions_of, permutations_of
 from weingarten.unitary import c_unitary, gram_unitary, weingarten_unitary, wg_function_unitary
 from weingarten.young import central_idempotent
@@ -124,7 +124,7 @@ def test_weingarten_matrix_is_regular_matrix_of_w_element():
                 lambda x, f=inv_c: f * x
             )
         for side in ("left", "right"):
-            assert mat_eq(regular_matrix(w_alg, full_basis(n), side), table.weingarten)
+            assert mat_eq(regular_matrix(w_alg, permutations_of(n), side), table.weingarten)
 
 
 def test_wg_entries_depend_only_on_cycle_type():

@@ -3,8 +3,15 @@ from math import factorial
 
 import pytest
 
-from weingarten.groupalg import AlgebraElement, full_basis, jm_element, regular_matrix
-from weingarten.symcore import Partition, StandardTableau, hook_dimension, partitions_of, standard_tableaux
+from weingarten.groupalg import AlgebraElement, jm_element, regular_matrix
+from weingarten.symcore import (
+    Partition,
+    StandardTableau,
+    hook_dimension,
+    partitions_of,
+    permutations_of,
+    standard_tableaux,
+)
 from weingarten.young import (
     CharacterTable,
     central_idempotent,
@@ -85,7 +92,7 @@ def test_single_box_idempotent_is_unit():
 def test_two_box_idempotent():
     e = young_idempotent(StandardTableau([[1, 2]]))
     expected = AlgebraElement(2, {
-        p: Fraction(1, 2) for p in full_basis(2)
+        p: Fraction(1, 2) for p in permutations_of(2)
     })
     assert e == expected
     m2 = jm_element(2, 2)
@@ -138,11 +145,11 @@ def test_jm_diagonalization_up_to_4():
 def test_symmetrizer_and_antisymmetrizer():
     n = 4
     sym = central_idempotent(Partition((n,)))
-    expected = AlgebraElement(n, {p: Fraction(1, factorial(n)) for p in full_basis(n)})
+    expected = AlgebraElement(n, {p: Fraction(1, factorial(n)) for p in permutations_of(n)})
     assert sym == expected
     alt = central_idempotent(Partition((1,) * n))
     signs = {
-        p: Fraction((-1) ** (n - p.num_cycles()), factorial(n)) for p in full_basis(n)
+        p: Fraction((-1) ** (n - p.num_cycles()), factorial(n)) for p in permutations_of(n)
     }
     assert alt == AlgebraElement(n, signs)
 
@@ -172,14 +179,14 @@ def test_central_idempotents_commute_with_everything():
     n = 4
     for lam in partitions_of(n):
         p = central_idempotent(lam)
-        for sigma in full_basis(n)[:8]:
+        for sigma in permutations_of(n)[:8]:
             d = AlgebraElement.basis(sigma)
             assert p * d == d * p
 
 
 def test_central_regular_matrix_symmetric_up_to_4():
     for n in range(1, 5):
-        basis = full_basis(n)
+        basis = permutations_of(n)
         for lam in partitions_of(n):
             mat = regular_matrix(central_idempotent(lam), basis, side="left")
             assert mat_is_symmetric(mat)
