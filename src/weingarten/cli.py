@@ -2,7 +2,8 @@
 
 Subcommands: ``table``, ``gram``, ``wgfn``, ``characters``, ``verify``, ``mc``.
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error, 3 pole or domain error.
+error, 3 pole or domain error.  Run as a program, the CLI ends on SIGPIPE, as
+other Unix filters do, when its reader closes stdout early.
 
 ``characters --n K`` also writes its table to ``characters-nK.json`` under
 ``WG_CACHE_DIR`` (default ``~/.cache/weingarten``), tagged with a schema; no
@@ -17,6 +18,7 @@ import csv
 import io
 import json
 import os
+import signal
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -81,6 +83,17 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
+def _cycle_type(text: str) -> Partition:
+    """--cycle-type value: a partition of positive weight, e.g. "[2,1]"."""
+    try:
+        mu = Partition.from_text(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a partition like [2,1]: {exc}")
+    if not mu:
+        raise argparse.ArgumentTypeError("expected a partition of positive weight, got []")
+    return mu
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weingarten",
@@ -106,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wgfn = sub.add_parser("wgfn", help="print one unitary Weingarten class-function value")
     p_wgfn.add_argument("--group", required=True, choices=("unitary",))
-    p_wgfn.add_argument("--cycle-type", required=True, help='partition text, e.g. "[2,1]"')
+    p_wgfn.add_argument("--cycle-type", required=True, type=_cycle_type,
+                        help='partition text, e.g. "[2,1]"')
     p_wgfn.add_argument("--tau", type=_parse_tau, default=TAU)
 
     p_chars = sub.add_parser(
@@ -129,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("mc", help="Monte-Carlo cross-check against exact predictions")
     p_mc.add_argument("--group", required=True, choices=("unitary", "orthogonal"))
     p_mc.add_argument("--n", required=True, type=_positive_int)
-    p_mc.add_argument("--tau", required=True, type=int)
+    p_mc.add_argument("--tau", required=True, type=_positive_int)
     # z-scores need a sample variance; below 100 draws they mean nothing
     p_mc.add_argument("--samples", type=_int_at_least(100), default=200_000)
     p_mc.add_argument("--seed", type=_int_at_least(0), default=1)
@@ -191,8 +205,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_wgfn(args) -> int:
-    mu = Partition.from_text(args.cycle_type)
-    print(render(wg_function_unitary(mu, args.tau)))
+    print(render(wg_function_unitary(args.cycle_type, args.tau)))
     return 0
 
 
@@ -212,6 +225,9 @@ def _cmd_verify(args) -> int:
             print(message, file=sys.stderr)
             return 2
         chosen = [(args.suite, args.n)]
+    if args.suite in ("commute", "all"):
+        # equal parameters are a domain error before any suite prints
+        verify.commute_parameters(args.tau, args.tau2)
     all_ok = True
     for name, max_n in chosen:
         if max_n < args.n:
@@ -240,9 +256,6 @@ def _parse_indices(text: str, group: str) -> list[tuple[int, ...]]:
 
 
 def _cmd_mc(args) -> int:
-    if args.tau < 1:
-        print(f"--tau must be a positive integer, got {args.tau}", file=sys.stderr)
-        return 2
     if args.indices is None:
         message = _check_cap(args.n, MC_GRID_CAP, args.force, "mc full-grid")
         if message:
@@ -300,6 +313,9 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    # a closed stdout ends the process by SIGPIPE, not as a failed check (exit 1)
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction  # the exact scalar type used throughout the package
-
 
 class PoleError(Exception):
     """Evaluation of a rational function at a zero of its denominator."""
@@ -363,10 +361,6 @@ def is_symbolic(x) -> bool:
 # -- text form -------------------------------------------------------------
 
 
-def _render_fraction(f: Fraction) -> str:
-    return str(f)
-
-
 def _render_poly(p: TauPolynomial) -> str:
     if p.is_zero():
         return "0"
@@ -378,10 +372,10 @@ def _render_poly(p: TauPolynomial) -> str:
         sign = "-" if c < 0 else "+"
         mag = -c if c < 0 else c
         if deg == 0:
-            body = _render_fraction(mag)
+            body = str(mag)
         else:
             power = "t" if deg == 1 else f"t^{deg}"
-            body = power if mag == 1 else f"{_render_fraction(mag)}*{power}"
+            body = power if mag == 1 else f"{mag}*{power}"
         chunks.append((sign, body))
     first_sign, first_body = chunks[0]
     text = ("-" if first_sign == "-" else "") + first_body
@@ -399,7 +393,7 @@ def render(x) -> str:
     """Canonical text for Fraction, TauPolynomial, or TauRational values."""
     f = _as_fraction(x)
     if f is not None:
-        return _render_fraction(f)
+        return str(f)
     if isinstance(x, TauPolynomial):
         return _render_poly(x)
     if isinstance(x, TauRational):

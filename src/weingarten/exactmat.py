@@ -62,22 +62,10 @@ def pseudo_inverse_check(gram, wg) -> PseudoInverseReport:
     """
     gw = mat_mul(gram, wg)
     return PseudoInverseReport(
-        gwg_equals_g=mat_eq(mat_mul(gw, gram), gram),
-        wgw_equals_w=mat_eq(mat_mul(wg, gw), wg),
+        gwg_equals_g=mat_mul(gw, gram) == gram,
+        wgw_equals_w=mat_mul(wg, gw) == wg,
         w_symmetric=mat_is_symmetric(wg),
     )
-
-
-def mat_eq(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if not (x == y):
-                return False
-    return True
 
 
 def mat_identity(n: int):

@@ -281,13 +281,6 @@ def hyperoctahedral_elements(n: int) -> tuple[Permutation, ...]:
     return tuple(sorted(elements))
 
 
-def hyperoctahedral_order(n: int) -> int:
-    out = 1
-    for i in range(1, n + 1):
-        out *= 2 * i
-    return out
-
-
 def average_projector(n: int) -> AlgebraElement:
     """Uniform average over the hyperoctahedral subgroup of S_2n (idempotent)."""
     elements = hyperoctahedral_elements(n)

@@ -40,12 +40,7 @@ from math import factorial
 
 from .coeffring import invert
 from .exactmat import WeingartenTable, content_product, spectral_sum, weingarten_table
-from .groupalg import (
-    AlgebraElement,
-    average_projector,
-    hyperoctahedral_elements,
-    hyperoctahedral_order,
-)
+from .groupalg import AlgebraElement, average_projector, hyperoctahedral_elements
 from .symcore import (
     Pairing,
     Partition,
@@ -233,7 +228,7 @@ def pairing_basis_matrix(n: int, projected: AlgebraElement):
     """
     reps = [coset_representative(pi) for pi in enumerate_pairings(n)]
     inverses = [r.inverse() for r in reps]
-    order = hyperoctahedral_order(n)
+    order = len(hyperoctahedral_elements(n))
     return [[order * projected.coefficient(rj_inv * ri) for rj_inv in inverses] for ri in reps]
 
 

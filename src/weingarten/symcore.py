@@ -346,17 +346,6 @@ def enumerate_pairings(n: int) -> list[Pairing]:
     return out
 
 
-def loop_count(pi: Pairing, rho: Pairing) -> int:
-    """Number of closed loops formed by pasting the two matchings together.
-
-    Equals half the number of cycles of the permutation product pi*rho: the
-    cycles of the product come in mirror-image pairs, one per loop.
-    """
-    if len(pi) != len(rho):
-        raise ValueError(f"size mismatch: {len(pi)} vs {len(rho)}")
-    return (pi * rho).num_cycles() // 2
-
-
 def type_matrix(basis) -> tuple[list[Partition], list[list[int]]]:
     """Double-coset type of every basis pair, as (types, index).
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeffring import TAU
-from .exactmat import mat_eq, row_commutation_check, tau_powers
+from .exactmat import row_commutation_check, tau_powers
 from .groupalg import (
     AlgebraElement,
     average_projector,
@@ -36,10 +36,10 @@ from .orthogonal import (
     weingarten_orthogonal,
 )
 from .symcore import (
+    cross_type_matrix,
     double_tableau,
     enumerate_pairings,
     generator_index_maps,
-    loop_count,
     partitions_of,
     permutations_of,
     standard_tableaux,
@@ -113,10 +113,11 @@ def _oid(max_n, tau, tau2, deep):
     for n in range(1, max_n + 1):
         t, label = _parameter(n, 4, tau)
         lhs = jm_product_orthogonal(n, t)
-        base = adjacent_pairing(n)
+        pairings = enumerate_pairings(n)
+        types, index = cross_type_matrix([adjacent_pairing(n)], pairings)
         powers = tau_powers(t, n)
         rhs = {
-            coset_representative(pi): powers[loop_count(base, pi)] for pi in enumerate_pairings(n)
+            coset_representative(pi): powers[len(types[k])] for pi, k in zip(pairings, index[0])
         }
         expected = double_factorial_odd(n)
         ok = len(lhs) == expected and len(rhs) == expected and lhs == AlgebraElement(2 * n, rhs)
@@ -200,18 +201,24 @@ def _stability(max_n, tau, tau2, deep):
         g = jm_product_orthogonal(n, t)
         proj = average_projector(n)
         pg = proj * g
-        ok = g * proj == pg and mat_eq(pairing_basis_matrix(n, pg), gram_orthogonal(n, t))
+        ok = g * proj == pg and pairing_basis_matrix(n, pg) == gram_orthogonal(n, t)
         yield f"stability lemma n={n} ({label})", ok
+
+
+def commute_parameters(tau, tau2) -> tuple[Fraction, Fraction]:
+    """The two ``commute`` parameters, default 3 and 7; ValueError when equal."""
+    t1 = tau if tau is not None else Fraction(3)
+    t2 = tau2 if tau2 is not None else Fraction(7)
+    if t1 == t2:
+        raise ValueError("parameters must be distinct for a meaningful check")
+    return t1, t2
 
 
 def _commute(max_n, tau, tau2, deep):
     # Gram matrices at two parameter values commute; both are invariant under
     # conjugation of pairings, so the products are compared on the base row
     # once that invariance is confirmed
-    t1 = tau if tau is not None else Fraction(3)
-    t2 = tau2 if tau2 is not None else Fraction(7)
-    if t1 == t2:
-        raise ValueError("parameters must be distinct for a meaningful check")
+    t1, t2 = commute_parameters(tau, tau2)
     for n in range(1, max_n + 1):
         g1 = gram_orthogonal(n, Fraction(t1))
         g2 = gram_orthogonal(n, Fraction(t2))

@@ -1,8 +1,12 @@
 """Shared fixtures: every test starts from empty process-global memos and
 writes character files only under its own temporary ``WG_CACHE_DIR``."""
 
+import os
+from pathlib import Path
+
 import pytest
 
+import weingarten
 from weingarten import groupalg, orthogonal, young
 
 
@@ -22,3 +26,11 @@ def isolated_cache(tmp_path, monkeypatch):
     """Point ``WG_CACHE_DIR`` at the test's own directory, so no test can
     write under ``~/.cache/weingarten``."""
     monkeypatch.setenv("WG_CACHE_DIR", str(tmp_path / "cache"))
+
+
+@pytest.fixture
+def python_env():
+    """Environment for a child ``python`` that imports this same package."""
+    src = str(Path(weingarten.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}

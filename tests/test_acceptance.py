@@ -13,7 +13,7 @@ import sympy
 
 from weingarten import verify
 from weingarten.coeffring import TAU, render
-from weingarten.exactmat import mat_eq, mat_identity, mat_mul
+from weingarten.exactmat import mat_identity, mat_mul
 from weingarten.haarmc import grid_crosscheck
 from weingarten.orthogonal import weingarten_orthogonal
 from weingarten.symcore import Partition, hook_dimension, partitions_of
@@ -98,8 +98,8 @@ def test_criterion_08_invertible_regime():
     started = time.time()
     u = weingarten_unitary(3, Fraction(5))
     o = weingarten_orthogonal(3, Fraction(8))
-    ok = mat_eq(mat_mul(u.weingarten, u.gram), mat_identity(len(u.basis)))
-    ok = ok and mat_eq(mat_mul(o.weingarten, o.gram), mat_identity(len(o.basis)))
+    ok = mat_mul(u.weingarten, u.gram) == mat_identity(len(u.basis))
+    ok = ok and mat_mul(o.weingarten, o.gram) == mat_identity(len(o.basis))
     _conclude(8, "W G = identity, unitary (3, tau=5) and orthogonal (3, tau=8)", ok, started)
 
 

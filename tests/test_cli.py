@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import signal
+import subprocess
+import sys
 
 from fractions import Fraction
 
@@ -270,6 +273,50 @@ def test_domain_error_exits_3(capsys):
                            "--tau", "3", "--tau2", "3")
     assert code == 3
     assert "domain error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tau", "3", "--tau2", "3"],
+    ["--tau", "7"],  # collides with the default --tau2
+])
+def test_equal_commute_parameters_stop_before_any_suite(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n", "2", *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "domain error: parameters must be distinct for a meaningful check\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_is_not_a_failed_check(python_env):
+    # about 217 KB of JSON overfills the pipe, so a write always follows the close
+    argv = ["table", "--group", "orthogonal", "--n", "4", "--tau", "7"]
+    with subprocess.Popen([sys.executable, "-m", "weingarten", *argv], env=python_env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert head == b'{"group": '
+    assert proc.returncode not in (0, 1)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["garbage", "[0]", "[1,2]", "[2,x]", "[]"])
+def test_bad_cycle_type_is_a_usage_error(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "wgfn", "--group", "unitary", "--cycle-type", text, "--tau", "5")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--cycle-type" in err and "domain error" not in err
+
+
+@pytest.mark.parametrize("tau", ["0", "-3", "x"])
+@pytest.mark.parametrize("indices", [[], ["--indices", "1;1;1;1"]])
+def test_mc_nonpositive_tau_is_a_usage_error(capsys, tau, indices):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "mc", "--group", "unitary", "--n", "1", "--tau", tau,
+                "--samples", "1000", "--seed", "1", *indices)
+    assert exc.value.code == 2
+    assert "--tau" in capsys.readouterr().err
 
 
 def test_mc_single_moment(capsys):

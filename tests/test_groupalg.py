@@ -13,7 +13,6 @@ from weingarten.groupalg import (
     _mul_terms,
     average_projector,
     hyperoctahedral_elements,
-    hyperoctahedral_order,
     jm_element,
     jm_product_orthogonal,
     jm_product_unitary,
@@ -28,7 +27,7 @@ from weingarten.symcore import (
     permutations_of,
     standard_tableaux,
 )
-from weingarten.exactmat import mat_eq, mat_identity
+from weingarten.exactmat import mat_identity
 
 
 def delta(images):
@@ -167,7 +166,7 @@ def test_hyperoctahedral_sizes():
         Permutation.from_images([2, 1]),
     }
     for n in (1, 2, 3):
-        assert len(hyperoctahedral_elements(n)) == hyperoctahedral_order(n) == 2**n * _fact(n)
+        assert len(hyperoctahedral_elements(n)) == 2**n * _fact(n)
 
 
 def _fact(n):
@@ -204,7 +203,7 @@ def test_projector_commutes_with_odd_jm_product():
 
 def test_regular_matrix_of_unit_is_identity():
     basis = permutations_of(3)
-    assert mat_eq(regular_matrix(AlgebraElement.unit(3), basis), mat_identity(6))
+    assert regular_matrix(AlgebraElement.unit(3), basis) == mat_identity(6)
 
 
 def test_regular_matrix_of_delta_is_permutation_matrix():
@@ -224,10 +223,10 @@ def test_regular_matrix_of_jm_product_is_gram():
         g = jm_product_unitary(n, TAU)
         expected = gram_unitary(n, TAU)
         for side in ("left", "right"):
-            assert mat_eq(regular_matrix(g, permutations_of(n), side), expected)
+            assert regular_matrix(g, permutations_of(n), side) == expected
     for n in (4, 5):
         g = jm_product_unitary(n, TAU)
-        assert mat_eq(regular_matrix(g, permutations_of(n), "left"), gram_unitary(n, TAU))
+        assert regular_matrix(g, permutations_of(n), "left") == gram_unitary(n, TAU)
 
 
 def test_regular_matrix_rejects_bad_side():

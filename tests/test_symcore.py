@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weingarten.orthogonal import loop_type
 from weingarten.symcore import (
     Pairing,
     Partition,
@@ -15,7 +16,6 @@ from weingarten.symcore import (
     double_tableau,
     enumerate_pairings,
     hook_dimension,
-    loop_count,
     partitions_of,
     permutations_of,
     standard_tableaux,
@@ -226,14 +226,14 @@ def test_pairing_is_involution():
 def test_loop_count_pasting_figure():
     pi = Pairing.from_text("(1,2)(3,5)(4,6)")
     rho = Pairing.from_text("(1,2)(3,6)(4,5)")
-    assert loop_count(pi, rho) == 2
+    assert len(loop_type(pi, rho)) == 2
 
 
 def test_loop_count_self_and_single_loop():
     for n in (1, 2, 3, 4):
         for pi in enumerate_pairings(n):
-            assert loop_count(pi, pi) == n
-    assert loop_count(Pairing.from_text("(1,2)(3,4)"), Pairing.from_text("(1,3)(2,4)")) == 1
+            assert len(loop_type(pi, pi)) == n
+    assert len(loop_type(Pairing.from_text("(1,2)(3,4)"), Pairing.from_text("(1,3)(2,4)"))) == 1
 
 
 def test_loop_count_symmetric_exhaustive():
@@ -241,12 +241,12 @@ def test_loop_count_symmetric_exhaustive():
         ps = enumerate_pairings(n)
         for pi in ps:
             for rho in ps:
-                assert loop_count(pi, rho) == loop_count(rho, pi)
+                assert len(loop_type(pi, rho)) == len(loop_type(rho, pi))
 
 
 def test_loop_count_size_mismatch():
     with pytest.raises(ValueError):
-        loop_count(enumerate_pairings(1)[0], enumerate_pairings(2)[0])
+        loop_type(enumerate_pairings(1)[0], enumerate_pairings(2)[0])
 
 
 # -- doubling ------------------------------------------------------------------

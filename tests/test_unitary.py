@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from weingarten.coeffring import TAU, TauRational, parse, render
-from weingarten.exactmat import mat_eq, mat_identity, mat_mul, pseudo_inverse_check
+from weingarten.exactmat import mat_identity, mat_mul, pseudo_inverse_check
 from weingarten.groupalg import AlgebraElement, jm_product_unitary, regular_matrix
 from weingarten.symcore import Partition, partitions_of, permutations_of
 from weingarten.unitary import c_unitary, gram_unitary, weingarten_unitary, wg_function_unitary
@@ -90,8 +90,8 @@ def test_pseudo_inverse_symbolic_small():
 
 def test_inverse_regime_wg_is_matrix_inverse():
     table = weingarten_unitary(3, Fraction(5))
-    assert mat_eq(mat_mul(table.weingarten, table.gram), mat_identity(6))
-    assert mat_eq(mat_mul(table.gram, table.weingarten), mat_identity(6))
+    assert mat_mul(table.weingarten, table.gram) == mat_identity(6)
+    assert mat_mul(table.gram, table.weingarten) == mat_identity(6)
 
 
 def test_pseudo_inverse_detects_bad_matrix():
@@ -124,7 +124,7 @@ def test_weingarten_matrix_is_regular_matrix_of_w_element():
                 lambda x, f=inv_c: f * x
             )
         for side in ("left", "right"):
-            assert mat_eq(regular_matrix(w_alg, permutations_of(n), side), table.weingarten)
+            assert regular_matrix(w_alg, permutations_of(n), side) == table.weingarten
 
 
 def test_wg_entries_depend_only_on_cycle_type():
