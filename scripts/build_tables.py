@@ -27,13 +27,15 @@ def main() -> None:
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
+    # a file name cannot hold the slash of a fraction: 7/2 is written tau7_2
+    tau_name = f"tau{args.tau}".replace("/", "_")
     jobs = []
     for n in range(1, args.max_unitary + 1):
         jobs.append(("unitary", n, TAU, f"unitary-n{n}-symbolic.json"))
-        jobs.append(("unitary", n, args.tau, f"unitary-n{n}-tau{args.tau}.json"))
+        jobs.append(("unitary", n, args.tau, f"unitary-n{n}-{tau_name}.json"))
     for n in range(1, args.max_orthogonal + 1):
         jobs.append(("orthogonal", n, TAU, f"orthogonal-n{n}-symbolic.json"))
-        jobs.append(("orthogonal", n, args.tau, f"orthogonal-n{n}-tau{args.tau}.json"))
+        jobs.append(("orthogonal", n, args.tau, f"orthogonal-n{n}-{tau_name}.json"))
 
     for group, n, tau, filename in jobs:
         started = time.time()

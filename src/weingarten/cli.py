@@ -2,8 +2,9 @@
 
 Subcommands: ``table``, ``gram``, ``wgfn``, ``characters``, ``verify``, ``mc``.
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error, 3 pole or domain error.  Run as a program, the CLI ends on SIGPIPE, as
-other Unix filters do, when its reader closes stdout early.
+error or an output file that cannot be written, 3 domain error.  Run as a
+program, the CLI ends on SIGPIPE, as other Unix filters do, when its reader
+closes stdout early.
 
 ``characters --n K`` also writes its table to ``characters-nK.json`` under
 ``WG_CACHE_DIR`` (default ``~/.cache/weingarten``), tagged with a schema; no
@@ -24,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import verify
-from .coeffring import TAU, PoleError, is_symbolic, render
+from .coeffring import TAU, is_symbolic, render
 from .exactmat import render_matrix, weingarten_table
 from .haarmc import MomentSpec, estimate_moment, grid_crosscheck
 from .orthogonal import weingarten_orthogonal
@@ -165,13 +166,23 @@ def _check_cap(n: int, cap: int, force: bool, what: str) -> str | None:
     return None
 
 
-def _emit(text: str, out: Path | None) -> None:
+def _write_failed(path: Path, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
+def _emit(text: str, out: Path | None) -> int:
+    """Write text and a final newline to stdout or `out`; 2 if `out` fails."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        out.write_text(text if text.endswith("\n") else text + "\n")
+        return 0
+    try:
+        out.write_text(text)
+    except OSError as exc:
+        return _write_failed(out, exc)
+    return 0
 
 
 def _matrix_csv(labels: list[str], matrix) -> str:
@@ -198,10 +209,8 @@ def _cmd_table(args) -> int:
         table = weingarten_table(args.group, args.n, args.tau, BASES[args.group](args.n))
         matrix = table.gram
     if args.format == "json":
-        _emit(json.dumps(table.to_json_dict()), args.out)
-    else:
-        _emit(_matrix_csv([p.to_text() for p in table.basis], matrix), args.out)
-    return 0
+        return _emit(json.dumps(table.to_json_dict()), args.out)
+    return _emit(_matrix_csv([p.to_text() for p in table.basis], matrix), args.out)
 
 
 def _cmd_wgfn(args) -> int:
@@ -211,7 +220,11 @@ def _cmd_wgfn(args) -> int:
 
 def _cmd_characters(args) -> int:
     table = CharacterTable.build(args.n)
-    table.save(cache_dir() / f"characters-n{args.n}.json")
+    path = cache_dir() / f"characters-n{args.n}.json"
+    try:
+        table.save(path)
+    except OSError as exc:
+        return _write_failed(path, exc)
     print(json.dumps(table.to_json_dict()))
     return 0
 
@@ -304,9 +317,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return HANDLERS[args.command](args)
-    except PoleError as exc:
-        print(f"pole error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3

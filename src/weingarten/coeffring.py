@@ -1,14 +1,16 @@
 """Exact coefficient arithmetic for everything downstream.
 
-Three coefficient types circulate in this package:
+Two coefficient types circulate in this package:
 
 * plain rationals — ``fractions.Fraction`` from the stdlib,
-* :class:`TauPolynomial` — dense univariate polynomials in the dimension
-  parameter, over Fraction coefficients,
-* :class:`TauRational` — reduced ratios of two TauPolynomials, denominator
-  normalized monic.
+* :class:`TauRational` — reduced ratios of two polynomials in the dimension
+  parameter, denominator normalized monic.  A polynomial in t is a
+  TauRational with denominator 1.
 
-The three types coerce into each other under ``+ - * /`` and ``==``, so
+:class:`TauPolynomial`, a dense polynomial over Fraction coefficients, is only
+the type of a TauRational's numerator and denominator.  TauRational reads
+``int`` and ``Fraction`` operands as constants under ``+ - * /`` and ``==``,
+and a constant TauRational equals and hashes like the same Fraction, so
 callers can mix a Fraction-weighted group-algebra element with a symbolic
 one without ceremony.  The module-level constant :data:`TAU` is the
 indeterminate; passing it where a dimension is expected turns any
@@ -21,18 +23,6 @@ descending degree, e.g. ``(-1)/(t^3 - t)``.  Exact integers render bare.
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-class PoleError(Exception):
-    """Evaluation of a rational function at a zero of its denominator."""
-
-
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return None
 
 
 class TauPolynomial:
@@ -53,17 +43,6 @@ class TauPolynomial:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self!r} is not constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
     def leading(self) -> Fraction:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
@@ -79,28 +58,16 @@ class TauPolynomial:
         return bool(self.coeffs)
 
     def __hash__(self):
-        if self.is_constant():
-            return hash(self.constant_value())
         return hash(self.coeffs)
 
     def __eq__(self, other):
-        f = _as_fraction(other)
-        if f is not None:
-            return self.is_constant() and self.constant_value() == f
-        if isinstance(other, TauPolynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, TauRational):
-            return other == self
-        return NotImplemented
+        if not isinstance(other, TauPolynomial):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
-        f = _as_fraction(other)
-        if f is not None:
-            other = TauPolynomial((f,))
-        elif not isinstance(other, TauPolynomial):
-            return NotImplemented
+    def __add__(self, other: "TauPolynomial") -> "TauPolynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -109,27 +76,16 @@ class TauPolynomial:
             out[i] += c
         return TauPolynomial(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return TauPolynomial(-c for c in self.coeffs)
 
-    def __sub__(self, other):
-        if isinstance(other, TauRational):
-            return NotImplemented  # handled by TauRational.__rsub__
-        return self + (-other if isinstance(other, TauPolynomial) else -Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
+    def __sub__(self, other: "TauPolynomial") -> "TauPolynomial":
+        return self + (-other)
 
     def __mul__(self, other):
-        f = _as_fraction(other)
-        if f is not None:
-            if not f:
-                return TauPolynomial()
-            return TauPolynomial(c * f for c in self.coeffs)
-        if not isinstance(other, TauPolynomial):
-            return NotImplemented
+        """Product with a polynomial, or with a Fraction scalar."""
+        if isinstance(other, Fraction):
+            return TauPolynomial(c * other for c in self.coeffs)
         if not self.coeffs or not other.coeffs:
             return TauPolynomial()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -140,36 +96,9 @@ class TauPolynomial:
                 out[i + j] += a * b
         return TauPolynomial(out)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, TauRational):
-            return TauRational(self) / other
-        f = _as_fraction(other)
-        if f is not None:
-            if not f:
-                raise ZeroDivisionError("division by zero")
-            return self * (1 / f)
-        if isinstance(other, TauPolynomial):
-            return TauRational(self, other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        return TauRational(TauPolynomial((Fraction(other),)), self)
-
-    def __pow__(self, k: int):
-        out = TauPolynomial((Fraction(1),))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def divmod(self, other: "TauPolynomial"):
         """Exact polynomial division with remainder."""
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         db, lead = other.degree, other.leading()
@@ -184,52 +113,46 @@ class TauPolynomial:
                     rem[i + j] -= c * b
         return TauPolynomial(quot), TauPolynomial(rem[:db])
 
-    def evaluate(self, t: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
     def __repr__(self):
-        return f"TauPolynomial({render(self)!r})"
+        return f"TauPolynomial({_render_poly(self)!r})"
 
 
-TAU = TauPolynomial((0, 1))
-"""The indeterminate itself; pass as the dimension to go symbolic."""
+_ONE = TauPolynomial((1,))
 
 
 def poly_gcd(a: TauPolynomial, b: TauPolynomial) -> TauPolynomial:
     """Monic gcd over the rationals (Euclid, remainder normalized each step)."""
-    while not b.is_zero():
+    while b:
         _, r = a.divmod(b)
         a, b = b, (r.monic() if r else r)
-    if a.is_zero():
-        return a
-    return a.monic()
+    return a.monic() if a else a
 
 
 class TauRational:
-    """Reduced ratio of polynomials; denominator monic, gcd(num, den) = 1."""
+    """Reduced ratio of polynomials; denominator monic, gcd(num, den) = 1.
+
+    ``num`` and ``den`` may be TauPolynomials, ints or Fractions.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = TauPolynomial((Fraction(num),))
-        if den is None:
-            den = TauPolynomial((Fraction(1),))
-        elif isinstance(den, (int, Fraction)):
-            den = TauPolynomial((Fraction(den),))
-        if den.is_zero():
+    def __init__(self, num, den=_ONE):
+        if not isinstance(num, TauPolynomial):
+            num = TauPolynomial((num,))
+        if not isinstance(den, TauPolynomial):
+            den = TauPolynomial((den,))
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num = TauPolynomial()
-            self.den = TauPolynomial((Fraction(1),))
+        if not num:
+            self.num = num
+            self.den = _ONE
             return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, _ = num.divmod(g)
-            den, _ = den.divmod(g)
+        # a constant denominator shares no factor of positive degree
+        if den.degree > 0:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num, _ = num.divmod(g)
+                den, _ = den.divmod(g)
         lead = den.leading()
         if lead != 1:
             num = num * (1 / lead)
@@ -245,36 +168,36 @@ class TauRational:
         obj.den = den
         return obj
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
+
+    def _constant(self):
+        """The Fraction this value equals, or None when it carries t."""
+        if self.den.degree or self.num.degree > 0:
+            return None
+        return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
 
     def __bool__(self):
         return bool(self.num)
 
     def __hash__(self):
-        if self.is_polynomial():
-            return hash(self.num)
+        c = self._constant()
+        if c is not None:
+            return hash(c)
         return hash((self.num.coeffs, self.den.coeffs))
 
     def __eq__(self, other):
         if isinstance(other, TauRational):
             return self.num == other.num and self.den == other.den
-        f = _as_fraction(other)
-        if f is not None or isinstance(other, TauPolynomial):
-            return self.is_polynomial() and self.num == other
+        if isinstance(other, (int, Fraction)):
+            return self._constant() == other
         return NotImplemented
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, TauRational):
             return other
-        f = _as_fraction(other)
-        if f is not None:
-            return TauRational(TauPolynomial((f,)))
-        if isinstance(other, TauPolynomial):
+        if isinstance(other, (int, Fraction)):
             return TauRational(other)
         return None
 
@@ -312,38 +235,40 @@ class TauRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
+        if not o:
             raise ZeroDivisionError("division by zero rational function")
         return TauRational(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return o / self
+        return NotImplemented if o is None else o / self
+
+    def __pow__(self, k: int) -> "TauRational":
+        """Integer powers; powers of coprime num and monic den stay reduced."""
+        if k < 0:
+            return self.inverse() ** -k
+        num = den = _ONE
+        for _ in range(k):
+            num, den = num * self.num, den * self.den
+        return TauRational._raw(num, den)
 
     def inverse(self) -> "TauRational":
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero")
         return TauRational(self.den, self.num)
 
-    def evaluate(self, t) -> Fraction:
-        t = Fraction(t)
-        d = self.den.evaluate(t)
-        if not d:
-            raise PoleError(f"pole at t = {t}")
-        return self.num.evaluate(t) / d
-
     def __repr__(self):
         return f"TauRational({render(self)!r})"
+
+
+TAU = TauRational(TauPolynomial((0, 1)))
+"""The indeterminate itself; pass as the dimension to go symbolic."""
 
 
 def invert(x):
     """Multiplicative inverse in the appropriate ring."""
     if isinstance(x, TauRational):
         return x.inverse()
-    if isinstance(x, TauPolynomial):
-        if x.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return TauRational(TauPolynomial((Fraction(1),)), x)
     if not x:
         raise ZeroDivisionError("inverse of zero")
     return 1 / Fraction(x)
@@ -351,18 +276,14 @@ def invert(x):
 
 def is_symbolic(x) -> bool:
     """True when x carries the indeterminate (so computations stay symbolic)."""
-    if isinstance(x, TauPolynomial):
-        return not x.is_constant()
-    if isinstance(x, TauRational):
-        return not (x.is_polynomial() and x.num.is_constant())
-    return False
+    return isinstance(x, TauRational) and x._constant() is None
 
 
 # -- text form -------------------------------------------------------------
 
 
 def _render_poly(p: TauPolynomial) -> str:
-    if p.is_zero():
+    if not p:
         return "0"
     chunks = []
     for deg in range(p.degree, -1, -1):
@@ -390,12 +311,9 @@ def _is_bare_term(text: str) -> bool:
 
 
 def render(x) -> str:
-    """Canonical text for Fraction, TauPolynomial, or TauRational values."""
-    f = _as_fraction(x)
-    if f is not None:
-        return str(f)
-    if isinstance(x, TauPolynomial):
-        return _render_poly(x)
+    """Canonical text for Fraction, int or TauRational values."""
+    if isinstance(x, (int, Fraction)):
+        return str(Fraction(x))
     if isinstance(x, TauRational):
         if x.is_polynomial():
             return _render_poly(x.num)
@@ -482,12 +400,9 @@ def _parse_poly(text: str) -> TauPolynomial:
 
 
 def parse(text: str):
-    """Inverse of :func:`render`; returns Fraction, TauPolynomial, or TauRational."""
+    """Inverse of :func:`render`; returns a Fraction or a TauRational."""
     body = text.strip()
     if "t" not in body:
         return Fraction(body.replace(" ", ""))
-    split = _split_rational(body)
-    if split is not None:
-        num, den = split
-        return TauRational(_parse_poly(num), _parse_poly(den))
-    return _parse_poly(body)
+    num, den = _split_rational(body) or (body, "1")
+    return TauRational(_parse_poly(num), _parse_poly(den))

@@ -1,8 +1,7 @@
 """Sparse group-algebra arithmetic in C[S_n] over a pluggable coefficient ring.
 
-Coefficients may be ``fractions.Fraction``, :class:`~weingarten.coeffring.TauPolynomial`
-or :class:`~weingarten.coeffring.TauRational`; anything supporting ``+ * -``,
-truthiness for zero tests, and ``==``.  Elements are immutable by convention:
+Coefficients may be ``fractions.Fraction`` or :class:`~weingarten.coeffring.TauRational`;
+anything supporting ``+ * -``, truthiness for zero tests, and ``==``.  Elements are immutable by convention:
 no method mutates ``terms`` after construction.  A product whose coefficients
 are all ``Fraction`` runs in exact int64 arithmetic over a common denominator
 while the sums provably fit; every other product runs term pair by term pair.

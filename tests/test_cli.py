@@ -108,6 +108,31 @@ def test_characters_writes_cache(tmp_path, capsys, monkeypatch):
     assert (cache / "characters-n4.json").read_bytes() == out.encode()
 
 
+@pytest.mark.parametrize("target", ["missing/table.json", "."])
+def test_unwritable_out_is_exit_2(tmp_path, capsys, target):
+    # a missing directory, or a path that names a directory
+    path = tmp_path / target
+    code, out, err = run_cli(
+        capsys, "table", "--group", "unitary", "--n", "2", "--tau", "7", "--out", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cache_dir_naming_a_file_is_exit_2(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("WG_CACHE_DIR", str(blocker))
+    code, out, err = run_cli(capsys, "characters", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {blocker / 'characters-n2.json'}: ")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
 def test_verify_all_n2_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--n", "2")
     assert code == 0

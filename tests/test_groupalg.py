@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weingarten import cli, groupalg, young
-from weingarten.coeffring import TAU
+from weingarten.coeffring import TAU, TauPolynomial
 from weingarten.groupalg import (
     AlgebraElement,
     _mul_fractions,
@@ -132,7 +132,8 @@ def test_jm_product_orthogonal_term_counts():
         assert len(element) == expected
         # every coefficient a single tau power
         for coeff in element.terms.values():
-            nonzero = [c for c in coeff.coeffs if c]
+            assert coeff.den == TauPolynomial([1])
+            nonzero = [c for c in coeff.num.coeffs if c]
             assert len(nonzero) == 1 and nonzero[0] == 1
 
 
