@@ -221,13 +221,19 @@ class TauRational:
         return self + (-o)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            num = self.num * Fraction(other)
+            return TauRational._raw(num, self.den if num else _ONE)
+        if not isinstance(other, TauRational):
             return NotImplemented
-        return TauRational(self.num * o.num, self.den * o.den)
+        # a monic denominator of degree 0 is 1, and a product of polynomials is reduced
+        if not (self.den.degree or other.den.degree):
+            return TauRational._raw(self.num * other.num, _ONE)
+        return TauRational(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -249,7 +255,9 @@ class TauRational:
             return self.inverse() ** -k
         num = den = _ONE
         for _ in range(k):
-            num, den = num * self.num, den * self.den
+            num = num * self.num
+            if self.den.degree:
+                den = den * self.den
         return TauRational._raw(num, den)
 
     def inverse(self) -> "TauRational":

@@ -10,14 +10,17 @@ Weingarten entry is the group's class-function value on the type.  So every
 value is computed once per type, stored as one shared object in all entries of
 that type, and rendered once per type.
 
-The identity checks run on one row.  Both Weingarten matrices and both Gram
-matrices are invariant under a group acting transitively on the basis (left
-multiplication on S_n, conjugation on pairings), and a product of invariant
-matrices is invariant again, so it is fixed by its row at the base index.
-The row checks first prove that invariance and transitivity from the
-generators' index maps, then compare that single row, in O(N^2) dictionary
-work and a handful of exact ring operations.  ``mat_mul`` is the dense O(N^3)
-product, kept as the reference the tests compare against.
+The identity checks run in the type algebra.  Both Weingarten matrices and
+both Gram matrices are invariant under a group acting transitively on the
+basis (left multiplication on S_n, conjugation on pairings), so a product of
+them is fixed by its row at the base index.  Row 0 of a product of two
+functions of the type is again a function of the type, given by p(n)-sized
+structure constants: the class algebra of S_n for U(t), the Hecke algebra of
+(S_2n, H_n) for O(t).  The checks first prove invariance and transitivity
+from the generators' index maps and that row 0 is constant on each type, then
+build the constants from N * p(n) cycle walks and compare p(n) values.
+``mat_mul`` is the dense O(N^3) product, kept as the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
 
 from .coeffring import invert, is_symbolic, render
-from .symcore import Partition, generator_index_maps, partitions_of, type_matrix
+from .symcore import Partition, cross_type_matrix, generator_index_maps, partitions_of, type_matrix
 
 
 def mat_mul(a, b):
@@ -57,8 +59,8 @@ def mat_mul(a, b):
 def pseudo_inverse_check(gram, wg) -> PseudoInverseReport:
     """Dense O(N^3) check by exact multiplication, the reference for the tests.
 
-    Production paths use ``row_pseudo_inverse_check``, which needs only one
-    row.  Failures are reported, never raised.
+    Production paths use ``type_pseudo_inverse_check``, which needs only the
+    values per type.  Failures are reported, never raised.
     """
     gw = mat_mul(gram, wg)
     return PseudoInverseReport(
@@ -73,17 +75,18 @@ def mat_identity(n: int):
 
 
 def mat_is_symmetric(a) -> bool:
-    n = len(a)
-    return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
+    # list comparison checks identity first, so shared entries cost no __eq__
+    return all(list(col) == row for row, col in zip(a, zip(*a)))
 
 
 @dataclass
 class PseudoInverseReport:
     """Outcome of the exact pseudo-inverse identities GWG=G, WGW=W, W=W^T.
 
-    `invariant` is the structure the one-row check rests on: both matrices are
-    invariant under the generators and the base index's orbit is the whole
-    basis.  When it fails the identities are not established and read False.
+    `invariant` is the structure the type-algebra check rests on: both
+    matrices are invariant under the generators, the base index's orbit is
+    the whole basis, and row 0 of each is constant on each double-coset type.
+    When it fails the identities are not established and read False.
     The dense products need no structure and leave it True.
     """
 
@@ -95,73 +98,6 @@ class PseudoInverseReport:
     @property
     def ok(self) -> bool:
         return self.invariant and self.gwg_equals_g and self.wgw_equals_w and self.w_symmetric
-
-
-# pair (a, b) of value numbers packed into one int; far above any count of distinct values
-_SHIFT = 32
-
-
-class _Values:
-    """Distinct ring values, numbered once; equal values share a number.
-
-    Matrices become rows of numbers, so invariance is integer comparison, and
-    a row times a matrix sums each column by counting its (row value, matrix
-    value) pairs.  Both memos are keyed by value numbers alone, so every
-    product and every sum of one pair multiset is computed once per check.
-    """
-
-    def __init__(self):
-        self.number: dict = {}
-        self.values: list = []
-        self._products: dict[int, object] = {}
-        self._sums: dict[frozenset, int] = {}
-
-    def of(self, x) -> int:
-        k = self.number.get(x)
-        if k is None:
-            k = self.number[x] = len(self.values)
-            self.values.append(x)
-        return k
-
-    def matrix(self, rows) -> list[list[int]]:
-        """Number the entries, hashing each distinct object by value once.
-
-        Table entries are a few shared objects, so each entry is looked up by
-        id() first.  `rows` keeps every entry alive for this call, so no id is
-        reused while the map exists; the map dies with the call.
-        """
-        by_id: dict[int, int] = {}
-        out = []
-        for row in rows:
-            ids = list(map(id, row))
-            numbers = list(map(by_id.get, ids))
-            if None in numbers:
-                for j, x in enumerate(row):
-                    if numbers[j] is None:
-                        numbers[j] = by_id[ids[j]] = self.of(x)
-            out.append(numbers)
-        return out
-
-    def row_times(self, row: list[int], columns: list[tuple[int, ...]]) -> list[int]:
-        shifted = [a << _SHIFT for a in row]
-        out = []
-        for col in columns:
-            signature = frozenset(Counter(map(add, shifted, col)).items())
-            k = self._sums.get(signature)
-            if k is None:
-                k = self._sums[signature] = self.of(self._sum(signature))
-            out.append(k)
-        return out
-
-    def _sum(self, signature):
-        acc = Fraction(0)
-        mask = (1 << _SHIFT) - 1
-        for pair, count in signature:
-            term = self._products.get(pair)
-            if term is None:
-                term = self._products[pair] = self.values[pair >> _SHIFT] * self.values[pair & mask]
-            acc = acc + (term if count == 1 else term * count)
-        return acc
 
 
 def _orbit_covers(maps, size: int) -> bool:
@@ -179,53 +115,77 @@ def _orbit_covers(maps, size: int) -> bool:
     return len(seen) == size
 
 
-def _invariant(m: list[list[int]], maps) -> bool:
+def _invariant(m, maps) -> bool:
     """m[p[i]][p[j]] == m[i][j] for every map p and every i, j."""
-    return all(
-        [m[p[i]][k] for k in p] == m[i]
-        for p in maps
-        for i in range(len(m))
-    )
+    return all([m[p[i]][k] for k in p] == m[i] for p in maps for i in range(len(m)))
 
 
-def _structured(maps, *matrices) -> bool:
-    if not maps:
-        return False
-    size = len(maps[0])
-    if any(len(m) != size or any(len(row) != size for row in m) for m in matrices):
-        return False
-    return _orbit_covers(maps, size) and all(_invariant(m, maps) for m in matrices)
+def _type_algebra(basis, *matrices):
+    """Structure constants of the type algebra and each matrix's value per type.
+
+    Returns None unless the structure holds: every matrix is square of size
+    len(basis) and invariant under the generators' index maps, index 0's
+    orbit is the whole basis, row 0 of every matrix is constant on each type,
+    and no pair has a type that row 0 lacks.  Otherwise returns (constants,
+    values): types are numbered as they first appear in row 0, r_g is that
+    first column of type g, constants[g][(a, b)] counts the k with
+    type(0, k) = a and type(k, r_g) = b, and values[i][g] is matrix i's
+    entry at (0, r_g).
+    """
+    size, maps = len(basis), generator_index_maps(basis)
+    square = all(len(m) == size and all(len(row) == size for row in m) for m in matrices)
+    if not (square and _orbit_covers(maps, size) and all(_invariant(m, maps) for m in matrices)):
+        return None
+    types, (row,) = cross_type_matrix([basis[0]], basis)
+    reps = [row.index(g) for g in range(len(types))]
+    values = [[m[0][k] for k in reps] for m in matrices]
+    if not all(m[0][k] == v[g] for m, v in zip(matrices, values) for k, g in enumerate(row)):
+        return None
+    number = {mu: g for g, mu in enumerate(types)}
+    rep_types, index = cross_type_matrix(basis, [basis[k] for k in reps])
+    renumber = [number.get(mu) for mu in rep_types]
+    if None in renumber:
+        return None
+    constants = [Counter() for _ in types]
+    for a, bs in zip(row, index):
+        for g, b in enumerate(bs):
+            constants[g][a, renumber[b]] += 1
+    return constants, values
 
 
-def row_pseudo_inverse_check(gram, wg, maps) -> PseudoInverseReport:
-    """GWG=G, WGW=W on the base row, W=W^T, after proving the structure.
+def _product(constants, a, b) -> list:
+    """Values per type of AB from those of A and B: row 0 of AB at each r_g."""
+    return [sum((a[x] * b[y] * k for (x, y), k in c.items()), Fraction(0)) for c in constants]
 
-    `maps` are the generators' index maps on the basis (entry i is the index
-    of g . basis[i], or None when the image is missing); index 0 is the base.
+
+def type_pseudo_inverse_check(gram, wg, basis) -> PseudoInverseReport:
+    """GWG=G, WGW=W in the type algebra of `basis`, and W=W^T entrywise.
+
     Invariance under the generators gives invariance under the group they
     generate, and an orbit covering the basis makes every row an image of
-    row 0, so the two identities hold everywhere once they hold there.
-    Failures are reported, never raised.
+    row 0, so the identities hold everywhere once they hold on row 0.  Row 0
+    of each product is computed per double-coset type from the structure
+    constants.  Failures are reported, never raised.
     """
-    values = _Values()
-    g, w = values.matrix(gram), values.matrix(wg)
-    if not _structured(maps, g, w):
+    algebra = _type_algebra(basis, gram, wg)
+    if algebra is None:
         return PseudoInverseReport(False, False, False, invariant=False)
-    g_cols, w_cols = list(zip(*g)), list(zip(*w))
+    constants, (g, w) = algebra
+    gw = _product(constants, g, w)
     return PseudoInverseReport(
-        gwg_equals_g=values.row_times(values.row_times(g[0], w_cols), g_cols) == g[0],
-        wgw_equals_w=values.row_times(values.row_times(w[0], g_cols), w_cols) == w[0],
-        w_symmetric=all(list(col) == row for row, col in zip(w, w_cols)),
+        gwg_equals_g=_product(constants, gw, g) == g,
+        wgw_equals_w=_product(constants, w, gw) == w,
+        w_symmetric=mat_is_symmetric(wg),
     )
 
 
-def row_commutation_check(a, b, maps) -> bool:
-    """AB = BA, compared on the base row after proving the same structure."""
-    values = _Values()
-    ai, bi = values.matrix(a), values.matrix(b)
-    if not _structured(maps, ai, bi):
+def type_commutation_check(a, b, basis) -> bool:
+    """AB = BA, compared in the type algebra of `basis` after proving the structure."""
+    algebra = _type_algebra(basis, a, b)
+    if algebra is None:
         return False
-    return values.row_times(ai[0], list(zip(*bi))) == values.row_times(bi[0], list(zip(*ai)))
+    constants, (x, y) = algebra
+    return _product(constants, x, y) == _product(constants, y, x)
 
 
 def tau_powers(tau, n: int) -> list:
@@ -314,9 +274,8 @@ class WeingartenTable:
         return payload
 
     def pseudo_inverse_report(self) -> PseudoInverseReport:
-        """GWG=G, WGW=W and W=W^T by the one-row check on this table's basis."""
-        maps = generator_index_maps(self.basis)
-        return row_pseudo_inverse_check(self.gram, self.weingarten, maps)
+        """GWG=G, WGW=W and W=W^T in the type algebra of this table's basis."""
+        return type_pseudo_inverse_check(self.gram, self.weingarten, self.basis)
 
 
 def weingarten_table(

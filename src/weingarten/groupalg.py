@@ -99,8 +99,11 @@ class AlgebraElement:
             raise ValueError(f"ambient size mismatch: {self.n} vs {other.n}")
         out = _mul_fractions(self.n, self.terms, other.terms)
         if out is None:
-            out = _mul_terms(self.terms, other.terms)
-        return AlgebraElement(self.n, out)
+            return AlgebraElement(self.n, _mul_terms(self.terms, other.terms))
+        # the kernel drops zero sums itself, so skip the filter in __init__
+        product = object.__new__(AlgebraElement)
+        product.n, product.terms = self.n, out
+        return product
 
     def __rmul__(self, coeff):
         return self.scale(coeff)

@@ -3,8 +3,8 @@
 Each suite is a generator over n = 1..max_n that yields ``(label, ok)``
 pairs.  The ``verify`` subcommand prints them and the acceptance tests call
 `run`; no other module holds a copy of a check (the two table contracts call
-the one-row checks of ``exactmat``).  Sizes past a suite's symbolic range use
-the numeric parameter ``tau`` (default 7).
+the type-algebra checks of ``exactmat``).  Sizes past a suite's symbolic
+range use the numeric parameter ``tau`` (default 7).
 
 The suites follow the compact proof: the unitary and odd Jucys-Murphy
 expansions (``jucys``, ``oid``), Young's idempotents and the central
@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeffring import TAU
-from .exactmat import row_commutation_check, tau_powers
+from .exactmat import tau_powers, type_commutation_check
 from .groupalg import (
     AlgebraElement,
     average_projector,
@@ -39,7 +39,6 @@ from .symcore import (
     cross_type_matrix,
     double_tableau,
     enumerate_pairings,
-    generator_index_maps,
     partitions_of,
     permutations_of,
     standard_tableaux,
@@ -215,14 +214,13 @@ def commute_parameters(tau, tau2) -> tuple[Fraction, Fraction]:
 
 
 def _commute(max_n, tau, tau2, deep):
-    # Gram matrices at two parameter values commute; both are invariant under
-    # conjugation of pairings, so the products are compared on the base row
-    # once that invariance is confirmed
+    # Gram matrices at two parameter values commute; both are functions of
+    # the pairings' loop type, so the products are compared in the type algebra
     t1, t2 = commute_parameters(tau, tau2)
     for n in range(1, max_n + 1):
         g1 = gram_orthogonal(n, Fraction(t1))
         g2 = gram_orthogonal(n, Fraction(t2))
-        ok = row_commutation_check(g1, g2, generator_index_maps(enumerate_pairings(n)))
+        ok = type_commutation_check(g1, g2, enumerate_pairings(n))
         yield f"Gram commutation n={n} (tau={t1},{t2})", ok
 
 

@@ -81,6 +81,8 @@ def test_criterion_07_pseudo_inverse_contract():
         ok = ok and weingarten_orthogonal(n, TAU).pseudo_inverse_report().ok
     ok = ok and weingarten_orthogonal(4, Fraction(7)).pseudo_inverse_report().ok
     ok = ok and weingarten_orthogonal(5, Fraction(7)).pseudo_inverse_report().ok
+    ok = ok and weingarten_orthogonal(5, TAU).pseudo_inverse_report().ok
+    ok = ok and weingarten_unitary(6, TAU).pseudo_inverse_report().ok
     # degenerate parameters with nonempty excluded sets
     table = weingarten_unitary(3, Fraction(1))
     ok = ok and [tuple(p) for p in table.excluded] == [(2, 1), (1, 1, 1)]
@@ -89,7 +91,7 @@ def test_criterion_07_pseudo_inverse_contract():
     ok = ok and [tuple(p) for p in table.excluded] == [(1, 1)]
     ok = ok and table.pseudo_inverse_report().ok
     _conclude(
-        7, "GWG=G, WGW=W, W symmetric on one invariant row, symbolic U n<=5 and O n<=4, "
+        7, "GWG=G, WGW=W, W symmetric in the type algebra, symbolic U n<=6 and O n<=5, "
         "O n=5 at tau=7 (incl. degenerate tau)", ok, started,
     )
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from weingarten import verify
 from weingarten.coeffring import (
     TAU,
     TauPolynomial,
@@ -121,6 +122,12 @@ def test_mixed_coercions():
             other / TAU
 
 
+@pytest.mark.parametrize("other", [None, "a", 1.5])
+def test_reflected_subtraction_error_names_minus(other):
+    with pytest.raises(TypeError, match="for -:"):
+        other - TAU
+
+
 def test_powers():
     assert TAU ** 0 == 1
     assert TAU ** 3 == TAU * TAU * TAU
@@ -171,6 +178,32 @@ def test_multiplication_distributes(a, b, c):
 def test_division_undoes_multiplication(a, b):
     assume(b)
     assert (a / b) * b == a
+
+
+@settings(max_examples=100)
+@given(rational_st(), fractions_st)
+def test_scalar_product_is_canonical(r, x):
+    # the scalar shortcut must give what reduction through __init__ gives
+    expected = TauRational(r.num * x, r.den)
+    assert r * x == expected and x * r == expected
+    assert r * 3 == 3 * r == TauRational(r.num * Fraction(3), r.den)
+    assert r / (TAU + 100) * 0 == 0 and 0 * (r / (TAU + 100)) == 0
+
+
+def test_jucys_suite_polynomial_products(monkeypatch):
+    # constant denominators and scalar operands take no polynomial product;
+    # 3 949 is the count of the coefficient types before TauRational was the only one
+    calls = []
+    product = TauPolynomial.__mul__
+
+    def counting(self, other):
+        if isinstance(other, TauPolynomial):
+            calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(TauPolynomial, "__mul__", counting)
+    assert all(ok for _, ok in verify.run("jucys", 6))
+    assert len(calls) <= 3949
 
 
 @settings(max_examples=100)

@@ -1,29 +1,41 @@
-"""The one-row identity checks against the dense products they replace."""
+"""The type-algebra identity checks against the dense products they replace."""
 
 import copy
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weingarten import exactmat
 from weingarten.coeffring import TAU
 from weingarten.exactmat import (
+    _product,
+    _type_algebra,
     mat_mul,
     pseudo_inverse_check,
-    row_commutation_check,
-    row_pseudo_inverse_check,
+    type_commutation_check,
+    type_pseudo_inverse_check,
 )
 from weingarten.orthogonal import gram_orthogonal, loop_type, weingarten_orthogonal
-from weingarten.symcore import Permutation, enumerate_pairings, generator_index_maps, permutations_of
+from weingarten.symcore import (
+    Partition,
+    Permutation,
+    cross_type_matrix,
+    enumerate_pairings,
+    generator_index_maps,
+    permutations_of,
+    type_matrix,
+)
 from weingarten.unitary import weingarten_unitary
 
 BUILDERS = {"unitary": weingarten_unitary, "orthogonal": weingarten_orthogonal}
 
 
-def _row_check(table, basis=None):
-    maps = generator_index_maps(table.basis if basis is None else basis)
-    return row_pseudo_inverse_check(table.gram, table.weingarten, maps)
+def _type_check(table, basis=None):
+    basis = table.basis if basis is None else basis
+    return type_pseudo_inverse_check(table.gram, table.weingarten, basis)
 
 
 def _copy(matrix):
@@ -45,9 +57,9 @@ def _fresh(matrix):
     + [("orthogonal", n, TAU) for n in (1, 2, 3)]
     + [("orthogonal", 3, Fraction(8)), ("orthogonal", 2, Fraction(1))],
 )
-def test_row_check_agrees_with_dense_oracle(group, n, tau):
+def test_type_check_agrees_with_dense_oracle(group, n, tau):
     table = BUILDERS[group](n, tau)
-    report = _row_check(table)
+    report = _type_check(table)
     assert report == pseudo_inverse_check(table.gram, table.weingarten)
     assert report.ok and report.invariant
 
@@ -57,24 +69,24 @@ def test_row_check_agrees_with_dense_oracle(group, n, tau):
     st.sampled_from([("unitary", n) for n in (1, 2, 3)] + [("orthogonal", n) for n in (1, 2)]),
     st.fractions(min_value=0, max_value=50, max_denominator=12),
 )
-def test_row_check_agrees_with_dense_oracle_at_random_tau(case, offset):
+def test_type_check_agrees_with_dense_oracle_at_random_tau(case, offset):
     group, n = case
     tau = n + offset + Fraction(1, 13)  # strictly above n
     table = BUILDERS[group](n, tau)
-    assert _row_check(table) == pseudo_inverse_check(table.gram, table.weingarten)
+    assert _type_check(table) == pseudo_inverse_check(table.gram, table.weingarten)
 
 
 @pytest.mark.parametrize(
     "group, n, tau",
     [("unitary", 3, TAU), ("unitary", 4, Fraction(7)), ("orthogonal", 2, TAU), ("orthogonal", 3, Fraction(8))],
 )
-def test_entries_are_numbered_by_value_not_by_object(group, n, tau):
+def test_entries_are_compared_by_value_not_by_object(group, n, tau):
     # table entries are shared objects; a copy with none shared must check the same
     table = BUILDERS[group](n, tau)
     gram, wg = _fresh(table.gram), _fresh(table.weingarten)
     assert all(len({id(x) for row in m for x in row}) == len(m) ** 2 for m in (gram, wg))
-    report = row_pseudo_inverse_check(gram, wg, generator_index_maps(table.basis))
-    assert report == pseudo_inverse_check(gram, wg) == _row_check(table)
+    report = type_pseudo_inverse_check(gram, wg, table.basis)
+    assert report == pseudo_inverse_check(gram, wg) == _type_check(table)
     assert report.ok and report.invariant
 
 
@@ -89,13 +101,13 @@ def test_one_off_base_row_entry_fails_invariance(group, n, tau, which):
         bad = _copy(getattr(table, which))
         bad[i][j] = bad[i][j] + 1
         gram, wg = (bad, table.weingarten) if which == "gram" else (table.gram, bad)
-        report = row_pseudo_inverse_check(gram, wg, generator_index_maps(table.basis))
+        report = type_pseudo_inverse_check(gram, wg, table.basis)
         assert not report.invariant
         assert not report.ok
 
 
 @pytest.mark.parametrize("group, n, tau", [("unitary", 3, Fraction(5)), ("orthogonal", 3, Fraction(8))])
-def test_invariant_perturbation_fails_the_row_identities(group, n, tau):
+def test_invariant_perturbation_fails_the_identities(group, n, tau):
     table = BUILDERS[group](n, tau)
     basis = table.basis
     if group == "unitary":
@@ -107,30 +119,36 @@ def test_invariant_perturbation_fails_the_row_identities(group, n, tau):
         [w + 1 if k == target else w for w, k in zip(row, kinds)]
         for row, kinds in zip(table.weingarten, kind)
     ]
-    report = row_pseudo_inverse_check(table.gram, bad, generator_index_maps(basis))
+    report = type_pseudo_inverse_check(table.gram, bad, basis)
     assert report.invariant and report.w_symmetric
     assert not report.gwg_equals_g and not report.wgw_equals_w
     assert report == pseudo_inverse_check(table.gram, bad)
 
 
 def test_change_off_the_base_entry_of_the_row_is_seen():
-    """E from delta_(12) - delta_(23): G E G is zero at the base entry only."""
+    """E from delta_(12) - delta_(23): G E G is zero at the base entry only.
+
+    E is left-invariant but not constant on cycle types, so the type check
+    rejects it before any product.
+    """
     table = weingarten_unitary(3, Fraction(5))
     s12, s23 = Permutation((2, 1, 3)), Permutation((1, 3, 2))
     e, _ = _group_matrix(3, lambda x: Fraction(int(x == s12) - int(x == s23)))
     bad = [[w + d for w, d in zip(row, drow)] for row, drow in zip(table.weingarten, e)]
-    report = row_pseudo_inverse_check(table.gram, bad, generator_index_maps(table.basis))
-    assert report.invariant and not report.gwg_equals_g
-    assert report == pseudo_inverse_check(table.gram, bad)
+    report = type_pseudo_inverse_check(table.gram, bad, table.basis)
+    assert not report.ok and not report.invariant
+    assert not pseudo_inverse_check(table.gram, bad).gwg_equals_g
 
 
-def test_action_with_two_orbits_fails_the_structure_check():
+def test_action_with_two_orbits_fails_the_structure_check(monkeypatch):
     # row 0 satisfies both identities, row 1 does not; no map links them
+    monkeypatch.setattr(exactmat, "generator_index_maps", lambda basis: [[0, 1]])
+    basis = permutations_of(2)
     gram = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     wg = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
-    report = row_pseudo_inverse_check(gram, wg, [[0, 1]])
+    report = type_pseudo_inverse_check(gram, wg, basis)
     assert not report.invariant and not report.ok
-    assert not row_commutation_check(gram, wg, [[0, 1]])  # they commute, but unproven
+    assert not type_commutation_check(gram, wg, basis)  # they commute, but unproven
     assert not pseudo_inverse_check(gram, wg).ok
 
 
@@ -139,11 +157,11 @@ def test_basis_with_one_element_swapped_out_fails(group):
     table = BUILDERS[group](3, TAU)
     basis = list(table.basis)
     basis[-1] = basis[0]
-    assert not _row_check(table, basis).ok
+    assert not _type_check(table, basis).ok
     basis[-1] = Permutation.identity(len(basis[0]) + 1)
-    assert not _row_check(table, basis).ok
+    assert not _type_check(table, basis).ok
     basis[-1] = Permutation((2, 3, 1) + tuple(range(4, len(basis[0]) + 1)))
-    assert not _row_check(table, basis).ok
+    assert not _type_check(table, basis).ok
 
 
 def test_generator_maps_of_s1_fix_the_single_element():
@@ -159,14 +177,13 @@ def _group_matrix(n, f):
 def test_commutation_check_agrees_with_dense_products():
     for n in (1, 2, 3):
         g1, g2 = gram_orthogonal(n, Fraction(3)), gram_orthogonal(n, Fraction(7))
-        maps = generator_index_maps(enumerate_pairings(n))
-        assert row_commutation_check(g1, g2, maps)
+        assert type_commutation_check(g1, g2, enumerate_pairings(n))
         assert mat_mul(g1, g2) == mat_mul(g2, g1)
     # two invariant matrices from non-commuting elements of C[S_3]
     s12, s23 = Permutation((2, 1, 3)), Permutation((1, 3, 2))
     a, basis = _group_matrix(3, lambda x: Fraction(int(x == s12)))
     b, _ = _group_matrix(3, lambda x: Fraction(int(x == s23)))
-    assert not row_commutation_check(a, b, generator_index_maps(basis))
+    assert not type_commutation_check(a, b, basis)
     assert mat_mul(a, b) != mat_mul(b, a)
 
 
@@ -174,4 +191,112 @@ def test_commutation_check_rejects_a_non_invariant_matrix():
     g1, g2 = gram_orthogonal(3, Fraction(3)), gram_orthogonal(3, Fraction(7))
     bad = _copy(g2)
     bad[4][2] = bad[4][2] + 1
-    assert not row_commutation_check(g1, bad, generator_index_maps(enumerate_pairings(3)))
+    assert not type_commutation_check(g1, bad, enumerate_pairings(3))
+
+
+def _row_times(row, matrix):
+    """Row vector times matrix, entry by entry over every column."""
+    return [
+        sum((x * m[r] for x, m in zip(row, matrix)), Fraction(0)) for r in range(len(matrix))
+    ]
+
+
+TYPE_CASES = (
+    [("unitary", n, Fraction(7)) for n in (1, 2, 3, 4, 5)]
+    + [("orthogonal", n, Fraction(7)) for n in (1, 2, 3, 4)]
+    + [("unitary", 4, TAU), ("orthogonal", 3, TAU), ("unitary", 3, Fraction(1)), ("orthogonal", 2, Fraction(1))]
+)
+
+
+@pytest.mark.parametrize("group, n, tau", TYPE_CASES)
+def test_type_algebra_holds_on_every_column(group, n, tau):
+    # the reduction counts only at one column per type; every other column of
+    # the same type must give the same counts and the same product entries
+    table = BUILDERS[group](n, tau)
+    gram, wg = table.gram, table.weingarten
+    constants, (g, w) = _type_algebra(table.basis, gram, wg)
+    _, index = type_matrix(table.basis)
+    row = index[0]
+    for r in range(len(row)):
+        assert Counter((row[k], index[k][r]) for k in range(len(row))) == constants[row[r]]
+    gw = _product(constants, g, w)
+    assert _row_times(gram[0], wg) == [gw[t] for t in row]
+    assert _row_times(_row_times(gram[0], wg), gram) == [_product(constants, gw, g)[t] for t in row]
+    assert _row_times(_row_times(wg[0], gram), wg) == [_product(constants, w, gw)[t] for t in row]
+
+
+@pytest.mark.parametrize("group, n, tau", TYPE_CASES)
+def test_structure_constants_count_classes(group, n, tau):
+    table = BUILDERS[group](n, tau)
+    constants, _ = _type_algebra(table.basis, table.gram, table.weingarten)
+    row = type_matrix(table.basis)[1][0]
+    identity = row[0]
+    for gamma, c in enumerate(constants):
+        sums = Counter()
+        for (alpha, _), count in c.items():
+            sums[alpha] += count
+        assert sums == Counter(row)
+        assert {beta: k for (alpha, beta), k in c.items() if alpha == identity} == {gamma: 1}
+        assert {alpha: k for (alpha, beta), k in c.items() if beta == identity} == {gamma: 1}
+
+
+def _merged_walk(keep, drop):
+    """The type walk with type `drop` reported as `keep`."""
+    def walk(rows, cols):
+        types, index = cross_type_matrix(rows, cols)
+        renamed = [keep if mu == drop else mu for mu in types]
+        distinct = list(dict.fromkeys(renamed))
+        number = [distinct.index(mu) for mu in renamed]
+        return distinct, [[number[t] for t in row] for row in index]
+    return walk
+
+
+def _unseen_walk(drop):
+    """The type walk with type `drop` renamed to a new type, past row 0 only."""
+    def walk(rows, cols):
+        types, index = cross_type_matrix(rows, cols)
+        if len(rows) > 1:
+            types = [Partition((9, 9)) if mu == drop else mu for mu in types]
+        return types, index
+    return walk
+
+
+@pytest.mark.parametrize("group, tau", [("unitary", Fraction(5)), ("orthogonal", Fraction(8))])
+@pytest.mark.parametrize(
+    "walk",
+    [
+        _merged_walk(Partition((2, 1)), Partition((3,))),
+        _merged_walk(Partition((1, 1, 1)), Partition((2, 1))),
+        _unseen_walk(Partition((3,))),
+    ],
+)
+def test_wrong_type_walk_fails(monkeypatch, group, tau, walk):
+    table = BUILDERS[group](3, tau)
+    monkeypatch.setattr(exactmat, "cross_type_matrix", walk)
+    report = table.pseudo_inverse_report()
+    assert not report.ok and not report.invariant
+    assert not type_commutation_check(table.gram, table.weingarten, table.basis)
+
+
+@pytest.mark.parametrize("group, n, tau", [("unitary", 3, Fraction(5)), ("orthogonal", 3, Fraction(8))])
+def test_one_constant_off_by_one_fails(monkeypatch, group, n, tau):
+    table = BUILDERS[group](n, tau)
+    constants, values = _type_algebra(table.basis, table.gram, table.weingarten)
+    assert table.pseudo_inverse_report().ok
+    for gamma, c in enumerate(constants):
+        for pair in c:
+            bad = [Counter(x) for x in constants]
+            bad[gamma][pair] += 1
+            monkeypatch.setattr(exactmat, "_type_algebra", lambda *args: (bad, values))
+            assert not table.pseudo_inverse_report().ok
+
+
+@pytest.mark.parametrize("group, n, tau", [("unitary", 3, Fraction(5)), ("orthogonal", 3, Fraction(8))])
+def test_one_wrong_value_per_type_fails(monkeypatch, group, n, tau):
+    table = BUILDERS[group](n, tau)
+    constants, values = _type_algebra(table.basis, table.gram, table.weingarten)
+    for i, gamma in [(i, gamma) for i in range(2) for gamma in range(len(constants))]:
+        bad = [list(v) for v in values]
+        bad[i][gamma] += 1
+        monkeypatch.setattr(exactmat, "_type_algebra", lambda *args: (constants, bad))
+        assert not table.pseudo_inverse_report().ok
