@@ -27,7 +27,6 @@ from pathlib import Path
 from . import verify
 from .coeffring import TAU, is_symbolic, render
 from .exactmat import render_matrix, weingarten_table
-from .haarmc import MomentSpec, estimate_moment, grid_crosscheck
 from .orthogonal import weingarten_orthogonal
 from .symcore import Partition, enumerate_pairings, permutations_of
 from .unitary import weingarten_unitary, wg_function_unitary
@@ -269,6 +268,9 @@ def _parse_indices(text: str, group: str) -> list[tuple[int, ...]]:
 
 
 def _cmd_mc(args) -> int:
+    # haarmc imports numpy at load, and no other command needs it
+    from .haarmc import MomentSpec, estimate_moment, grid_crosscheck
+
     if args.indices is None:
         message = _check_cap(args.n, MC_GRID_CAP, args.force, "mc full-grid")
         if message:

@@ -5,6 +5,8 @@ anything supporting ``+ * -``, truthiness for zero tests, and ``==``.  Elements 
 no method mutates ``terms`` after construction.  A product whose coefficients
 are all ``Fraction`` runs in exact int64 arithmetic over a common denominator
 while the sums provably fit; every other product runs term pair by term pair.
+That kernel imports numpy on its first product, so importing this module,
+or multiplying only symbolic elements, does not load numpy.
 
 This module owns the Jucys-Murphy elements, the two product expansions that
 reproduce Gram matrices (all permutations weighted by cycle count for the
@@ -18,8 +20,6 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-
-import numpy as np
 
 from .coeffring import render
 from .symcore import Permutation
@@ -190,6 +190,8 @@ def _mul_fractions(n: int, a_terms: dict, b_terms: dict) -> dict | None:
     bound = max(map(abs, num_a)) * max(map(abs, num_b)) * min(len(num_a), len(num_b))
     if bound >= 2**63:
         return None
+    import numpy as np
+
     left = np.array(list(a_terms), dtype=np.int64) - 1
     right = np.array(list(b_terms), dtype=np.int64) - 1
     weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -288,23 +290,3 @@ def average_projector(n: int) -> AlgebraElement:
     elements = hyperoctahedral_elements(n)
     w = Fraction(1, len(elements))
     return AlgebraElement(2 * n, {h: w for h in elements})
-
-
-def regular_matrix(a: AlgebraElement, basis: list[Permutation], side: str = "left"):
-    """Matrix of multiplication by `a` on C[S_n] in the given ordered basis.
-
-    side="left": column j holds a * basis[j]; side="right": basis[j] * a.
-    Entry [i][j] is the coefficient of basis[i].
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    inv = [b.inverse() for b in basis]
-    rows = []
-    for bi in basis:
-        if side == "left":
-            # coefficient of bi in a*bj is a[bi * bj^-1]
-            rows.append([a.coefficient(bi * bj_inv) for bj_inv in inv])
-        else:
-            # coefficient of bi in bj*a is a[bj^-1 * bi]
-            rows.append([a.coefficient(bj_inv * bi) for bj_inv in inv])
-    return rows

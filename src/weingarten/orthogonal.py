@@ -33,7 +33,6 @@ construction rests on are checked in ``weingarten.verify``.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -113,23 +112,6 @@ def c_orthogonal(lam: Partition, tau):
     return content_product(lam, tau, 2)
 
 
-def pairing_centralizer(pi: Pairing) -> list[Permutation]:
-    """Centralizer of a pairing in S_2n: permute its pairs, flip each pair."""
-    pairs = pi.pairs()
-    n = len(pairs)
-    out = []
-    for order in itertools.permutations(range(n)):
-        for flips in itertools.product((0, 1), repeat=n):
-            images = [0] * (2 * n)
-            for i, (a, b) in enumerate(pairs):
-                ta, tb = pairs[order[i]]
-                if flips[i]:
-                    ta, tb = tb, ta
-                images[a - 1], images[b - 1] = ta, tb
-            out.append(Permutation(images))
-    return out
-
-
 def conjugating_permutation(src: Pairing, dst: Pairing) -> Permutation:
     """Some sigma with sigma src sigma^-1 = dst, by matching pair lists in order."""
     if len(src) != len(dst):
@@ -177,27 +159,6 @@ def coset_cycle_type_histogram(mu: Partition) -> Counter:
     hist = Counter((sigma0 * h).cycle_type() for h in hyperoctahedral_elements(n))
     _HISTOGRAM_CACHE[key] = hist
     return hist
-
-
-def projector_entry(lam: Partition, pi: Pairing, rho: Pairing, sigma0=None) -> Fraction:
-    """Entry (pi, rho) of the doubled-shape central projector on pairings.
-
-    dim(2lam)/(2n)! times the character sum over the conjugating coset.  With
-    sigma0=None the cached loop-type histogram is used; passing an explicit
-    conjugator forces the direct coset enumeration (any valid sigma0 gives the
-    same value, which tests exploit).
-    """
-    lam = Partition(lam)
-    n = lam.weight
-    if len(pi) != 2 * n or len(rho) != 2 * n:
-        raise ValueError(f"pairings must cover 2n = {2 * n} points")
-    if sigma0 is None:
-        hist = coset_cycle_type_histogram(loop_type(pi, rho))
-    else:
-        if not rho.conjugate_by(sigma0) == pi:
-            raise ValueError("sigma0 does not conjugate rho to pi")
-        hist = Counter((sigma0 * c).cycle_type() for c in pairing_centralizer(rho))
-    return _coset_character_sum(lam, hist)
 
 
 def _coset_character_sum(lam: Partition, hist: Counter) -> Fraction:

@@ -82,19 +82,6 @@ def character(lam: Partition, mu: Partition) -> int:
     return _mn(tuple(lam), tuple(mu))
 
 
-def centralizer_order(mu: Partition) -> int:
-    """Order of the centralizer of a permutation of cycle type mu."""
-    out, run, prev = 1, 0, None
-    for part in tuple(mu) + (None,):
-        if part == prev:
-            run += 1
-        else:
-            if prev is not None:
-                out *= prev**run * factorial(run)
-            prev, run = part, 1
-    return out
-
-
 @dataclass(frozen=True)
 class CharacterTable:
     """Full character table of S_n on the canonical partition order."""

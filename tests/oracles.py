@@ -1,0 +1,88 @@
+"""Slow reference constructions that only the tests use.
+
+Each one recomputes by brute force a quantity the package gets another way,
+so a test can compare the two: centralizer orders (against class sizes and
+character orthogonality), the regular representation of C[S_n] (against
+the Gram and Weingarten matrices), and projector entries from a direct walk
+over a conjugating coset (against the cached loop-type histograms).
+"""
+
+import itertools
+from collections import Counter
+from fractions import Fraction
+from math import factorial
+
+from weingarten.groupalg import AlgebraElement
+from weingarten.orthogonal import _coset_character_sum, coset_cycle_type_histogram, loop_type
+from weingarten.symcore import Pairing, Partition, Permutation
+
+
+def centralizer_order(mu: Partition) -> int:
+    """Order of the centralizer of a permutation of cycle type mu."""
+    out, run, prev = 1, 0, None
+    for part in tuple(mu) + (None,):
+        if part == prev:
+            run += 1
+        else:
+            if prev is not None:
+                out *= prev**run * factorial(run)
+            prev, run = part, 1
+    return out
+
+
+def regular_matrix(a: AlgebraElement, basis: list[Permutation], side: str = "left"):
+    """Matrix of multiplication by `a` on C[S_n] in the given ordered basis.
+
+    side="left": column j holds a * basis[j]; side="right": basis[j] * a.
+    Entry [i][j] is the coefficient of basis[i].
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    inv = [b.inverse() for b in basis]
+    rows = []
+    for bi in basis:
+        if side == "left":
+            # coefficient of bi in a*bj is a[bi * bj^-1]
+            rows.append([a.coefficient(bi * bj_inv) for bj_inv in inv])
+        else:
+            # coefficient of bi in bj*a is a[bj^-1 * bi]
+            rows.append([a.coefficient(bj_inv * bi) for bj_inv in inv])
+    return rows
+
+
+def pairing_centralizer(pi: Pairing) -> list[Permutation]:
+    """Centralizer of a pairing in S_2n: permute its pairs, flip each pair."""
+    pairs = pi.pairs()
+    n = len(pairs)
+    out = []
+    for order in itertools.permutations(range(n)):
+        for flips in itertools.product((0, 1), repeat=n):
+            images = [0] * (2 * n)
+            for i, (a, b) in enumerate(pairs):
+                ta, tb = pairs[order[i]]
+                if flips[i]:
+                    ta, tb = tb, ta
+                images[a - 1], images[b - 1] = ta, tb
+            out.append(Permutation(images))
+    return out
+
+
+def projector_entry(lam: Partition, pi: Pairing, rho: Pairing, sigma0=None) -> Fraction:
+    """Entry (pi, rho) of the doubled-shape central projector on pairings.
+
+    dim(2lam)/(2n)! times the character sum over the conjugating coset.  With
+    sigma0=None the cached loop-type histogram is used; passing an explicit
+    conjugator forces the direct coset enumeration (any valid sigma0 gives the
+    same value, which tests exploit).
+    """
+    lam = Partition(lam)
+    n = lam.weight
+    if len(pi) != 2 * n or len(rho) != 2 * n:
+        raise ValueError(f"pairings must cover 2n = {2 * n} points")
+    if sigma0 is None:
+        hist = coset_cycle_type_histogram(loop_type(pi, rho))
+    else:
+        if not rho.conjugate_by(sigma0) == pi:
+            raise ValueError("sigma0 does not conjugate rho to pi")
+        hist = Counter((sigma0 * c).cycle_type() for c in pairing_centralizer(rho))
+    return _coset_character_sum(lam, hist)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import regular_matrix
 
 from weingarten import cli, groupalg, young
 from weingarten.coeffring import TAU, TauPolynomial
@@ -16,7 +17,6 @@ from weingarten.groupalg import (
     jm_element,
     jm_product_orthogonal,
     jm_product_unitary,
-    regular_matrix,
 )
 from weingarten.symcore import (
     Pairing,

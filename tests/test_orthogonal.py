@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 import sympy
+from oracles import pairing_centralizer, projector_entry
 
 from weingarten import verify
 from weingarten.coeffring import TAU, render
@@ -19,8 +20,6 @@ from weingarten.orthogonal import (
     double_factorial_odd,
     gram_orthogonal,
     loop_type,
-    pairing_centralizer,
-    projector_entry,
     weingarten_matrix_from_central_idempotents,
     weingarten_orthogonal,
     wg_value_orthogonal,

@@ -1,20 +1,46 @@
-"""Import layering: the package root loads nothing, and a module only what it needs."""
+"""Import layering: the package root loads nothing, and a module only what it needs.
+
+numpy is loaded by the Monte-Carlo layer and by the first group-algebra
+product that the int64 kernel takes; every exact command runs without it.
+"""
 
 import json
 import subprocess
 import sys
 
+import pytest
+
 
 def _loaded_after(statement: str, env) -> list[str]:
-    """The package and numpy modules loaded by `statement` in a fresh process."""
+    """The package and numpy modules loaded by `statement` in a fresh process.
+
+    `statement` may span lines and may call `sys.exit` with a message to fail.
+    """
     code = (
-        f"import json, sys; {statement}; "
+        f"import json, sys\n{statement}\n"
         "print(json.dumps(sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('weingarten', 'numpy'))))"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return json.loads(out)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _loaded_by_cli(argv: list[str], env) -> list[str]:
+    """Modules loaded by `cli.main(argv)`, which must return 0; its stdout is dropped."""
+    statement = (
+        "import contextlib, io\n"
+        "from weingarten.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "if code != 0:\n"
+        "    sys.exit(f'exit code {code}')"
+    )
+    return _loaded_after(statement, env)
+
+
+def _has_numpy(loaded: list[str]) -> bool:
+    return any(m.split(".")[0] == "numpy" for m in loaded)
 
 
 def test_package_root_loads_no_submodule(python_env):
@@ -24,3 +50,68 @@ def test_package_root_loads_no_submodule(python_env):
 def test_coeffring_loads_neither_numpy_nor_a_sibling(python_env):
     loaded = _loaded_after("import weingarten.coeffring", python_env)
     assert loaded == ["weingarten", "weingarten.coeffring"]
+
+
+@pytest.mark.parametrize("module", ["groupalg", "verify", "cli"])
+def test_exact_modules_load_no_numpy(python_env, module):
+    loaded = _loaded_after(f"import weingarten.{module}", python_env)
+    assert f"weingarten.{module}" in loaded
+    assert "weingarten.haarmc" not in loaded
+    assert not _has_numpy(loaded)
+
+
+EXACT_COMMANDS = [
+    *(
+        ["table", "--group", group, "--n", "3", "--tau", tau, "--format", fmt]
+        for group in ("unitary", "orthogonal")
+        for tau in ("symbolic", "5")
+        for fmt in ("json", "csv")
+    ),
+    ["gram", "--group", "orthogonal", "--n", "3"],
+    ["wgfn", "--group", "unitary", "--cycle-type", "[2,1]"],
+    ["characters", "--n", "4"],
+    ["verify", "--suite", "pseudoinverse", "--n", "3"],
+    ["verify", "--suite", "commute", "--n", "3"],
+    ["verify", "--suite", "jucys", "--n", "4"],
+    ["verify", "--suite", "oid", "--n", "3"],
+    ["verify", "--suite", "stability", "--n", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=" ".join)
+def test_exact_command_runs_without_numpy(python_env, argv):
+    assert not _has_numpy(_loaded_by_cli(argv, python_env))
+
+
+NUMPY_COMMANDS = [
+    ["mc", "--group", "unitary", "--n", "1", "--tau", "2", "--samples", "1000"],
+    ["verify", "--suite", "idempotents", "--n", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", NUMPY_COMMANDS, ids=" ".join)
+def test_monte_carlo_and_kernel_commands_load_numpy(python_env, argv):
+    assert "numpy" in _loaded_by_cli(argv, python_env)
+
+
+def test_all_fraction_product_still_takes_the_kernel(python_env):
+    # numpy is imported inside the kernel; this shows the kernel still runs
+    # on first use and was not turned into a fallback to the term-pair loop
+    statement = (
+        "from weingarten import groupalg\n"
+        "kernel, results = groupalg._mul_fractions, []\n"
+        "def spy(*args):\n"
+        "    results.append(kernel(*args))\n"
+        "    return results[-1]\n"
+        "groupalg._mul_fractions = spy\n"
+        "a = groupalg.jm_element(3, 3)\n"
+        "if 'numpy' in sys.modules:\n"
+        "    sys.exit('numpy loaded before the first product')\n"
+        "product = a * a\n"
+        "expected = groupalg._mul_terms(a.terms, a.terms)\n"
+        "if not (len(results) == 1 and type(results[0]) is dict and results[0] == expected):\n"
+        "    sys.exit(f'kernel returned {results!r}, expected {expected!r}')\n"
+        "if product.terms != expected:\n"
+        "    sys.exit(f'product {product!r}')"
+    )
+    assert "numpy" in _loaded_after(statement, python_env)

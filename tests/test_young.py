@@ -2,8 +2,9 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from oracles import centralizer_order, regular_matrix
 
-from weingarten.groupalg import AlgebraElement, jm_element, regular_matrix
+from weingarten.groupalg import AlgebraElement, jm_element
 from weingarten.symcore import (
     Partition,
     StandardTableau,
@@ -15,7 +16,6 @@ from weingarten.symcore import (
 from weingarten.young import (
     CharacterTable,
     central_idempotent,
-    centralizer_order,
     character,
     young_idempotent,
 )
