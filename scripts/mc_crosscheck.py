@@ -3,19 +3,22 @@
 
 Runs the full degree-(2,2) unitary grid and the degree-4 orthogonal grid at
 several seeds, printing the max |z| for each run.  Useful for eyeballing the
-statistical margin behind the frozen acceptance seed.
+statistical margin behind the frozen acceptance seed.  Exits 1 when any grid
+has a moment past the threshold, 2 on a usage error.
 """
 
 import argparse
 import json
+import sys
 import time
 
+from weingarten.cli import _int_at_least
 from weingarten.haarmc import grid_crosscheck
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--samples", type=int, default=200_000)
+    parser.add_argument("--samples", type=_int_at_least(100), default=200_000)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--threshold", type=float, default=4.0)
     parser.add_argument("--json", action="store_true", help="emit one JSON line per run")
@@ -23,11 +26,13 @@ def main() -> None:
 
     runs = [("unitary", 2, 3), ("orthogonal", 2, 4)]
     worst = 0.0
+    failed = False
     for seed in args.seeds:
         for group, n, tau in runs:
             started = time.time()
             report = grid_crosscheck(group, n, tau, args.samples, seed, args.threshold)
             worst = max(worst, report.max_abs_z)
+            failed = failed or not report.ok
             if args.json:
                 print(json.dumps(report.to_json_dict()))
             else:
@@ -38,7 +43,8 @@ def main() -> None:
                     f"[{verdict}] ({time.time() - started:.1f}s)"
                 )
     print(f"worst |z| across runs: {worst:.3f}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -16,6 +16,13 @@ The orthogonal basis is every pairing of the 2n positions.  The unitary basis
 is the bipartite pairings {k, n + sigma(k)}, sigma in S_n, and the loop type
 of two of them is the cycle type of sigma^-1 rho.
 
+A grid pairs every column of the n-fold tensor power of a sample with every
+other, but a column is a product of n entries in some order, so only the
+C(tau^2 + n - 1, n) distinct products are built and accumulated; the sums are
+then scattered to the full grid.  Seeded grids are deterministic.  Moments
+that differ only by the order of their first (U: plain) n factors, or of
+their last n, get bitwise-equal z, so equal |z| list in index order.
+
 Acceptance is statistical: every predicted moment within `threshold` standard
 errors (default 4).  At 4 SE a single Gaussian check false-fails with
 probability ~6e-5, so a fixed-seed grid of a few thousand correlated moments
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
@@ -34,7 +42,7 @@ import numpy as np
 
 from .coeffring import render
 from .orthogonal import wg_value_orthogonal
-from .symcore import Pairing, cross_type_matrix, enumerate_pairings, permutations_of, type_matrix
+from .symcore import Pairing, cross_type_matrix, enumerate_pairings, permutations_of
 from .unitary import wg_function_unitary
 
 _BATCH = 4096  # fixed batch size keeps seeded runs bit-reproducible
@@ -115,20 +123,12 @@ class MomentReport:
 
 def _haar_batch(group: str, tau: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of Haar samples via Ginibre + QR with diagonal phase fixing."""
-    if group == "unitary":
-        z = (
-            rng.standard_normal((count, tau, tau))
-            + 1j * rng.standard_normal((count, tau, tau))
-        ) / np.sqrt(2.0)
-        q, r = np.linalg.qr(z)
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        q = q * (d / np.abs(d))[:, None, :]
-        return q
     z = rng.standard_normal((count, tau, tau))
+    if group == "unitary":
+        z = (z + 1j * rng.standard_normal((count, tau, tau))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * np.sign(d)[:, None, :]
-    return q
+    return q * (d / np.abs(d))[:, None, :]  # a real d / |d| is its sign
 
 
 def sample_haar(group: str, tau: int, seed: int) -> np.ndarray:
@@ -166,12 +166,17 @@ def predict_moment(spec: MomentSpec) -> Fraction:
     rows, cols = spec.rows + spec.conj_rows, spec.cols + spec.conj_cols
     row_matches = [p for p in basis if _ties(rows, p)]
     col_matches = [p for p in basis if _ties(cols, p)]
-    if not row_matches or not col_matches:
+    return _tied_sum(spec.group, spec.tau, row_matches, col_matches)
+
+
+def _tied_sum(group: str, tau: int, rows: Sequence[Pairing], cols: Sequence[Pairing]) -> Fraction:
+    """Wg(loop type) summed over every pair of a row-tied and a column-tied pairing."""
+    if not rows or not cols:
         return Fraction(0)
-    types, index = cross_type_matrix(row_matches, col_matches)
+    types, index = cross_type_matrix(rows, cols)
     counts = Counter(k for row in index for k in row)
-    value = _VALUES[spec.group]
-    return sum((value(types[k], Fraction(spec.tau)) * c for k, c in counts.items()), Fraction(0))
+    value = _VALUES[group]
+    return sum((value(types[k], Fraction(tau)) * c for k, c in counts.items()), Fraction(0))
 
 
 def estimate_moment(spec: MomentSpec) -> MomentReport:
@@ -241,80 +246,82 @@ class GridReport:
         }
 
 
-def _tensor_power_flat(q: np.ndarray, n: int) -> np.ndarray:
-    """Per-sample n-fold Kronecker power, flattened to (samples, tau^n * tau^n)."""
-    count, tau = q.shape[0], q.shape[1]
-    m = q
-    dim = tau
-    for _ in range(n - 1):
-        m = np.einsum("sab,scd->sacbd", m, q).reshape(count, dim * tau, dim * tau)
-        dim *= tau
-    return m.reshape(count, dim * dim)
+def _factor_columns(n: int, tau: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct product of n entries once, as `fac[k, c]`: flat index
+    a*tau + b of factor k of product c, factors ascending; and `cmap`: the
+    product of each tensor-power column (a1..an, b1..bn), C order."""
+    idx = np.indices((tau,) * (2 * n)).reshape(2 * n, -1)
+    fac, cmap = np.unique(np.sort(idx[:n] * tau + idx[n:], axis=0), axis=1, return_inverse=True)
+    return fac, cmap.reshape(-1)
 
 
 def _prediction_matrix(group: str, n: int, tau: int) -> np.ndarray:
     """Float predictions of every degree-n moment, rows against columns.
 
     Entry (i, j) is the moment whose row indices over the 2n factor positions
-    are the multi-index i and whose column indices are j (0-based, C order).
+    are the multi-index i and whose column indices are j (0-based, C order),
+    rounded once from the exact sum over the basis pairings that i and j tie.
     """
     basis = _basis(group, n)
-    multi = list(itertools.product(range(tau), repeat=2 * n))
-    types, index = type_matrix(basis)
-    values = [float(_VALUES[group](mu, Fraction(tau))) for mu in types]
-    deltas = [np.array([_ties(idx, p) for idx in multi], dtype=bool) for p in basis]
-    pred = np.zeros((len(multi), len(multi)))
-    for i, delta_i in enumerate(deltas):
-        for j, delta_j in enumerate(deltas):
-            pred += values[index[i][j]] * np.outer(delta_i, delta_j)
-    return pred
+    multi = itertools.product(range(tau), repeat=2 * n)
+    ties = [tuple(p for p in basis if _ties(idx, p)) for idx in multi]
+    kinds = {t: k for k, t in enumerate(dict.fromkeys(ties))}
+    exact = np.array([[float(_tied_sum(group, tau, a, b)) for b in kinds] for a in kinds])
+    which = np.array([kinds[t] for t in ties], dtype=np.intp)
+    return exact[np.ix_(which, which)]
+
+
+def _grid_sums(group: str, n: int, tau: int, samples: int, seed: int):
+    """Sample sums of Re(x_i conj(x_j)) and its square for every pair of
+    tensor-power columns i, j, accumulated over the distinct factor products
+    and scattered back to the full grid."""
+    rng = np.random.default_rng(seed)
+    fac, cmap = _factor_columns(n, tau)
+    sum_re, sum_sq = np.zeros((2, fac.shape[1], fac.shape[1]))
+    remaining = samples
+    while remaining:
+        count = min(_BATCH, remaining)
+        q = _haar_batch(group, tau, count, rng).reshape(count, tau * tau)
+        cols = q[:, fac[0]]
+        for k in fac[1:]:  # one factor at a time, in tensor-power order
+            cols = cols * q[:, k]
+        if group == "unitary":
+            re, im = np.ascontiguousarray(cols.real), np.ascontiguousarray(cols.imag)
+            # one operand per product, so numpy takes its symmetric A.T @ A path
+            rr, ri, ii = re * re, re * im, im * im
+            sum_re += re.T @ re + im.T @ im
+            sum_sq += rr.T @ rr
+            sum_sq += 2.0 * (ri.T @ ri)
+            sum_sq += ii.T @ ii
+        else:
+            sq = cols * cols
+            sum_re += cols.T @ cols
+            sum_sq += sq.T @ sq
+        remaining -= count
+    grid = np.ix_(cmap, cmap)
+    return sum_re[grid], sum_sq[grid]
 
 
 def grid_crosscheck(
     group: str, n: int, tau: int, samples: int, seed: int, threshold: float = 4.0
 ) -> GridReport:
     """Estimate every balanced degree-(n, n) unitary (or degree-2n orthogonal)
-    entry moment in one pass and z-score it against the exact prediction.
-
-    Sample accumulation uses one fixed-size batch loop and a fixed sequence of
-    matrix products per batch, so the run is deterministic for a given seed.
-    """
+    entry moment in one pass and z-score it against the exact prediction."""
     if group not in ("unitary", "orthogonal"):
         raise ValueError(f"unknown group {group!r}")
-    rng = np.random.default_rng(seed)
-    dim = tau**n
-    sum_re = np.zeros((dim * dim, dim * dim))
-    sum_sq = np.zeros((dim * dim, dim * dim))
-    remaining = samples
-    while remaining:
-        count = min(_BATCH, remaining)
-        flat = _tensor_power_flat(_haar_batch(group, tau, count, rng), n)
-        if group == "unitary":
-            re, im = np.ascontiguousarray(flat.real), np.ascontiguousarray(flat.imag)
-            sum_re += re.T @ re + im.T @ im
-            sum_sq += (re * re).T @ (re * re)
-            sum_sq += 2.0 * (re * im).T @ (re * im)
-            sum_sq += (im * im).T @ (im * im)
-        else:
-            sum_re += flat.T @ flat
-            sum_sq += (flat * flat).T @ (flat * flat)
-        remaining -= count
+    if samples < 100 or n < 1 or tau < 1:
+        raise ValueError(f"need samples >= 100, n >= 1 and tau >= 1, got {samples}, {n}, {tau}")
+    sum_re, sum_sq = _grid_sums(group, n, tau, samples, seed)
     # ((a1, b1), (a2, b2)) -> ((a1, a2), (b1, b2)): the row indices of all 2n
     # factor positions against their column indices, as _prediction_matrix
-    full = dim * dim
-    mean = _regroup_pair_axes(sum_re / samples, dim).reshape(full, full)
-    mean_sq = _regroup_pair_axes(sum_sq / samples, dim).reshape(full, full)
-    pred = _prediction_matrix(group, n, tau)
-
+    dim = tau**n
+    mean = _regroup_pair_axes(sum_re / samples, dim).reshape(dim * dim, dim * dim)
+    mean_sq = _regroup_pair_axes(sum_sq / samples, dim).reshape(dim * dim, dim * dim)
     variance = np.maximum(mean_sq - mean * mean, 0.0)
     stderr = np.sqrt(variance * (samples / (samples - 1)) / samples)
-    diff = mean - pred
+    diff = mean - _prediction_matrix(group, n, tau)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(
-            stderr > 0,
-            diff / np.where(stderr > 0, stderr, 1.0),
-            np.where(np.abs(diff) < 1e-12, 0.0, np.inf),
-        )
+        z = np.where(stderr > 0, diff / stderr, np.where(np.abs(diff) < 1e-12, 0.0, np.inf))
     if group == "unitary":
         z = _regroup_pair_axes(z, dim)  # reported as (rows, cols, conj rows, conj cols)
     abs_z = np.abs(z)
@@ -327,15 +334,8 @@ def grid_crosscheck(
         for idx in zip(*np.unravel_index(worst, z.shape))
     ]
     return GridReport(
-        group=group,
-        n=n,
-        tau=tau,
-        samples=samples,
-        seed=seed,
-        moment_count=int(z.size),
-        max_abs_z=float(abs_z.max()),
-        threshold=threshold,
-        failures=failures,
+        group, n, tau, samples, seed, moment_count=int(z.size),
+        max_abs_z=float(abs_z.max()), threshold=threshold, failures=failures,
     )
 
 

@@ -3,8 +3,10 @@
 Each one recomputes by brute force a quantity the package gets another way,
 so a test can compare the two: centralizer orders (against class sizes and
 character orthogonality), the regular representation of C[S_n] (against
-the Gram and Weingarten matrices), and projector entries from a direct walk
-over a conjugating coset (against the cached loop-type histograms).
+the Gram and Weingarten matrices), projector entries from a direct walk
+over a conjugating coset (against the cached loop-type histograms), and
+Monte-Carlo grid sums over the full tensor power (against the sums over
+distinct factor products).
 """
 
 import itertools
@@ -12,7 +14,10 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
+
 from weingarten.groupalg import AlgebraElement
+from weingarten.haarmc import _BATCH, _haar_batch
 from weingarten.orthogonal import _coset_character_sum, coset_cycle_type_histogram, loop_type
 from weingarten.symcore import Pairing, Partition, Permutation
 
@@ -86,3 +91,31 @@ def projector_entry(lam: Partition, pi: Pairing, rho: Pairing, sigma0=None) -> F
             raise ValueError("sigma0 does not conjugate rho to pi")
         hist = Counter((sigma0 * c).cycle_type() for c in pairing_centralizer(rho))
     return _coset_character_sum(lam, hist)
+
+
+def tensor_power_flat(q: np.ndarray, n: int) -> np.ndarray:
+    """Per-sample n-fold Kronecker power, flattened to (samples, tau^n * tau^n)."""
+    count, tau = q.shape[0], q.shape[1]
+    m = q
+    dim = tau
+    for _ in range(n - 1):
+        m = np.einsum("sab,scd->sacbd", m, q).reshape(count, dim * tau, dim * tau)
+        dim *= tau
+    return m.reshape(count, dim * dim)
+
+
+def dense_grid_sums(group: str, n: int, tau: int, samples: int, seed: int):
+    """Sums of Re(x_i conj(x_j)) and of its square over every pair of columns
+    of the full tensor power, on the same seeded sample stream as the grid."""
+    rng = np.random.default_rng(seed)
+    sum_re = np.zeros((tau ** (2 * n), tau ** (2 * n)))
+    sum_sq = np.zeros_like(sum_re)
+    remaining = samples
+    while remaining:
+        count = min(_BATCH, remaining)
+        flat = tensor_power_flat(_haar_batch(group, tau, count, rng), n)
+        re, im = flat.real, flat.imag  # a real array's imag is zeros
+        sum_re += re.T @ re + im.T @ im
+        sum_sq += (re * re).T @ (re * re) + 2.0 * (re * im).T @ (re * im) + (im * im).T @ (im * im)
+        remaining -= count
+    return sum_re, sum_sq

@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import dense_grid_sums
 from weingarten.haarmc import (
     GridReport,
     MomentSpec,
+    _grid_sums,
     _prediction_matrix,
     estimate_moment,
     grid_crosscheck,
@@ -190,26 +192,89 @@ def test_grid_lists_its_worst_failures_first():
     assert listed[-1] > grid.threshold
 
 
-def _grid_spec(group: str, tau: int, index: list[int], samples: int, seed: int) -> MomentSpec:
-    """The n = 1 moment at one grid index: U (row, col, conj row, conj col),
-    O (row pair, col pair) flattened over tau x tau."""
-    if group == "unitary":
-        r, c, cr, cc = (v + 1 for v in index)
-        return MomentSpec(group, tau, (r,), (c,), (cr,), (cc,), samples=samples, seed=seed)
-    rows, cols = (tuple(v + 1 for v in divmod(i, tau)) for i in index)
-    return MomentSpec(group, tau, rows, cols, samples=samples, seed=seed)
+@pytest.mark.parametrize("group, tau", [("unitary", 2), ("orthogonal", 3)])
+def test_grid_failures_sort_by_abs_z_then_index(group, tau):
+    # every moment fails at threshold -1; moments equal under a factor swap
+    # tie exactly in |z|, and ties list in index order
+    grid = grid_crosscheck(group, 2, tau, 20_000, seed=1, threshold=-1)
+    keys = [(-abs(f["z"]), f["index"]) for f in grid.failures]
+    assert len(keys) == 64
+    assert keys == sorted(keys)
+    assert len({k[0] for k in keys}) < len(keys)
 
 
+def _swap_factors(index: list[int], group: str, tau: int) -> list[int]:
+    """Grid index of the same n = 2 moment with factor positions 1 and 2
+    swapped: the plain factors for U, the first two of four for O."""
+    if group == "unitary":  # (rows, cols, conj rows, conj cols), each over 2 factors
+        return [(v % tau) * tau + v // tau for v in index[:2]] + index[2:]
+    digits = [np.unravel_index(v, (tau,) * 4) for v in index]  # rows, cols over 4 factors
+    return [int(np.ravel_multi_index((d[1], d[0], d[2], d[3]), (tau,) * 4)) for d in digits]
+
+
+@pytest.mark.parametrize("group, tau, threshold", [("unitary", 2, 2.0), ("orthogonal", 3, 3.0)])
+def test_grid_z_is_bitwise_equal_under_a_factor_swap(group, tau, threshold):
+    # fewer than 64 failures, so every failing moment is listed, and the
+    # swapped moment must be listed with the very same z
+    grid = grid_crosscheck(group, 2, tau, 20_000, seed=1, threshold=threshold)
+    listed = {tuple(f["index"]): f["z"] for f in grid.failures}
+    assert 0 < len(listed) < 64
+    moved = 0
+    for index, z in listed.items():
+        swapped = tuple(_swap_factors(list(index), group, tau))
+        assert listed[swapped] == z, (index, swapped)
+        moved += swapped != index
+    assert moved
+
+
+@pytest.mark.parametrize("group, tau", [("unitary", 2), ("orthogonal", 3)])
+def test_grid_inputs_are_bitwise_equal_under_a_factor_swap(group, tau):
+    # z is elementwise in the sums and the prediction, so it inherits their
+    # invariance under swapping factor positions 1 and 2 on every moment
+    pred = _prediction_matrix(group, 2, tau).reshape((tau,) * 8)  # rows, cols
+    assert np.array_equal(pred, pred.transpose(1, 0, 2, 3, 5, 4, 6, 7))
+    for sums in _grid_sums(group, 2, tau, 2_000, seed=5):  # (a1, a2, b1, b2) x same
+        sums = sums.reshape((tau,) * 8)
+        assert np.array_equal(sums, sums.transpose(1, 0, 3, 2, 4, 5, 6, 7))
+
+
+@pytest.mark.parametrize("group, tau", [("unitary", 2), ("orthogonal", 3)])
+def test_grid_sums_match_the_dense_tensor_power(group, tau):
+    fast = _grid_sums(group, 2, tau, 20_000, seed=5)
+    dense = dense_grid_sums(group, 2, tau, 20_000, seed=5)
+    for got, want in zip(fast, dense):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_grid_crosscheck_validates_its_input():
+    for args in (("unitary", 1, 2, 99), ("unitary", 0, 2, 1000), ("orthogonal", 1, 0, 1000)):
+        with pytest.raises(ValueError):
+            grid_crosscheck(*args, seed=0)
+
+
+def _grid_spec(
+    group: str, n: int, tau: int, index: list[int], samples: int, seed: int
+) -> MomentSpec:
+    """The moment at one grid index: U (rows, cols, conj rows, conj cols), each
+    over n factors; O (rows, cols) over 2n factors; multi-indices in C order."""
+    width = n if group == "unitary" else 2 * n
+    parts = [tuple(int(d) + 1 for d in np.unravel_index(v, (tau,) * width)) for v in index]
+    return MomentSpec(group, tau, *parts, samples=samples, seed=seed)
+
+
+@pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("group", ["unitary", "orthogonal"])
-def test_grid_matches_single_moment_path(group):
+def test_grid_matches_single_moment_path(group, n):
     # the vectorized grid and the scalar path must agree on the same seed,
-    # moment by moment; threshold -1 reports every moment
+    # moment by moment; threshold -1 reports every moment, up to 64
     samples, seed, tau = 30_000, 12, 2
-    grid = grid_crosscheck(group, 1, tau, samples, seed=seed, threshold=-1)
+    grid = grid_crosscheck(group, n, tau, samples, seed=seed, threshold=-1)
     assert isinstance(grid, GridReport)
-    assert len(grid.failures) == grid.moment_count == tau**4
+    assert grid.moment_count == tau ** (4 * n)
+    assert len(grid.failures) == min(64, grid.moment_count)
     for failure in grid.failures:
-        single = estimate_moment(_grid_spec(group, tau, failure["index"], samples, seed))
+        single = estimate_moment(_grid_spec(group, n, tau, failure["index"], samples, seed))
         assert abs(single.z - failure["z"]) <= 1e-9, failure
 
 

@@ -51,3 +51,18 @@ def test_mc_crosscheck_prints_two_grid_reports(python_env):
     assert all(r["samples"] == 2000 and r["seed"] == 1 for r in reports)
     worst = max(r["max_abs_z"] for r in reports)
     assert lines[2] == f"worst |z| across runs: {worst:.3f}"
+
+
+def test_mc_crosscheck_exits_1_when_a_grid_fails(python_env):
+    proc = run_script("mc_crosscheck.py", "--threshold", "0.5", "--samples", "2000",
+                      "--seeds", "1", env=python_env)
+    assert proc.returncode == 1, proc.stderr
+    assert "FAILURES" in proc.stdout
+
+
+def test_mc_crosscheck_rejects_too_few_samples(python_env):
+    for samples in ("0", "1", "99"):
+        proc = run_script("mc_crosscheck.py", "--samples", samples, env=python_env)
+        assert proc.returncode == 2
+        assert "--samples" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
