@@ -38,6 +38,7 @@ CAPS = {
     "orthogonal": {"symbolic": 4, "numeric": 5},
 }
 MC_GRID_CAP = 2
+MC_MOMENT_CAP = 5**8  # each grid array holds tau^(4n) floats
 BASES = {"unitary": permutations_of, "orthogonal": enumerate_pairings}
 
 
@@ -273,6 +274,11 @@ def _cmd_mc(args) -> int:
 
     if args.indices is None:
         message = _check_cap(args.n, MC_GRID_CAP, args.force, "mc full-grid")
+        if not (message or args.force):
+            moments = args.tau ** (4 * args.n)
+            if moments > MC_MOMENT_CAP:
+                message = (f"--tau {args.tau} at --n {args.n} gives {moments} moments, past the "
+                           f"mc full-grid cap {MC_MOMENT_CAP}; pass --force to run anyway")
         if message:
             print(message, file=sys.stderr)
             return 2

@@ -1,13 +1,13 @@
 """Monte-Carlo estimation of Haar moments, checked against exact predictions.
 
-This is the package's only inexact module.  Matrices are drawn Haar-uniformly
-by orthonormalizing a Ginibre matrix and fixing the phases (signs) of the
-triangular factor's diagonal; without that correction QR output is *not* Haar
-distributed.  Moment estimates come with standard errors and are compared to
-the exact rational predictions obtained from the Weingarten functions.  Both
-groups use one model: a moment of degree n has 2n factor positions (for U,
-the n plain factors, then the n conjugate factors), an index tuple over them
-"ties" a pairing when it is constant on each pair, and
+This is the package's only inexact module.  A Haar sample is the Q of the one
+z = QR of a Ginibre matrix whose R has a positive diagonal (Mezzadri,
+arXiv:math-ph/0609050): Gram-Schmidt run twice, equal to a phase-fixed LAPACK
+QR up to the last bits.  Moment estimates come with standard errors and are
+compared to the exact rational predictions obtained from the Weingarten
+functions.  Both groups use one model: a moment of degree n has 2n factor
+positions (for U, the n plain factors, then the n conjugate factors), an index
+tuple over them "ties" a pairing when it is constant on each pair, and
 
     E[prod of entries] = sum over basis pairings pi, rho of
                          [rows tie pi][cols tie rho] * Wg(loop type of pi, rho)
@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import sqrt
 
@@ -122,13 +122,23 @@ class MomentReport:
 
 
 def _haar_batch(group: str, tau: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of Haar samples via Ginibre + QR with diagonal phase fixing."""
+    """Stack of Haar samples: orthonormalized Ginibre matrices."""
     z = rng.standard_normal((count, tau, tau))
     if group == "unitary":
         z = (z + 1j * rng.standard_normal((count, tau, tau))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]  # a real d / |d| is its sign
+    return _orthonormalize(z)
+
+
+def _orthonormalize(z: np.ndarray) -> np.ndarray:
+    """Q of each full-rank z = QR in a stack, R's diagonal positive: Gram-Schmidt
+    with every projection run twice, so Q stays orthonormal for ill-conditioned z."""
+    q = z.copy()
+    for j in range(z.shape[-1]):
+        prev, v = q[:, :, :j], q[:, :, j]
+        for _ in range(2):  # "twice is enough"
+            v = v - np.einsum("bik,bk->bi", prev, np.einsum("bik,bi->bk", prev.conj(), v))
+        q[:, :, j] = v / np.sqrt(np.einsum("bi,bi->b", v.conj(), v).real)[:, None]
+    return q
 
 
 def sample_haar(group: str, tau: int, seed: int) -> np.ndarray:
@@ -223,7 +233,7 @@ class GridReport:
     tau: int
     samples: int
     seed: int
-    moment_count: int
+    moments: int
     max_abs_z: float
     threshold: float
     failures: list = field(default_factory=list)
@@ -233,17 +243,7 @@ class GridReport:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "n": self.n,
-            "tau": self.tau,
-            "samples": self.samples,
-            "seed": self.seed,
-            "moments": self.moment_count,
-            "max_abs_z": self.max_abs_z,
-            "threshold": self.threshold,
-            "failures": self.failures,
-        }
+        return asdict(self)  # the JSON keys are the fields, in order
 
 
 def _factor_columns(n: int, tau: int) -> tuple[np.ndarray, np.ndarray]:
@@ -334,7 +334,7 @@ def grid_crosscheck(
         for idx in zip(*np.unravel_index(worst, z.shape))
     ]
     return GridReport(
-        group, n, tau, samples, seed, moment_count=int(z.size),
+        group, n, tau, samples, seed, moments=int(z.size),
         max_abs_z=float(abs_z.max()), threshold=threshold, failures=failures,
     )
 

@@ -4,9 +4,10 @@ Each one recomputes by brute force a quantity the package gets another way,
 so a test can compare the two: centralizer orders (against class sizes and
 character orthogonality), the regular representation of C[S_n] (against
 the Gram and Weingarten matrices), projector entries from a direct walk
-over a conjugating coset (against the cached loop-type histograms), and
+over a conjugating coset (against the cached loop-type histograms),
 Monte-Carlo grid sums over the full tensor power (against the sums over
-distinct factor products).
+distinct factor products), and Haar samples by LAPACK QR with the phase fix
+(against Gram-Schmidt run twice).
 """
 
 import itertools
@@ -119,3 +120,14 @@ def dense_grid_sums(group: str, n: int, tau: int, samples: int, seed: int):
         sum_sq += (re * re).T @ (re * re) + 2.0 * (re * im).T @ (re * im) + (im * im).T @ (im * im)
         remaining -= count
     return sum_re, sum_sq
+
+
+def qr_haar_batch(group: str, tau: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar samples from the same Ginibre draws as `_haar_batch`, by LAPACK QR
+    with R's diagonal phases (signs) moved into Q (Mezzadri's fix)."""
+    z = rng.standard_normal((count, tau, tau))
+    if group == "unitary":
+        z = (z + 1j * rng.standard_normal((count, tau, tau))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]  # a real d / |d| is its sign

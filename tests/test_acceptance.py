@@ -140,8 +140,8 @@ def test_criterion_11_monte_carlo_crosscheck():
     orthogonal = grid_crosscheck("orthogonal", 2, 4, MC_SAMPLES, seed=MC_SEED)
     ok = unitary.ok and orthogonal.ok
     print(
-        f"    unitary grid max|z|={unitary.max_abs_z:.2f} over {unitary.moment_count} moments; "
-        f"orthogonal max|z|={orthogonal.max_abs_z:.2f} over {orthogonal.moment_count}"
+        f"    unitary grid max|z|={unitary.max_abs_z:.2f} over {unitary.moments} moments; "
+        f"orthogonal max|z|={orthogonal.max_abs_z:.2f} over {orthogonal.moments}"
     )
     _conclude(11, "Monte-Carlo |z|<=4, unitary (2, tau=3) and orthogonal (2, tau=4)", ok, started)
 

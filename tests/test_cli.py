@@ -385,6 +385,25 @@ def test_mc_grid_cap(capsys):
     assert "--force" in err
 
 
+def test_mc_grid_moment_cap(capsys):
+    def grid(tau, *extra):
+        return run_cli(capsys, "mc", "--group", "orthogonal", "--n", "2", "--tau", tau,
+                       "--samples", "100", "--seed", "1", *extra)
+
+    # O n=2 tau=6 has 6^8 = 1 679 616 moments, past the cap 5^8
+    code, out, err = grid("6")
+    assert code == 2
+    assert out == ""
+    assert "1679616 moments" in err and "cap 390625" in err and "--force" in err
+    code, out, _ = grid("6", "--force")
+    assert code in (0, 1)
+    assert json.loads(out)["moments"] == 6**8
+    # exactly at the cap runs without --force
+    code, out, _ = grid("5")
+    assert code in (0, 1)
+    assert json.loads(out)["moments"] == 5**8
+
+
 def test_mc_indices_degree_cap(capsys):
     # a balanced unitary moment of degree 6 expands over S_6, past the cap 5
     six = ",".join(["1"] * 6)

@@ -5,11 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import dense_grid_sums
+from oracles import dense_grid_sums, qr_haar_batch
 from weingarten.haarmc import (
+    _BATCH,
     GridReport,
     MomentSpec,
     _grid_sums,
+    _haar_batch,
+    _orthonormalize,
     _prediction_matrix,
     estimate_moment,
     grid_crosscheck,
@@ -20,10 +23,18 @@ from weingarten.orthogonal import loop_type, wg_value_orthogonal
 from weingarten.symcore import enumerate_pairings
 
 
+def _gram_error(q: np.ndarray) -> float:
+    """Largest entry of Q^H Q - I over a stack of matrices."""
+    return np.abs(np.einsum("bki,bkj->bij", q.conj(), q) - np.eye(q.shape[-1])).max()
+
+
 def test_samples_are_unitary_to_tolerance():
     for seed in range(5):
         m = sample_haar("unitary", 4, seed)
         assert np.abs(m.conj().T @ m - np.eye(4)).max() < 1e-12
+    batch = _haar_batch("unitary", 4, _BATCH, np.random.default_rng(0))
+    assert batch.shape == (_BATCH, 4, 4)
+    assert _gram_error(batch) < 1e-12
 
 
 def test_samples_are_orthogonal_to_tolerance():
@@ -31,6 +42,57 @@ def test_samples_are_orthogonal_to_tolerance():
         m = sample_haar("orthogonal", 4, seed)
         assert np.abs(m.T @ m - np.eye(4)).max() < 1e-12
         assert np.abs(m.imag).max() == 0 if np.iscomplexobj(m) else True
+    batch = _haar_batch("orthogonal", 4, _BATCH, np.random.default_rng(0))
+    assert batch.shape == (_BATCH, 4, 4) and batch.dtype == np.float64
+    assert _gram_error(batch) < 1e-12
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+@pytest.mark.parametrize("tau", [1, 2, 3, 4, 5])
+def test_haar_batch_matches_the_phase_fixed_qr_oracle(group, tau):
+    # same seed, same Ginibre draws; only the orthonormalization differs
+    for seed in range(3):
+        q = _haar_batch(group, tau, _BATCH, np.random.default_rng(seed))
+        expected = qr_haar_batch(group, tau, _BATCH, np.random.default_rng(seed))
+        assert np.abs(q - expected).max() <= 1e-12
+
+
+def _near_rank_deficient(group: str, tau: int, rng: np.random.Generator) -> np.ndarray:
+    """64 Ginibre matrices, then seven copies of them whose column 1 is column
+    0 plus 10^-e times fresh noise, e = 4..10."""
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if group == "unitary" else z
+
+    z = draw(64, tau, tau)
+    stack = [z]
+    for e in range(4, 11):
+        ill = z.copy()
+        ill[:, :, 1] = z[:, :, 0] + 10.0**-e * draw(64, tau)
+        stack.append(ill)
+    return np.concatenate(stack)
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+@pytest.mark.parametrize("tau", [2, 3, 5])
+def test_orthonormalize_keeps_its_structure_on_ill_conditioned_input(group, tau):
+    z = _near_rank_deficient(group, tau, np.random.default_rng(tau))
+    assert np.linalg.cond(z).max() > 1e10  # the batch reaches what it claims
+    q = _orthonormalize(z)
+    assert _gram_error(q) <= 1e-12
+    # Q^H z is R: upper triangular with a real, positive diagonal
+    r = np.einsum("bki,bkj->bij", q.conj(), z)
+    scale = np.abs(r).max(axis=(1, 2))[:, None]
+    below = np.abs(r[(slice(None), *np.tril_indices(tau, -1))])
+    assert (below <= 1e-12 * scale).all()
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    assert (np.abs(diag.imag) <= 1e-12 * scale).all()
+    assert (diag.real > 0).all()
+
+
+def test_unitary_tau1_is_a_unit_phase():
+    values = [sample_haar("unitary", 1, seed)[0, 0] for seed in range(200)]
+    assert all(abs(abs(v) - 1) < 1e-14 for v in values)
 
 
 def test_orthogonal_tau1_is_random_sign():
@@ -175,10 +237,10 @@ def test_grid_crosscheck_small_and_deterministic():
     a = grid_crosscheck("unitary", 1, 2, 20_000, seed=4)
     b = grid_crosscheck("unitary", 1, 2, 20_000, seed=4)
     assert a.max_abs_z == b.max_abs_z
-    assert a.moment_count == 2**4
+    assert a.moments == 2**4
     assert a.ok
     o = grid_crosscheck("orthogonal", 1, 3, 20_000, seed=4)
-    assert o.moment_count == 3**4
+    assert o.moments == 3**4
     assert o.ok
 
 
@@ -271,8 +333,8 @@ def test_grid_matches_single_moment_path(group, n):
     samples, seed, tau = 30_000, 12, 2
     grid = grid_crosscheck(group, n, tau, samples, seed=seed, threshold=-1)
     assert isinstance(grid, GridReport)
-    assert grid.moment_count == tau ** (4 * n)
-    assert len(grid.failures) == min(64, grid.moment_count)
+    assert grid.moments == tau ** (4 * n)
+    assert len(grid.failures) == min(64, grid.moments)
     for failure in grid.failures:
         single = estimate_moment(_grid_spec(group, n, tau, failure["index"], samples, seed))
         assert abs(single.z - failure["z"]) <= 1e-9, failure
