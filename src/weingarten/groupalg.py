@@ -285,6 +285,16 @@ def hyperoctahedral_elements(n: int) -> tuple[Permutation, ...]:
     return tuple(sorted(elements))
 
 
+def hyperoctahedral_generators(n: int) -> list[Permutation]:
+    """(1 2) and the n-1 swaps of adjacent pairs, which generate H_n."""
+    gens = [Permutation.transposition(1, 2, 2 * n)]
+    for k in range(1, n):
+        images = list(range(1, 2 * n + 1))
+        images[2 * k - 2:2 * k + 2] = (2 * k + 1, 2 * k + 2, 2 * k - 1, 2 * k)
+        gens.append(Permutation(images))
+    return gens
+
+
 def average_projector(n: int) -> AlgebraElement:
     """Uniform average over the hyperoctahedral subgroup of S_2n (idempotent)."""
     elements = hyperoctahedral_elements(n)

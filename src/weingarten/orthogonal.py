@@ -25,10 +25,12 @@ type while permuting the coset).  Table assembly (``exactmat.weingarten_table``)
 therefore computes one value, from one cycle-type histogram, per loop type,
 which is what keeps the 945-pairing case affordable.
 
-``pairing_basis_matrix`` reads an element's matrix on the pairing basis off
-its hyperoctahedral average; the central-idempotent route to W uses it as an
-independent oracle for the entrywise formula.  The identities this
-construction rests on are checked in ``weingarten.verify``.
+P_H X is constant on each right coset H y, labelled by the pairing
+y^-1 pi_0 y, with value (1/|H|) * (sum of X over H y): ``coset_sums`` forms
+these sums without a product, and ``pairing_basis_matrix`` reads X's matrix
+on the pairing basis off them.  The ``stability`` suite checks that |H| P_H G
+and |H| G P_H are invariant under the generators of H, agree at every coset
+representative, and that the matrix read off P_H G is the Gram matrix.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial
 
-from .coeffring import invert
 from .exactmat import WeingartenTable, content_product, spectral_sum, weingarten_table
-from .groupalg import AlgebraElement, average_projector, hyperoctahedral_elements
+from .groupalg import AlgebraElement, hyperoctahedral_elements
 from .symcore import (
     Pairing,
     Partition,
@@ -47,9 +48,8 @@ from .symcore import (
     double_shape,
     enumerate_pairings,
     hook_dimension,
-    partitions_of,
 )
-from .young import central_idempotent, character
+from .young import character
 
 
 def double_factorial_odd(n: int) -> int:
@@ -180,33 +180,35 @@ def weingarten_orthogonal(n: int, tau) -> WeingartenTable:
     return weingarten_table("orthogonal", n, tau, enumerate_pairings(n), wg_value_orthogonal, 2)
 
 
-def pairing_basis_matrix(n: int, projected: AlgebraElement):
-    """Matrix of X on the pairing basis, read off from projected = P_H * X.
+def coset_label(sigma: Permutation) -> Pairing:
+    """sigma^-1 pi_0 sigma (pi_0 adjacent), the label of H sigma; sigma H has sigma^-1's."""
+    return adjacent_pairing(len(sigma) // 2).conjugate_by(sigma.inverse())
+
+
+def coset_sums(n: int, x: AlgebraElement) -> dict[Pairing, object]:
+    """|H| * P_H x by coset label: (P_H x)(y) is the sum of x over H y, over |H|.
+
+    |H| * (x P_H)(y) is coset_sums(n, x.antipode()) at the label of y^-1.
+    Labels whose sum is zero are absent; no product is formed.
+    """
+    if x.n != 2 * n:
+        raise ValueError(f"coset sums need an element of C[S_{2 * n}], got C[S_{x.n}]")
+    sums: dict = {}
+    for sigma, c in x.terms.items():
+        label = coset_label(sigma)
+        prev = sums.get(label)
+        sums[label] = c if prev is None else prev + c
+    return {label: c for label, c in sums.items() if c}
+
+
+def pairing_basis_matrix(n: int, x: AlgebraElement):
+    """Matrix of X on the pairing basis: entry (i, j) is |H| * (P_H X)(r_j^-1 r_i).
 
     Expand sigma_pi * P * X over the standard basis sigma_pi' * P: the cosets
-    sigma_pi' H are disjoint, so the coefficient of the representative
-    itself, rescaled by |H|, reads off the matrix entry.
+    sigma_pi' H are disjoint, so the entry is the coset sum of X at the label
+    of r_j^-1 r_i, which is (r_j pi_0 r_j^-1) conjugated by r_i^-1.
     """
-    reps = [coset_representative(pi) for pi in enumerate_pairings(n)]
-    inverses = [r.inverse() for r in reps]
-    order = len(hyperoctahedral_elements(n))
-    return [[order * projected.coefficient(rj_inv * ri) for rj_inv in inverses] for ri in reps]
-
-
-def weingarten_matrix_from_central_idempotents(n: int, tau):
-    """Independent route to the Weingarten matrix through C[S_2n] itself.
-
-    Builds W = sum invert(c_lam) * P_2lam as a group-algebra element, with
-    P_2lam from the young module, and reads off its matrix on the pairing
-    basis the same way the stability lemma does.  Used to arbitrate the
-    entrywise formula at desk scale.
-    """
-    w_alg = AlgebraElement.zero(2 * n)
-    for lam in partitions_of(n):
-        c = c_orthogonal(lam, tau)
-        if not c:
-            continue
-        w_alg = w_alg + central_idempotent(double_shape(lam), route="character").map_coefficients(
-            lambda x, inv=invert(c): x * inv
-        )
-    return pairing_basis_matrix(n, average_projector(n) * w_alg)
+    sums, zero = coset_sums(n, x), Fraction(0)
+    inverses = [coset_representative(pi).inverse() for pi in enumerate_pairings(n)]
+    lefts = [coset_label(r_inv) for r_inv in inverses]
+    return [[sums.get(left.conjugate_by(r_inv), zero) for left in lefts] for r_inv in inverses]

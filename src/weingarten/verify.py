@@ -23,13 +23,16 @@ from .exactmat import tau_powers, type_commutation_check
 from .groupalg import (
     AlgebraElement,
     average_projector,
+    hyperoctahedral_generators,
     jm_element,
     jm_product_orthogonal,
     jm_product_unitary,
 )
 from .orthogonal import (
     adjacent_pairing,
+    coset_label,
     coset_representative,
+    coset_sums,
     double_factorial_odd,
     gram_orthogonal,
     pairing_basis_matrix,
@@ -180,27 +183,34 @@ def _doubling(max_n, tau, tau2, deep):
 
 
 def _keyid(max_n, tau, tau2, deep):
-    # P_H * (m_2k - m_(2k-1) - 1) vanishes identically for every k <= n
+    # P_H * (m_2k - m_(2k-1) - 1) vanishes identically for every k <= n, i.e.
+    # every right-coset sum of m_2k - m_(2k-1) - 1 is zero
     for n in range(1, max_n + 1):
         size = 2 * n
-        proj = average_projector(n)
         unit = AlgebraElement.unit(size)
         ok = all(
-            not proj * (jm_element(2 * k, size) - jm_element(2 * k - 1, size) - unit)
+            not coset_sums(n, jm_element(2 * k, size) - jm_element(2 * k - 1, size) - unit)
             for k in range(1, n + 1)
         )
         yield f"projector key identity n={n}", ok
 
 
 def _stability(max_n, tau, tau2, deep):
-    # G commutes with the averaging projector, and its matrix on the pairing
-    # basis, read off from P_H * G, is the Gram matrix
+    # a = |H| P_H G and b = |H| G P_H as coset sums: invariant under the
+    # generators of H (so bi-invariant), equal at every coset representative
+    # (which meets every double coset, so P_H G = G P_H), and a gives Gram
     for n in range(1, max_n + 1):
         t, label = _parameter(n, 3, tau)
         g = jm_product_orthogonal(n, t)
-        proj = average_projector(n)
-        pg = proj * g
-        ok = g * proj == pg and pairing_basis_matrix(n, pg) == gram_orthogonal(n, t)
+        a, b = coset_sums(n, g), coset_sums(n, g.antipode())
+        ok = all(
+            {pi.conjugate_by(h): c for pi, c in f.items()} == f
+            for f in (a, b)
+            for h in hyperoctahedral_generators(n)
+        )
+        reps = [coset_representative(pi) for pi in enumerate_pairings(n)]
+        ok = ok and all(a.get(coset_label(r)) == b.get(coset_label(r.inverse())) for r in reps)
+        ok = ok and pairing_basis_matrix(n, g) == gram_orthogonal(n, t)
         yield f"stability lemma n={n} ({label})", ok
 
 

@@ -6,8 +6,9 @@ character orthogonality), the regular representation of C[S_n] (against
 the Gram and Weingarten matrices), projector entries from a direct walk
 over a conjugating coset (against the cached loop-type histograms),
 Monte-Carlo grid sums over the full tensor power (against the sums over
-distinct factor products), and Haar samples by LAPACK QR with the phase fix
-(against Gram-Schmidt run twice).
+distinct factor products), Haar samples by LAPACK QR with the phase fix
+(against Gram-Schmidt run twice), and matrices on the pairing basis read
+off the materialized product P_H * X (against the coset sums of X).
 """
 
 import itertools
@@ -17,10 +18,25 @@ from math import factorial
 
 import numpy as np
 
-from weingarten.groupalg import AlgebraElement
+from weingarten.coeffring import invert
+from weingarten.groupalg import AlgebraElement, average_projector, hyperoctahedral_elements
 from weingarten.haarmc import _BATCH, _haar_batch
-from weingarten.orthogonal import _coset_character_sum, coset_cycle_type_histogram, loop_type
-from weingarten.symcore import Pairing, Partition, Permutation
+from weingarten.orthogonal import (
+    _coset_character_sum,
+    c_orthogonal,
+    coset_cycle_type_histogram,
+    coset_representative,
+    loop_type,
+)
+from weingarten.symcore import (
+    Pairing,
+    Partition,
+    Permutation,
+    double_shape,
+    enumerate_pairings,
+    partitions_of,
+)
+from weingarten.young import central_idempotent
 
 
 def centralizer_order(mu: Partition) -> int:
@@ -92,6 +108,38 @@ def projector_entry(lam: Partition, pi: Pairing, rho: Pairing, sigma0=None) -> F
             raise ValueError("sigma0 does not conjugate rho to pi")
         hist = Counter((sigma0 * c).cycle_type() for c in pairing_centralizer(rho))
     return _coset_character_sum(lam, hist)
+
+
+def materialized_pairing_basis_matrix(n: int, projected: AlgebraElement):
+    """Matrix of X on the pairing basis, read off from projected = P_H * X.
+
+    Expand sigma_pi * P * X over the standard basis sigma_pi' * P: the cosets
+    sigma_pi' H are disjoint, so the coefficient of the representative
+    itself, rescaled by |H|, reads off the matrix entry.
+    """
+    reps = [coset_representative(pi) for pi in enumerate_pairings(n)]
+    inverses = [r.inverse() for r in reps]
+    order = len(hyperoctahedral_elements(n))
+    return [[order * projected.coefficient(rj_inv * ri) for rj_inv in inverses] for ri in reps]
+
+
+def weingarten_matrix_from_central_idempotents(n: int, tau):
+    """Independent route to the Weingarten matrix through C[S_2n] itself.
+
+    Builds W = sum invert(c_lam) * P_2lam as a group-algebra element, with
+    P_2lam from the young module, and reads off its matrix on the pairing
+    basis from the materialized product P_H * W.  Arbitrates the entrywise
+    formula at desk scale.
+    """
+    w_alg = AlgebraElement.zero(2 * n)
+    for lam in partitions_of(n):
+        c = c_orthogonal(lam, tau)
+        if not c:
+            continue
+        w_alg = w_alg + central_idempotent(double_shape(lam), route="character").map_coefficients(
+            lambda x, inv=invert(c): x * inv
+        )
+    return materialized_pairing_basis_matrix(n, average_projector(n) * w_alg)
 
 
 def tensor_power_flat(q: np.ndarray, n: int) -> np.ndarray:

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from weingarten import cli, verify, young
-from weingarten.coeffring import parse
+from weingarten import cli, orthogonal, verify, young
+from weingarten.coeffring import TAU, parse
 from weingarten.groupalg import AlgebraElement
 from weingarten.symcore import Permutation, StandardTableau
 
@@ -172,13 +172,13 @@ def test_verify_exit_code_reflects_injected_failure(capsys, monkeypatch):
     assert "FAIL" in out
 
 
-def _plus_transposition(product):
-    """The product with one more term, 1 * (1 2), wherever S_m has (1 2)."""
+def _plus_transposition(product, i=1, j=2):
+    """The product with one more term, 1 * (i j), wherever S_m has (i j)."""
     def corrupted(n, tau):
         out = product(n, tau)
-        if out.n < 2:
+        if out.n < max(i, j):
             return out
-        return out + AlgebraElement.basis(Permutation.transposition(1, 2, out.n))
+        return out + AlgebraElement.basis(Permutation.transposition(i, j, out.n))
     return corrupted
 
 
@@ -239,6 +239,81 @@ def test_verify_suite_fails_on_injected_fault(capsys, monkeypatch, suite):
     code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--n", str(n))
     assert code == 1
     assert "FAIL" in out
+
+
+def _plus_coset_difference(product):
+    """The product plus (2 3) - (1 2)(2 3), wherever S_m has (2 3).
+
+    Both terms lie in the right coset H (2 3), so every right-coset sum, and
+    with them P_H G and its matrix, stay the same, while G P_H changes.
+    """
+    def corrupted(n, tau):
+        out = product(n, tau)
+        if out.n < 3:
+            return out
+        swap = Permutation.transposition(2, 3, out.n)
+        flip = Permutation.transposition(1, 2, out.n)
+        return out + AlgebraElement.basis(swap) - AlgebraElement.basis(flip * swap)
+    return corrupted
+
+
+STABILITY_FAULTS = {
+    "plus (1 2)": lambda product: _plus_transposition(product, 1, 2),
+    "plus (2 3)": lambda product: _plus_transposition(product, 2, 3),
+    "plus (1 3)": lambda product: _plus_transposition(product, 1, 3),
+    "plus (2 3) - (1 2)(2 3)": _plus_coset_difference,
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fault", sorted(STABILITY_FAULTS))
+def test_stability_fails_on_a_corrupted_g(capsys, monkeypatch, fault, n):
+    # (1 2) lies in H and moves one coset sum; the others break invariance
+    corrupt = STABILITY_FAULTS[fault]
+    monkeypatch.setattr(verify, "jm_product_orthogonal", corrupt(verify.jm_product_orthogonal))
+    code, out, err = run_cli(capsys, "verify", "--suite", "stability", "--n", str(n))
+    assert code == 1
+    assert out.splitlines()[-1] == f"FAIL stability lemma n={n} (symbolic)"
+    assert "Traceback" not in err
+
+
+def test_stability_fails_on_a_coset_label_with_two_points_swapped(capsys, monkeypatch):
+    # 2 and 3 lie in different pairs of the adjacent pairing
+    label = orthogonal.coset_label
+
+    def swapped(sigma):
+        out = label(sigma)
+        return out if len(out) < 4 else out.conjugate_by(Permutation.transposition(2, 3, len(out)))
+
+    for module in (orthogonal, verify):
+        monkeypatch.setattr(module, "coset_label", swapped)
+    code, out, err = run_cli(capsys, "verify", "--suite", "stability", "--n", "2")
+    assert code == 1
+    assert out.splitlines() == ["ok   stability lemma n=1 (symbolic)",
+                                "FAIL stability lemma n=2 (symbolic)"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fault", ["plus (2 3)", "plus (2 3) - (1 2)(2 3)"])
+def test_stability_catches_what_a_dropped_generator_misses(capsys, monkeypatch, fault):
+    # without (1 2), both faults pass the invariance check at n = 2: G + (2 3)
+    # still fails the matrix, G + (2 3) - (1 2)(2 3) the comparison of P_H G
+    # with G P_H at the coset representatives
+    generators = verify.hyperoctahedral_generators
+    monkeypatch.setattr(verify, "hyperoctahedral_generators", lambda n: generators(n)[1:])
+    corrupted = STABILITY_FAULTS[fault](verify.jm_product_orthogonal)
+    monkeypatch.setattr(verify, "jm_product_orthogonal", corrupted)
+    g = corrupted(2, TAU)
+    sums = [orthogonal.coset_sums(2, g), orthogonal.coset_sums(2, g.antipode())]
+
+    def invariant(h):
+        return all({pi.conjugate_by(h): c for pi, c in f.items()} == f for f in sums)
+
+    assert all(invariant(h) for h in generators(2)[1:]) and not invariant(generators(2)[0])
+    code, out, err = run_cli(capsys, "verify", "--suite", "stability", "--n", "2")
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL stability lemma n=2 (symbolic)"
+    assert "Traceback" not in err
 
 
 def test_verify_doubling_disagreement_is_a_fail_not_a_traceback(capsys, monkeypatch):

@@ -14,6 +14,7 @@ from weingarten.groupalg import (
     _mul_terms,
     average_projector,
     hyperoctahedral_elements,
+    hyperoctahedral_generators,
     jm_element,
     jm_product_orthogonal,
     jm_product_unitary,
@@ -186,6 +187,19 @@ def test_hyperoctahedral_equals_conjugation_stabilizer():
         }
         assert stabilizer == set(hyperoctahedral_elements(n))
         assert len(stabilizer) * len(enumerate_pairings(n)) == _fact(2 * n)
+
+
+def test_hyperoctahedral_generators_generate_h_n():
+    for n in (1, 2, 3):
+        gens = hyperoctahedral_generators(n)
+        assert len(gens) == n
+        group, frontier = set(), [Permutation.identity(2 * n)]
+        while frontier:
+            p = frontier.pop()
+            if p not in group:
+                group.add(p)
+                frontier.extend(g * p for g in gens)
+        assert group == set(hyperoctahedral_elements(n))
 
 
 def test_average_projector_idempotent_and_antipode_invariant():

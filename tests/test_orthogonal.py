@@ -4,23 +4,37 @@ from math import factorial
 
 import pytest
 import sympy
-from oracles import pairing_centralizer, projector_entry
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    materialized_pairing_basis_matrix,
+    pairing_centralizer,
+    projector_entry,
+    weingarten_matrix_from_central_idempotents,
+)
 
 from weingarten import verify
 from weingarten.coeffring import TAU, render
 from weingarten.exactmat import mat_identity, mat_mul, pseudo_inverse_check, spectral_sum
-from weingarten.groupalg import AlgebraElement, average_projector, jm_product_orthogonal
+from weingarten.groupalg import (
+    AlgebraElement,
+    average_projector,
+    hyperoctahedral_elements,
+    jm_product_orthogonal,
+)
 from weingarten.orthogonal import (
     _loop_type_representative,
     adjacent_pairing,
     c_orthogonal,
     conjugating_permutation,
     coset_cycle_type_histogram,
+    coset_label,
     coset_representative,
+    coset_sums,
     double_factorial_odd,
     gram_orthogonal,
     loop_type,
-    weingarten_matrix_from_central_idempotents,
+    pairing_basis_matrix,
     weingarten_orthogonal,
     wg_value_orthogonal,
 )
@@ -244,6 +258,51 @@ def test_stability_lemma_small():
     assert _suite_passes("stability", 3)
 
 
+def test_stability_lemma_at_the_forced_size():
+    # what `verify --suite stability --n 5 --force` runs
+    checks = list(verify.run("stability", 5, Fraction(7)))
+    assert checks[-1] == ("stability lemma n=5 (tau=7)", True)
+    assert all(ok for _, ok in checks)
+
+
+# terms added to G, as (coefficient, product of transpositions): one
+# transposition, inside H or not, or two permutations of one right coset with
+# opposite signs, which leave P_H G and its matrix unchanged but not G P_H
+_EXTRA_TERMS = {
+    "none": [],
+    "(1 2)": [(1, [(1, 2)])],
+    "(2 3)": [(1, [(2, 3)])],
+    "(1 3)": [(1, [(1, 3)])],
+    "(2 3) - (1 2)(2 3)": [(1, [(2, 3)]), (-1, [(1, 2), (2, 3)])],
+}
+
+
+@pytest.mark.parametrize("extra", sorted(_EXTRA_TERMS))
+def test_stability_suite_agrees_with_materialized_products(monkeypatch, extra):
+    # the oracle forms P_H G and G P_H in C[S_2n] and reads the matrix off P_H G
+    terms = _EXTRA_TERMS[extra]
+
+    def product(n, tau):
+        g = jm_product_orthogonal(n, tau)
+        if any(max(pair) > 2 * n for _, word in terms for pair in word):
+            return g
+        for coeff, word in terms:
+            sigma = Permutation.identity(2 * n)
+            for pair in word:
+                sigma = sigma * Permutation.transposition(*pair, 2 * n)
+            g = g + AlgebraElement.basis(sigma, Fraction(coeff))
+        return g
+
+    monkeypatch.setattr(verify, "jm_product_orthogonal", product)
+    top = 4 if extra == "none" else 3
+    for n, (_, ok) in zip(range(1, top + 1), verify.run("stability", top), strict=True):
+        t = TAU if n <= 3 else Fraction(7)
+        g, proj = product(n, t), average_projector(n)
+        pg = proj * g
+        oracle = g * proj == pg and materialized_pairing_basis_matrix(n, pg) == gram_orthogonal(n, t)
+        assert ok == oracle == (g == jm_product_orthogonal(n, t))
+
+
 def test_projected_product_closed_form():
     # G * P_H = 1/|H| * sum over all sigma of tau^(loops of sigma beta sigma^-1 against beta)
     for n in (1, 2, 3):
@@ -259,6 +318,49 @@ def test_projected_product_closed_form():
 
 def test_key_identity_up_to_3():
     assert _suite_passes("keyid", 3)
+
+
+def test_key_identity_at_the_forced_size():
+    # what `verify --suite keyid --n 6 --force` runs
+    assert _suite_passes("keyid", 6)
+
+
+_small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+_coefficients = {
+    "fraction": _small_fractions,
+    "symbolic": st.builds(lambda a, b, c: (a + b * TAU) / (TAU + c), *[_small_fractions] * 3),
+}
+
+
+@st.composite
+def _elements_of_c_s2n(draw):
+    """A random element of C[S_2n], 2n <= 6, all-Fraction or all-TauRational."""
+    size = 2 * draw(st.integers(1, 3))
+    coeffs = _coefficients[draw(st.sampled_from(sorted(_coefficients)))]
+    perms = st.permutations(range(1, size + 1)).map(Permutation)
+    return AlgebraElement(size, draw(st.dictionaries(perms, coeffs, max_size=6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_elements_of_c_s2n())
+def test_coset_sums_match_the_products_with_the_projector(x):
+    # P_H X is constant on each right coset H y, with value (coset sum)/|H|;
+    # X P_H on each left coset y H, the right coset sum of the antipode
+    n = x.n // 2
+    proj = average_projector(n)
+    order = len(hyperoctahedral_elements(n))
+    right, left = coset_sums(n, x), coset_sums(n, x.antipode())
+    px, xp = proj * x, x * proj
+    for y in permutations_of(2 * n):
+        assert order * px.coefficient(y) == right.get(coset_label(y), 0)
+        assert order * xp.coefficient(y) == left.get(coset_label(y.inverse()), 0)
+    assert pairing_basis_matrix(n, x) == materialized_pairing_basis_matrix(n, px)
+
+
+def test_coset_sums_reject_an_element_outside_c_s2n():
+    for n, size in ((1, 3), (2, 2), (2, 6)):
+        with pytest.raises(ValueError, match="C\\[S_"):
+            coset_sums(n, AlgebraElement.unit(size))
 
 
 def test_doubling_small():

@@ -75,6 +75,7 @@ EXACT_COMMANDS = [
     ["verify", "--suite", "jucys", "--n", "4"],
     ["verify", "--suite", "oid", "--n", "3"],
     ["verify", "--suite", "stability", "--n", "3"],
+    ["verify", "--suite", "keyid", "--n", "4"],
 ]
 
 
