@@ -1,4 +1,4 @@
-"""Exact tables and dense-matrix helpers shared by the two Weingarten modules.
+"""Exact tables and type-algebra identities shared by the two Weingarten modules.
 
 Matrices are plain lists of row lists whose entries live in any of the
 package's coefficient rings; everything here is exact, nothing is numeric.
@@ -19,8 +19,13 @@ structure constants: the class algebra of S_n for U(t), the Hecke algebra of
 (S_2n, H_n) for O(t).  The checks first prove invariance and transitivity
 from the generators' index maps and that row 0 is constant on each type, then
 build the constants from N * p(n) cycle walks and compare p(n) values.
-``mat_mul`` is the dense O(N^3) product, kept as the reference the tests
-compare against.
+
+The same algebra gives the orthogonal Weingarten values.  The Gram element
+G(t), with value t^(parts) on each type, acts on the lam-component by
+c_lam(t) = ``content_product(lam, t, alpha)``, so ``type_idempotents``
+interpolates the primitive idempotents E_lam from G at one probe t0 where
+the c_lam(t0) are distinct, and proves them before returning.  The
+Weingarten value on a type is then the sum of E_lam / c_lam(tau).
 """
 
 from __future__ import annotations
@@ -31,47 +36,6 @@ from fractions import Fraction
 
 from .coeffring import invert, is_symbolic, render
 from .symcore import Partition, cross_type_matrix, generator_index_maps, partitions_of, type_matrix
-
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    assert all(len(row) == k for row in a)
-    out = []
-    for i in range(n):
-        row_a = a[i]
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                x = row_a[t]
-                if not x:
-                    continue
-                y = b[t][j]
-                if not y:
-                    continue
-                term = x * y
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else Fraction(0))
-        out.append(row)
-    return out
-
-
-def pseudo_inverse_check(gram, wg) -> PseudoInverseReport:
-    """Dense O(N^3) check by exact multiplication, the reference for the tests.
-
-    Production paths use ``type_pseudo_inverse_check``, which needs only the
-    values per type.  Failures are reported, never raised.
-    """
-    gw = mat_mul(gram, wg)
-    return PseudoInverseReport(
-        gwg_equals_g=mat_mul(gw, gram) == gram,
-        wgw_equals_w=mat_mul(wg, gw) == wg,
-        w_symmetric=mat_is_symmetric(wg),
-    )
-
-
-def mat_identity(n: int):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
 def mat_is_symmetric(a) -> bool:
@@ -126,11 +90,11 @@ def _type_algebra(basis, *matrices):
     Returns None unless the structure holds: every matrix is square of size
     len(basis) and invariant under the generators' index maps, index 0's
     orbit is the whole basis, row 0 of every matrix is constant on each type,
-    and no pair has a type that row 0 lacks.  Otherwise returns (constants,
-    values): types are numbered as they first appear in row 0, r_g is that
-    first column of type g, constants[g][(a, b)] counts the k with
-    type(0, k) = a and type(k, r_g) = b, and values[i][g] is matrix i's
-    entry at (0, r_g).
+    and no pair has a type that row 0 lacks.  Otherwise returns (types,
+    constants, values): types are numbered as they first appear in row 0, so
+    the identity type is 0, r_g is that first column of type g,
+    constants[g][(a, b)] counts the k with type(0, k) = a and
+    type(k, r_g) = b, and values[i][g] is matrix i's entry at (0, r_g).
     """
     size, maps = len(basis), generator_index_maps(basis)
     square = all(len(m) == size and all(len(row) == size for row in m) for m in matrices)
@@ -150,7 +114,7 @@ def _type_algebra(basis, *matrices):
     for a, bs in zip(row, index):
         for g, b in enumerate(bs):
             constants[g][a, renumber[b]] += 1
-    return constants, values
+    return types, constants, values
 
 
 def _product(constants, a, b) -> list:
@@ -170,7 +134,7 @@ def type_pseudo_inverse_check(gram, wg, basis) -> PseudoInverseReport:
     algebra = _type_algebra(basis, gram, wg)
     if algebra is None:
         return PseudoInverseReport(False, False, False, invariant=False)
-    constants, (g, w) = algebra
+    _, constants, (g, w) = algebra
     gw = _product(constants, g, w)
     return PseudoInverseReport(
         gwg_equals_g=_product(constants, gw, g) == g,
@@ -184,8 +148,54 @@ def type_commutation_check(a, b, basis) -> bool:
     algebra = _type_algebra(basis, a, b)
     if algebra is None:
         return False
-    constants, (x, y) = algebra
+    _, constants, (x, y) = algebra
     return _product(constants, x, y) == _product(constants, y, x)
+
+
+def _probe(n: int, alpha: int) -> int:
+    """The first positive integer t0 at which the c_lam(t0) of the shapes of n are distinct."""
+    shapes, t0 = partitions_of(n), 1
+    while len({content_product(lam, t0, alpha) for lam in shapes}) < len(shapes):
+        t0 += 1
+    return t0
+
+
+def type_idempotents(n: int, basis, alpha: int):
+    """Primitive idempotents E_lam of the type algebra of `basis`, as values per type.
+
+    G(t0) has value t0^(parts) on each type and acts on the lam-component by
+    c_lam = content_product(lam, t0, alpha); with the c_lam distinct,
+    E_lam = product over mu != lam of (G(t0) - c_mu) / (c_lam - c_mu).
+    Returns (types, {lam: E_lam's value on each type}) after proving the
+    structure, that every E_lam is nonzero with G(t0) E_lam = c_lam E_lam, and
+    that the E_lam sum to the unit.  Each E_lam is a polynomial in G(t0), so
+    these give E_lam E_mu = delta E_lam.  Raises ValueError naming the first
+    identity that fails.
+    """
+    algebra = _type_algebra(basis)
+    if algebra is None:
+        raise ValueError("type idempotents: the basis fails the type-algebra structure proof")
+    types, constants, _ = algebra
+    t0, shapes = _probe(n, alpha), partitions_of(n)
+    c = {lam: content_product(lam, t0, alpha) for lam in shapes}
+    if len(set(c.values())) < len(shapes):
+        raise ValueError(f"type idempotents: two c_lam({t0}) coincide")
+    gram = [Fraction(t0) ** len(mu) for mu in types]
+    unit = [Fraction(int(g == 0)) for g in range(len(types))]
+    idempotents = {}
+    for lam in shapes:
+        e = unit
+        for mu in shapes:
+            if mu != lam:
+                scale = 1 / (c[lam] - c[mu])
+                factor = [(x - c[mu] * u) * scale for x, u in zip(gram, unit)]
+                e = factor if e is unit else _product(constants, e, factor)
+        if not any(e) or _product(constants, gram, e) != [c[lam] * x for x in e]:
+            raise ValueError(f"type idempotents: G E_lam != c_lam E_lam at lam = {lam.to_text()}")
+        idempotents[lam] = e
+    if [sum(col) for col in zip(*idempotents.values())] != unit:
+        raise ValueError("type idempotents: the E_lam do not sum to the unit")
+    return types, idempotents
 
 
 def tau_powers(tau, n: int) -> list:

@@ -8,22 +8,19 @@ basis sigma_pi * P_H where sigma_pi conjugates the adjacent pairing to pi.
 
 The Weingarten matrix comes out of the Collins-Matsumoto formula
 
-    W_(pi,pi') = sum over lam with c_lam != 0 of
-                 (P_doubled(lam))_(pi,pi') / c_lam,
+    W = sum over lam with c_lam != 0 of E_lam / c_lam,
     c_lam = product over boxes (i,j) of (tau + 2j - 1 - i),
 
-with central-projector entries
-
-    (P_2lam)_(pi,pi') = dim(2lam)/(2n)! *
-                        sum over {sigma : sigma pi' sigma^-1 = pi} of
-                        chi_2lam(sigma).
-
-That sum runs over a single left coset of the centralizer of pi' (order
-2^n n!), and its value depends only on the loop-length type of the pair
-(pi, pi') (simultaneous conjugation moves any pair to any other of the same
-type while permuting the coset).  Table assembly (``exactmat.weingarten_table``)
-therefore computes one value, from one cycle-type histogram, per loop type,
-which is what keeps the 945-pairing case affordable.
+where E_lam is the projector onto the 2lam-component of the pairing module.
+(S_2n, H_n) is a Gelfand pair, so the matrices commuting with the action on
+pairings form the commutative Hecke algebra, one basis element per loop type
+of a pair (pi, pi'), and the E_lam are its primitive idempotents.
+``exactmat.type_idempotents`` builds them from the Gram element once per n,
+with the structure and the idempotent identities proved; each one is also
+checked to have trace dim(2lam).  A Weingarten value is then p(n) scaled
+sums on its loop type, and table assembly (``exactmat.weingarten_table``)
+computes one value per loop type, which is what keeps the 945-pairing case
+affordable.
 
 P_H X is constant on each right coset H y, labelled by the pairing
 y^-1 pi_0 y, with value (1/|H|) * (sum of X over H y): ``coset_sums`` forms
@@ -35,12 +32,17 @@ representative, and that the matrix read off P_H G is the Gram matrix.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
 
-from .exactmat import WeingartenTable, content_product, spectral_sum, weingarten_table
-from .groupalg import AlgebraElement, hyperoctahedral_elements
+from .exactmat import (
+    WeingartenTable,
+    content_product,
+    spectral_sum,
+    type_idempotents,
+    weingarten_table,
+)
+from .groupalg import AlgebraElement
 from .symcore import (
     Pairing,
     Partition,
@@ -49,7 +51,6 @@ from .symcore import (
     enumerate_pairings,
     hook_dimension,
 )
-from .young import character
 
 
 def double_factorial_odd(n: int) -> int:
@@ -89,19 +90,6 @@ def coset_representative(pi: Pairing) -> Permutation:
     return swap * coset_representative(pi.conjugate_by(swap))
 
 
-def loop_type(pi: Pairing, rho: Pairing) -> Partition:
-    """Loop lengths of the pasting of two pairings, as a partition of n.
-
-    The permutation product splits every loop through 2m points into two
-    m-cycles, so halving the cycle-type multiplicities recovers the loops.
-    """
-    counts = Counter(len(c) for c in (pi * rho).cycles())
-    sizes = []
-    for length, count in counts.items():
-        sizes.extend([length] * (count // 2))
-    return Partition(sorted(sizes, reverse=True))
-
-
 def gram_orthogonal(n: int, tau):
     """(2n-1)!! square Gram matrix over the canonical pairing basis."""
     return weingarten_table("orthogonal", n, tau, enumerate_pairings(n)).gram
@@ -112,67 +100,24 @@ def c_orthogonal(lam: Partition, tau):
     return content_product(lam, tau, 2)
 
 
-def conjugating_permutation(src: Pairing, dst: Pairing) -> Permutation:
-    """Some sigma with sigma src sigma^-1 = dst, by matching pair lists in order."""
-    if len(src) != len(dst):
-        raise ValueError("pairings must have the same size")
-    images = [0] * len(src)
-    for (a, b), (c, d) in zip(src.pairs(), dst.pairs()):
-        images[a - 1], images[b - 1] = c, d
-    return Permutation(images)
+_HISTOGRAM_CACHE: dict = {}  # always empty; only wgbench/tracer.py still reads it
 
 
-def _loop_type_representative(mu: Partition) -> Pairing:
-    """A pairing whose pasting against the adjacent pairing has loops mu."""
-    images = []
-    offset = 0
-    for m in mu:
-        block = list(range(offset + 2, offset + 2 * m + 1)) + [offset + 1]
-        # cyclic shift of the block: pairs (s+2,s+3),(s+4,s+5),...,(s+2m,s+1)
-        partner = {}
-        for idx in range(0, 2 * m, 2):
-            a, b = block[idx], block[idx + 1]
-            partner[a] = b
-            partner[b] = a
-        images.extend(partner[offset + i] for i in range(1, 2 * m + 1))
-        offset += 2 * m
-    return Pairing(images)
-
-
-_HISTOGRAM_CACHE: dict[tuple[int, ...], Counter] = {}
-
-
-def coset_cycle_type_histogram(mu: Partition) -> Counter:
-    """Cycle-type counts over {sigma : sigma conjugates pi' to pi}, fixed loop type.
-
-    The multiset of cycle types is the same for every pair (pi, pi') of loop
-    type mu and for every choice of base conjugator, so it is cached per type.
-    """
-    mu = Partition(mu)
-    key = tuple(mu)
-    cached = _HISTOGRAM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    n = mu.weight
-    # the centralizer of the adjacent pairing is H_n itself
-    sigma0 = conjugating_permutation(adjacent_pairing(n), _loop_type_representative(mu))
-    hist = Counter((sigma0 * h).cycle_type() for h in hyperoctahedral_elements(n))
-    _HISTOGRAM_CACHE[key] = hist
-    return hist
-
-
-def _coset_character_sum(lam: Partition, hist: Counter) -> Fraction:
-    """dim(2lam)/(2n)! times the sum of count * chi_2lam over a coset histogram."""
-    lam2 = double_shape(lam)
-    total = sum(count * character(lam2, ct) for ct, count in hist.items())
-    return Fraction(hook_dimension(lam2) * total, factorial(lam2.weight))
+@lru_cache(maxsize=None)
+def _idempotents_by_type(n: int) -> dict[Partition, dict[Partition, Fraction]]:
+    """{loop type mu: {lam: E_lam(mu)}}, each E_lam proved to have trace dim(2lam)."""
+    types, idempotents = type_idempotents(n, enumerate_pairings(n), 2)
+    pairings = double_factorial_odd(n)
+    for lam, e in idempotents.items():
+        if e[0] != Fraction(hook_dimension(double_shape(lam)), pairings):
+            raise ValueError(f"E_lam(identity) != dim(2lam)/(2n-1)!! at lam = {lam.to_text()}")
+    return {mu: {lam: e[g] for lam, e in idempotents.items()} for g, mu in enumerate(types)}
 
 
 def wg_value_orthogonal(mu: Partition, tau):
     """Weingarten entry for a pair of pairings of loop type mu."""
     mu = Partition(mu)
-    hist = coset_cycle_type_histogram(mu)
-    return spectral_sum(mu.weight, tau, 2, lambda lam: _coset_character_sum(lam, hist))
+    return spectral_sum(mu.weight, tau, 2, _idempotents_by_type(mu.weight)[mu].__getitem__)
 
 
 def weingarten_orthogonal(n: int, tau) -> WeingartenTable:

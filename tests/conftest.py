@@ -17,7 +17,7 @@ def _clear_memos():
     yield
     young._CHAR_MEMO.clear()
     young._IDEMPOTENT_CACHE.clear()
-    orthogonal._HISTOGRAM_CACHE.clear()
+    orthogonal._idempotents_by_type.cache_clear()
     groupalg.hyperoctahedral_elements.cache_clear()
 
 

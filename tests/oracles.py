@@ -3,9 +3,11 @@
 Each one recomputes by brute force a quantity the package gets another way,
 so a test can compare the two: centralizer orders (against class sizes and
 character orthogonality), the regular representation of C[S_n] (against
-the Gram and Weingarten matrices), projector entries from a direct walk
-over a conjugating coset (against the cached loop-type histograms),
-Monte-Carlo grid sums over the full tensor power (against the sums over
+the Gram and Weingarten matrices), the dense matrix product and
+pseudo-inverse check (against the type-algebra checks), loop types by
+permutation product (against the type matrix), orthogonal values and
+projector entries from S_2n characters summed over cycle-type histograms of
+H_n cosets (against the Hecke-algebra idempotents), Monte-Carlo grid sums over the full tensor power (against the sums over
 distinct factor products), Haar samples by LAPACK QR with the phase fix
 (against Gram-Schmidt run twice), and matrices on the pairing basis read
 off the materialized product P_H * X (against the coset sums of X).
@@ -19,24 +21,122 @@ from math import factorial
 import numpy as np
 
 from weingarten.coeffring import invert
+from weingarten.exactmat import PseudoInverseReport, mat_is_symmetric, spectral_sum
 from weingarten.groupalg import AlgebraElement, average_projector, hyperoctahedral_elements
 from weingarten.haarmc import _BATCH, _haar_batch
-from weingarten.orthogonal import (
-    _coset_character_sum,
-    c_orthogonal,
-    coset_cycle_type_histogram,
-    coset_representative,
-    loop_type,
-)
+from weingarten.orthogonal import adjacent_pairing, c_orthogonal, coset_representative
 from weingarten.symcore import (
     Pairing,
     Partition,
     Permutation,
     double_shape,
     enumerate_pairings,
+    hook_dimension,
     partitions_of,
 )
-from weingarten.young import central_idempotent
+from weingarten.young import central_idempotent, character
+
+
+def mat_mul(a, b):
+    """Dense O(N^3) product of two matrices given as lists of rows."""
+    n, k, m = len(a), len(b), len(b[0])
+    assert all(len(row) == k for row in a)
+    out = []
+    for i in range(n):
+        row_a = a[i]
+        row = []
+        for j in range(m):
+            acc = None
+            for t in range(k):
+                x = row_a[t]
+                if not x:
+                    continue
+                y = b[t][j]
+                if not y:
+                    continue
+                term = x * y
+                acc = term if acc is None else acc + term
+            row.append(acc if acc is not None else Fraction(0))
+        out.append(row)
+    return out
+
+
+def mat_identity(n: int):
+    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+
+
+def pseudo_inverse_check(gram, wg) -> PseudoInverseReport:
+    """GWG=G, WGW=W and W=W^T by exact dense multiplication; needs no structure."""
+    gw = mat_mul(gram, wg)
+    return PseudoInverseReport(
+        gwg_equals_g=mat_mul(gw, gram) == gram,
+        wgw_equals_w=mat_mul(wg, gw) == wg,
+        w_symmetric=mat_is_symmetric(wg),
+    )
+
+
+def loop_type(pi: Pairing, rho: Pairing) -> Partition:
+    """Loop lengths of the pasting of two pairings, as a partition of n.
+
+    The permutation product splits every loop through 2m points into two
+    m-cycles, so halving the cycle-type multiplicities recovers the loops.
+    """
+    counts = Counter(len(c) for c in (pi * rho).cycles())
+    sizes = []
+    for length, count in counts.items():
+        sizes.extend([length] * (count // 2))
+    return Partition(sorted(sizes, reverse=True))
+
+
+def conjugating_permutation(src: Pairing, dst: Pairing) -> Permutation:
+    """Some sigma with sigma src sigma^-1 = dst, by matching pair lists in order."""
+    if len(src) != len(dst):
+        raise ValueError("pairings must have the same size")
+    images = [0] * len(src)
+    for (a, b), (c, d) in zip(src.pairs(), dst.pairs()):
+        images[a - 1], images[b - 1] = c, d
+    return Permutation(images)
+
+
+def loop_type_representative(mu: Partition) -> Pairing:
+    """A pairing whose pasting against the adjacent pairing has loops mu."""
+    images = []
+    offset = 0
+    for m in mu:
+        block = list(range(offset + 2, offset + 2 * m + 1)) + [offset + 1]
+        # cyclic shift of the block: pairs (s+2,s+3),(s+4,s+5),...,(s+2m,s+1)
+        partner = {}
+        for idx in range(0, 2 * m, 2):
+            a, b = block[idx], block[idx + 1]
+            partner[a] = b
+            partner[b] = a
+        images.extend(partner[offset + i] for i in range(1, 2 * m + 1))
+        offset += 2 * m
+    return Pairing(images)
+
+
+def coset_cycle_type_histogram(mu: Partition) -> Counter:
+    """Cycle-type counts over {sigma : sigma conjugates pi' to pi}, for a pair of loop type mu.
+
+    The multiset is the same for every such pair and every base conjugator;
+    this walks sigma0 * H_n for the adjacent pairing, whose centralizer is H_n.
+    """
+    mu = Partition(mu)
+    sigma0 = conjugating_permutation(adjacent_pairing(mu.weight), loop_type_representative(mu))
+    return Counter((sigma0 * h).cycle_type() for h in hyperoctahedral_elements(mu.weight))
+
+
+def coset_character_sum(lam: Partition, hist: Counter) -> Fraction:
+    """dim(2lam)/(2n)! times the sum of count * chi_2lam over a coset histogram."""
+    lam2 = double_shape(lam)
+    total = sum(count * character(lam2, ct) for ct, count in hist.items())
+    return Fraction(hook_dimension(lam2) * total, factorial(lam2.weight))
+
+
+def histogram_wg_value_orthogonal(mu: Partition, tau):
+    """The orthogonal Weingarten value on loop type mu from S_2n characters over one H_n coset."""
+    hist = coset_cycle_type_histogram(mu)
+    return spectral_sum(Partition(mu).weight, tau, 2, lambda lam: coset_character_sum(lam, hist))
 
 
 def centralizer_order(mu: Partition) -> int:
@@ -93,7 +193,7 @@ def projector_entry(lam: Partition, pi: Pairing, rho: Pairing, sigma0=None) -> F
     """Entry (pi, rho) of the doubled-shape central projector on pairings.
 
     dim(2lam)/(2n)! times the character sum over the conjugating coset.  With
-    sigma0=None the cached loop-type histogram is used; passing an explicit
+    sigma0=None the loop-type histogram is used; passing an explicit
     conjugator forces the direct coset enumeration (any valid sigma0 gives the
     same value, which tests exploit).
     """
@@ -107,7 +207,7 @@ def projector_entry(lam: Partition, pi: Pairing, rho: Pairing, sigma0=None) -> F
         if not rho.conjugate_by(sigma0) == pi:
             raise ValueError("sigma0 does not conjugate rho to pi")
         hist = Counter((sigma0 * c).cycle_type() for c in pairing_centralizer(rho))
-    return _coset_character_sum(lam, hist)
+    return coset_character_sum(lam, hist)
 
 
 def materialized_pairing_basis_matrix(n: int, projected: AlgebraElement):

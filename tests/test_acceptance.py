@@ -10,11 +10,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from oracles import centralizer_order
+from oracles import centralizer_order, mat_identity, mat_mul
 
 from weingarten import verify
 from weingarten.coeffring import TAU, render
-from weingarten.exactmat import mat_identity, mat_mul
 from weingarten.haarmc import grid_crosscheck
 from weingarten.orthogonal import weingarten_orthogonal
 from weingarten.symcore import Partition, hook_dimension, partitions_of

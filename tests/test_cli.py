@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from weingarten import cli, orthogonal, verify, young
+from weingarten import cli, exactmat, orthogonal, verify, young
 from weingarten.coeffring import TAU, parse
 from weingarten.groupalg import AlgebraElement
 from weingarten.symcore import Permutation, StandardTableau
@@ -313,6 +313,28 @@ def test_stability_catches_what_a_dropped_generator_misses(capsys, monkeypatch, 
     code, out, err = run_cli(capsys, "verify", "--suite", "stability", "--n", "2")
     assert code == 1
     assert out.splitlines()[-1] == "FAIL stability lemma n=2 (symbolic)"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--group", "orthogonal", "--n", "3", "--tau", "7"],
+    ["table", "--group", "orthogonal", "--n", "3", "--format", "csv"],
+    ["mc", "--group", "orthogonal", "--n", "3", "--tau", "2", "--indices", "1,1,2,2,1,1;1,2,1,2,1,1"],
+])
+def test_an_unproven_orthogonal_value_is_exit_3(capsys, monkeypatch, argv):
+    # one structure constant off by one: the idempotents fail their proof,
+    # and no table or prediction is printed
+    real = exactmat._type_algebra
+
+    def bumped(*args):
+        types, constants, values = real(*args)
+        constants[1][next(iter(constants[1]))] += 1
+        return types, constants, values
+
+    monkeypatch.setattr(exactmat, "_type_algebra", bumped)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("domain error: type idempotents") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -3,32 +3,37 @@
 import copy
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import loop_type, mat_mul, pseudo_inverse_check
 
 from weingarten import exactmat
 from weingarten.coeffring import TAU
 from weingarten.exactmat import (
     _product,
     _type_algebra,
-    mat_mul,
-    pseudo_inverse_check,
+    spectral_sum,
     type_commutation_check,
+    type_idempotents,
     type_pseudo_inverse_check,
 )
-from weingarten.orthogonal import gram_orthogonal, loop_type, weingarten_orthogonal
+from weingarten.orthogonal import gram_orthogonal, weingarten_orthogonal
 from weingarten.symcore import (
     Partition,
     Permutation,
     cross_type_matrix,
     enumerate_pairings,
     generator_index_maps,
+    hook_dimension,
+    partitions_of,
     permutations_of,
     type_matrix,
 )
-from weingarten.unitary import weingarten_unitary
+from weingarten.unitary import weingarten_unitary, wg_function_unitary
+from weingarten.young import character
 
 BUILDERS = {"unitary": weingarten_unitary, "orthogonal": weingarten_orthogonal}
 
@@ -214,7 +219,7 @@ def test_type_algebra_holds_on_every_column(group, n, tau):
     # the same type must give the same counts and the same product entries
     table = BUILDERS[group](n, tau)
     gram, wg = table.gram, table.weingarten
-    constants, (g, w) = _type_algebra(table.basis, gram, wg)
+    _, constants, (g, w) = _type_algebra(table.basis, gram, wg)
     _, index = type_matrix(table.basis)
     row = index[0]
     for r in range(len(row)):
@@ -228,7 +233,7 @@ def test_type_algebra_holds_on_every_column(group, n, tau):
 @pytest.mark.parametrize("group, n, tau", TYPE_CASES)
 def test_structure_constants_count_classes(group, n, tau):
     table = BUILDERS[group](n, tau)
-    constants, _ = _type_algebra(table.basis, table.gram, table.weingarten)
+    _, constants, _ = _type_algebra(table.basis, table.gram, table.weingarten)
     row = type_matrix(table.basis)[1][0]
     identity = row[0]
     for gamma, c in enumerate(constants):
@@ -281,22 +286,43 @@ def test_wrong_type_walk_fails(monkeypatch, group, tau, walk):
 @pytest.mark.parametrize("group, n, tau", [("unitary", 3, Fraction(5)), ("orthogonal", 3, Fraction(8))])
 def test_one_constant_off_by_one_fails(monkeypatch, group, n, tau):
     table = BUILDERS[group](n, tau)
-    constants, values = _type_algebra(table.basis, table.gram, table.weingarten)
+    types, constants, values = _type_algebra(table.basis, table.gram, table.weingarten)
     assert table.pseudo_inverse_report().ok
     for gamma, c in enumerate(constants):
         for pair in c:
             bad = [Counter(x) for x in constants]
             bad[gamma][pair] += 1
-            monkeypatch.setattr(exactmat, "_type_algebra", lambda *args: (bad, values))
+            monkeypatch.setattr(exactmat, "_type_algebra", lambda *args: (types, bad, values))
             assert not table.pseudo_inverse_report().ok
 
 
 @pytest.mark.parametrize("group, n, tau", [("unitary", 3, Fraction(5)), ("orthogonal", 3, Fraction(8))])
 def test_one_wrong_value_per_type_fails(monkeypatch, group, n, tau):
     table = BUILDERS[group](n, tau)
-    constants, values = _type_algebra(table.basis, table.gram, table.weingarten)
+    types, constants, values = _type_algebra(table.basis, table.gram, table.weingarten)
     for i, gamma in [(i, gamma) for i in range(2) for gamma in range(len(constants))]:
         bad = [list(v) for v in values]
         bad[i][gamma] += 1
-        monkeypatch.setattr(exactmat, "_type_algebra", lambda *args: (constants, bad))
+        monkeypatch.setattr(exactmat, "_type_algebra", lambda *args: (types, constants, bad))
         assert not table.pseudo_inverse_report().ok
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_class_algebra_idempotents_are_the_central_idempotents(n):
+    # on S_n with alpha = 1 the E_lam are dim(lam) chi_lam / n!, a known
+    # answer that owes nothing to the orthogonal route
+    types, idempotents = type_idempotents(n, permutations_of(n), 1)
+    assert list(idempotents) == partitions_of(n)
+    for lam, e in idempotents.items():
+        assert e == [Fraction(hook_dimension(lam) * character(lam, mu), factorial(n)) for mu in types]
+    for g, mu in enumerate(types):
+        for tau in (TAU, Fraction(7), Fraction(2)):
+            value = spectral_sum(n, tau, 1, lambda lam: idempotents[lam][g])
+            assert value == wg_function_unitary(mu, tau)
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+@pytest.mark.parametrize("basis_of, alpha", [(enumerate_pairings, 1), (permutations_of, 2)])
+def test_the_other_groups_alpha_raises(n, basis_of, alpha):
+    with pytest.raises(ValueError, match="G E_lam != c_lam E_lam"):
+        type_idempotents(n, basis_of(n), alpha)

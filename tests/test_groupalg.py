@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import regular_matrix
+from oracles import mat_identity, regular_matrix
 
 from weingarten import cli, groupalg, young
 from weingarten.coeffring import TAU, TauPolynomial
@@ -28,7 +28,6 @@ from weingarten.symcore import (
     permutations_of,
     standard_tableaux,
 )
-from weingarten.exactmat import mat_identity
 
 
 def delta(images):

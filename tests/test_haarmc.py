@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import dense_grid_sums, qr_haar_batch
+from oracles import dense_grid_sums, loop_type, qr_haar_batch
 from weingarten.haarmc import (
     _BATCH,
     GridReport,
@@ -19,7 +19,7 @@ from weingarten.haarmc import (
     predict_moment,
     sample_haar,
 )
-from weingarten.orthogonal import loop_type, wg_value_orthogonal
+from weingarten.orthogonal import wg_value_orthogonal
 from weingarten.symcore import enumerate_pairings
 
 

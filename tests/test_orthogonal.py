@@ -7,15 +7,23 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    conjugating_permutation,
+    coset_cycle_type_histogram,
+    histogram_wg_value_orthogonal,
+    loop_type,
+    loop_type_representative,
+    mat_identity,
+    mat_mul,
     materialized_pairing_basis_matrix,
     pairing_centralizer,
     projector_entry,
+    pseudo_inverse_check,
     weingarten_matrix_from_central_idempotents,
 )
 
-from weingarten import verify
+from weingarten import exactmat, haarmc, orthogonal, verify, young
 from weingarten.coeffring import TAU, render
-from weingarten.exactmat import mat_identity, mat_mul, pseudo_inverse_check, spectral_sum
+from weingarten.exactmat import _type_algebra, spectral_sum, type_idempotents
 from weingarten.groupalg import (
     AlgebraElement,
     average_projector,
@@ -23,17 +31,13 @@ from weingarten.groupalg import (
     jm_product_orthogonal,
 )
 from weingarten.orthogonal import (
-    _loop_type_representative,
     adjacent_pairing,
     c_orthogonal,
-    conjugating_permutation,
-    coset_cycle_type_histogram,
     coset_label,
     coset_representative,
     coset_sums,
     double_factorial_odd,
     gram_orthogonal,
-    loop_type,
     pairing_basis_matrix,
     weingarten_orthogonal,
     wg_value_orthogonal,
@@ -179,14 +183,14 @@ def test_projector_entry_independent_of_conjugator():
 
 
 def test_histogram_over_h_n_matches_centralizer_enumeration_up_to_5():
-    # the cached histogram enumerates H_n from groupalg; the reference walks
+    # the oracle histogram enumerates H_n from groupalg; the reference walks
     # pairing_centralizer of the adjacent pairing through projector_entry's
     # explicit-sigma0 branch, and both must give every value the same
     for n in range(1, 6):
         base = adjacent_pairing(n)
         centralizer = pairing_centralizer(base)
         for mu in partitions_of(n):
-            target = _loop_type_representative(mu)
+            target = loop_type_representative(mu)
             s0 = conjugating_permutation(base, target)
             direct = Counter((s0 * c).cycle_type() for c in centralizer)
             assert coset_cycle_type_histogram(mu) == direct
@@ -195,6 +199,63 @@ def test_histogram_over_h_n_matches_centralizer_enumeration_up_to_5():
                     n, Fraction(9), 2, lambda lam: projector_entry(lam, target, base, sigma0=s0)
                 )
                 assert wg_value_orthogonal(mu, Fraction(9)) == reference
+
+
+@pytest.mark.parametrize(
+    "n, taus",
+    [(n, (TAU, Fraction(7), Fraction(1), Fraction(2), Fraction(3))) for n in range(1, 6)]
+    + [(6, (Fraction(7),))],
+)
+def test_values_agree_with_the_histogram_oracle(n, taus):
+    # the idempotent route against S_2n characters summed over H_n cosets,
+    # at symbolic t, an invertible tau and the singular tau = 1, 2, 3
+    for tau in taus:
+        for mu in partitions_of(n):
+            assert wg_value_orthogonal(mu, tau) == histogram_wg_value_orthogonal(mu, tau)
+
+
+def test_no_table_path_walks_h_n():
+    weingarten_orthogonal(4, TAU)
+    weingarten_orthogonal(4, Fraction(9))
+    haarmc._prediction_matrix("orthogonal", 2, 4)
+    assert hyperoctahedral_elements.cache_info().currsize == 0
+    assert not young._CHAR_MEMO
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_every_constant_off_by_one_raises(monkeypatch, n):
+    basis = enumerate_pairings(n)
+    types, constants, values = _type_algebra(basis)
+    type_idempotents(n, basis, 2)
+    for gamma, c in enumerate(constants):
+        for pair in c:
+            bad = [Counter(x) for x in constants]
+            bad[gamma][pair] += 1
+            monkeypatch.setattr(exactmat, "_type_algebra", lambda *args, bad=bad: (types, bad, values))
+            with pytest.raises(ValueError, match="type idempotents"):
+                type_idempotents(n, basis, 2)
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_two_swapped_labels_fail_the_rank_check(monkeypatch, n):
+    # the first two shapes of n have doubled shapes of different dimension
+    def swapped(*args):
+        types, idempotents = type_idempotents(*args)
+        first, second = list(idempotents)[:2]
+        idempotents[first], idempotents[second] = idempotents[second], idempotents[first]
+        return types, idempotents
+
+    monkeypatch.setattr(orthogonal, "type_idempotents", swapped)
+    with pytest.raises(ValueError, match="dim\\(2lam\\)"):
+        wg_value_orthogonal(Partition((n,)), Fraction(7))
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_a_probe_with_two_equal_eigenvalues_raises(monkeypatch, n):
+    # every c_lam has the factor t of the box (1, 1), so all vanish at t0 = 0
+    monkeypatch.setattr(exactmat, "_probe", lambda n, alpha: 0)
+    with pytest.raises(ValueError, match="coincide"):
+        weingarten_orthogonal(n, TAU)
 
 
 def test_weingarten_n2_closed_forms_and_sympy_oracle():

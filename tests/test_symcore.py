@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weingarten.orthogonal import loop_type
+from oracles import loop_type
 from weingarten.symcore import (
     Pairing,
     Partition,
@@ -306,8 +306,6 @@ def _cycle_type_oracle(s, t):
 
 
 def _loop_type_oracle(pi, rho):
-    from weingarten.orthogonal import loop_type
-
     return loop_type(pi, rho)
 
 

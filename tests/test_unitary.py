@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from oracles import regular_matrix
+from oracles import mat_identity, mat_mul, pseudo_inverse_check, regular_matrix
 
 from weingarten.coeffring import TAU, TauRational, parse, render
-from weingarten.exactmat import mat_identity, mat_mul, pseudo_inverse_check
 from weingarten.groupalg import AlgebraElement, jm_product_unitary
 from weingarten.symcore import Partition, partitions_of, permutations_of
 from weingarten.unitary import c_unitary, gram_unitary, weingarten_unitary, wg_function_unitary
