@@ -3,10 +3,9 @@
 Coefficients may be ``fractions.Fraction`` or :class:`~weingarten.coeffring.TauRational`;
 anything supporting ``+ * -``, truthiness for zero tests, and ``==``.  Elements are immutable by convention:
 no method mutates ``terms`` after construction.  A product whose coefficients
-are all ``Fraction`` runs in exact int64 arithmetic over a common denominator
-while the sums provably fit; every other product runs term pair by term pair.
-That kernel imports numpy on its first product, so importing this module,
-or multiplying only symbolic elements, does not load numpy.
+are all ``Fraction`` sums integer numerators over a common denominator;
+every other product runs term pair by term pair.  Both are plain Python,
+so no product loads numpy.
 
 This module owns the Jucys-Murphy elements, the two product expansions that
 reproduce Gram matrices (all permutations weighted by cycle count for the
@@ -138,8 +137,8 @@ class AlgebraElement:
 def _mul_terms(a_terms: dict, b_terms: dict) -> dict:
     """Product of two term dicts, one term pair at a time, over any ring.
 
-    The general path (symbolic coefficients, numerators too large for the
-    integer kernel) and the oracle that the kernel is tested against.
+    The general path (symbolic coefficients) and the oracle that the
+    integer kernel is tested against.
     """
     out: dict = {}
     rhs = list(b_terms.items())
@@ -153,14 +152,6 @@ def _mul_terms(a_terms: dict, b_terms: dict) -> dict:
     return out
 
 
-# n**n, the bound on the base-n product keys, must fit in int64
-_KERNEL_MAX_N = 15
-# term pairs composed at once; bounds the (pairs, n) index temporaries
-_CHUNK_PAIRS = 2**15
-# product terms decoded into Python tuples at once; bounds the transient lists
-_DECODE_TERMS = 2**12
-
-
 def _common_denominator(terms: dict):
     """(D, numerators over D) for all-Fraction coefficients, else None."""
     coeffs = terms.values()
@@ -171,55 +162,29 @@ def _common_denominator(terms: dict):
 
 
 def _mul_fractions(n: int, a_terms: dict, b_terms: dict) -> dict | None:
-    """Product of two Fraction-valued term dicts in exact int64 arithmetic.
+    """Product of two Fraction-valued term dicts in integer numerators over one denominator.
 
-    Each operand is scaled to one common denominator; every term pair is
-    composed as 0-based index arrays, keyed by its base-n one-line digits,
-    and the numerator products are summed per key.  A key is hit by at most
-    min(k_a, k_b) pairs (one per term of the smaller operand), so the sums
-    stay below max|a| * max|b| * min(k_a, k_b).  Returns None, leaving the
-    product to :func:`_mul_terms`, when an operand is empty, a coefficient is
-    not a Fraction, n exceeds the key range, or that bound reaches 2**63.
+    r = p * q, r[i] = p[q[i] - 1], is q's one-line bytes translated through a
+    256-byte table holding p from offset 1, so it runs in C and the bytes key
+    hashes once.  None (use :func:`_mul_terms`) when an operand is empty, a
+    coefficient is not a Fraction, or n > 255.
     """
-    if not (a_terms and b_terms and n <= _KERNEL_MAX_N):
+    if not (a_terms and b_terms and n <= 255):
         return None
     scaled_a, scaled_b = _common_denominator(a_terms), _common_denominator(b_terms)
     if scaled_a is None or scaled_b is None:
         return None
     (den_a, num_a), (den_b, num_b) = scaled_a, scaled_b
-    bound = max(map(abs, num_a)) * max(map(abs, num_b)) * min(len(num_a), len(num_b))
-    if bound >= 2**63:
-        return None
-    import numpy as np
-
-    left = np.array(list(a_terms), dtype=np.int64) - 1
-    right = np.array(list(b_terms), dtype=np.int64) - 1
-    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    num_a = np.array(num_a, dtype=np.int64)
-    num_b = np.array(num_b, dtype=np.int64)
-    keys = sums = np.empty(0, dtype=np.int64)
-    step = max(1, _CHUNK_PAIRS // len(num_b))
-    for start in range(0, len(num_a), step):
-        # row (a, b) of left[a][right[b]] is the one-line form of p_a * q_b
-        chunk = left[start:start + step][:, right] @ weights
-        k = np.concatenate((keys, chunk.ravel()))
-        v = np.concatenate((sums, np.multiply.outer(num_a[start:start + step], num_b).ravel()))
-        order = np.argsort(k)
-        k, v = k[order], v[order]
-        firsts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-        keys, sums = k[firsts], np.add.reduceat(v, firsts)
-    live = sums != 0
-    keys = keys[live]
-    # one Fraction per distinct numerator, shared by the terms that carry it
-    values, which = np.unique(sums[live], return_inverse=True)
+    pad = bytes(255 - n)
+    tables = [b"\0" + bytes(p) + pad for p in a_terms]
+    sums: dict = {}
+    get = sums.get
+    for q, v in zip(b_terms, num_b):
+        for r, u in zip(map(bytes(q).translate, tables), num_a):
+            sums[r] = get(r, 0) + u * v
     den = den_a * den_b
-    coeffs = [Fraction(v, den) for v in values.tolist()]
-    out = {}
-    for start in range(0, len(keys), _DECODE_TERMS):
-        block = slice(start, start + _DECODE_TERMS)
-        images = (keys[block, None] // weights % n + 1).tolist()
-        out.update(zip(map(Permutation, images), map(coeffs.__getitem__, which[block].tolist())))
-    return out
+    shared = lru_cache(maxsize=None)(lambda s: Fraction(s, den))  # one per distinct numerator
+    return {Permutation(r): shared(s) for r, s in sums.items() if s}
 
 
 def jm_element(k: int, n: int) -> AlgebraElement:

@@ -17,10 +17,10 @@ pairings form the commutative Hecke algebra, one basis element per loop type
 of a pair (pi, pi'), and the E_lam are its primitive idempotents.
 ``exactmat.type_idempotents`` builds them from the Gram element once per n,
 with the structure and the idempotent identities proved; each one is also
-checked to have trace dim(2lam).  A Weingarten value is then p(n) scaled
-sums on its loop type, and table assembly (``exactmat.weingarten_table``)
-computes one value per loop type, which is what keeps the 945-pairing case
-affordable.
+checked against dim(2lam) on two loop types.  A Weingarten value is then
+p(n) scaled sums on its loop type, and table assembly
+(``exactmat.weingarten_table``) computes one value per loop type, which is
+what keeps the 945-pairing case affordable.
 
 P_H X is constant on each right coset H y, labelled by the pairing
 y^-1 pi_0 y, with value (1/|H|) * (sum of X over H y): ``coset_sums`` forms
@@ -105,12 +105,21 @@ _HISTOGRAM_CACHE: dict = {}  # always empty; only wgbench/tracer.py still reads 
 
 @lru_cache(maxsize=None)
 def _idempotents_by_type(n: int) -> dict[Partition, dict[Partition, Fraction]]:
-    """{loop type mu: {lam: E_lam(mu)}}, each E_lam proved to have trace dim(2lam)."""
+    """{loop type mu: {lam: E_lam(mu)}}, each E_lam checked on two types.
+
+    E_lam is r = dim(2lam)/(2n-1)!! at the identity type, and r/(n(n-1)) times
+    the sum of 2j - 1 - i over the boxes (i, j) of lam at the type (2, 1^(n-2)).
+    """
     types, idempotents = type_idempotents(n, enumerate_pairings(n), 2)
     pairings = double_factorial_odd(n)
+    swap = types.index(Partition((2,) + (1,) * (n - 2))) if n > 1 else None
     for lam, e in idempotents.items():
-        if e[0] != Fraction(hook_dimension(double_shape(lam)), pairings):
+        rank = Fraction(hook_dimension(double_shape(lam)), pairings)
+        if e[0] != rank:
             raise ValueError(f"E_lam(identity) != dim(2lam)/(2n-1)!! at lam = {lam.to_text()}")
+        contents = sum(part * (part - i) for i, part in enumerate(lam, start=1))
+        if swap is not None and e[swap] != rank * contents / (n * (n - 1)):
+            raise ValueError(f"E_lam(2,1^(n-2)) != its content formula at lam = {lam.to_text()}")
     return {mu: {lam: e[g] for lam, e in idempotents.items()} for g, mu in enumerate(types)}
 
 

@@ -12,11 +12,16 @@ projectors (``idempotents``, ``central``), the doubling proposition
 (``doubling``), the projector key identity (``keyid``), the stability lemma
 (``stability``), and the two contracts of the finished tables
 (``pseudoinverse``, ``commute``).  Every comparison is exact.
+
+No suite multiplies two idempotents or projectors: orthogonality follows
+from Jucys-Murphy eigenvalues, or from centrality plus one coefficient per
+class, and P_H enters only through coset sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .coeffring import TAU
 from .exactmat import tau_powers, type_commutation_check
@@ -39,6 +44,7 @@ from .orthogonal import (
     weingarten_orthogonal,
 )
 from .symcore import (
+    Permutation,
     cross_type_matrix,
     double_tableau,
     enumerate_pairings,
@@ -63,7 +69,7 @@ CAPS = {
 }
 # largest doubling n run without deep=True; 2n = 8 takes minutes
 DOUBLING_TOP = 3
-# largest 2n at which doubling also forms the direct products P * e(T)
+# largest 2n at which doubling also reads P * e(T) off the coset sums of e(T)
 DIRECT_PRODUCT_TOP = 6
 
 
@@ -75,14 +81,25 @@ def _parameter(n: int, symbolic_up_to: int, tau):
     return t, f"tau={t}"
 
 
-def _complete_orthogonal(elements, n: int) -> bool:
-    """e_i e_j = δ_ij e_i for every pair, and the e_i sum to the unit of C[S_n]."""
-    ok = True
-    for i, e in enumerate(elements):
-        for j, f in enumerate(elements):
-            prod = e * f
-            ok = ok and (prod == e if i == j else not prod)
-    return ok and sum(elements, AlgebraElement.zero(n)) == AlgebraElement.unit(n)
+def _is_central(z: AlgebraElement) -> bool:
+    """z is fixed by conjugation with each s_k = (k k+1), which generate S_n."""
+    swaps = (Permutation.transposition(k, k + 1, z.n) for k in range(1, z.n))
+    return all({s * p * s: c for p, c in z.terms.items()} == z.terms for s in swaps)
+
+
+def _central_products_orthogonal(projs, n: int) -> bool:
+    """(z_i z_j)(sigma) = δ_ij z_i(sigma) at one sigma per class, in numerators over D."""
+    perms = permutations_of(n)
+    den = lcm(*(c.denominator for z in projs for c in z.terms.values()))
+    nums = [{p: c.numerator * (den // c.denominator) for p, c in z.terms.items()} for z in projs]
+    for sigma in {p.cycle_type(): p for p in perms}.values():
+        pairs = [(p, p.inverse() * sigma) for p in perms]
+        for a in nums:
+            for b in nums:
+                total = sum(a.get(p, 0) * b.get(q, 0) for p, q in pairs)
+                if total != (den * a.get(sigma, 0) if a is b else 0):
+                    return False
+    return True
 
 
 def _projector_pairing_trace(proj: AlgebraElement, e: AlgebraElement) -> Fraction:
@@ -127,11 +144,15 @@ def _oid(max_n, tau, tau2, deep):
 
 
 def _idempotents(max_n, tau, tau2, deep):
+    # JM eigenvectors e(T) with distinct contents, nonzero and summing to 1 give
+    # e(T) e(T') = δ e(T): (c_k(T) - c_k(T')) e(T) e(T') = 0 for T != T' (some k
+    # has c_k(T) != c_k(T')), and e(T)^2 = e(T) sum e(T') = e(T)
     for n in range(1, max_n + 1):
         tableaux = [t for lam in partitions_of(n) for t in standard_tableaux(lam)]
         idems = [young_idempotent(t) for t in tableaux]
-        ok = _complete_orthogonal(idems, n)
-        # each idempotent diagonalises every JM element, with its tableau's contents
+        contents = {tuple(t.content(k) for k in range(1, n + 1)) for t in tableaux}
+        ok = len(contents) == len(tableaux) and all(idems)
+        ok = ok and sum(idems, AlgebraElement.zero(n)) == AlgebraElement.unit(n)
         for t, e in zip(tableaux, idems):
             for k in range(1, n + 1):
                 target = e.scale(Fraction(t.content(k)))
@@ -141,11 +162,15 @@ def _idempotents(max_n, tau, tau2, deep):
 
 
 def _central(max_n, tau, tau2, deep):
+    # products of central elements are central, so once each z_lam is proved
+    # central their products are checked at one permutation per class
     for n in range(1, max_n + 1):
         shapes = partitions_of(n)
         projs = [central_idempotent(lam, "tableau-sum") for lam in shapes]
         ok = projs == [central_idempotent(lam, "character") for lam in shapes]
-        yield f"central idempotents, both routes n={n}", ok and _complete_orthogonal(projs, n)
+        ok = ok and sum(projs, AlgebraElement.zero(n)) == AlgebraElement.unit(n)
+        ok = ok and all(map(_is_central, projs)) and _central_products_orthogonal(projs, n)
+        yield f"central idempotents, both routes n={n}", ok
 
 
 def _pseudoinverse(max_n, tau, tau2, deep):
@@ -162,7 +187,7 @@ def _pseudoinverse(max_n, tau, tau2, deep):
 def _doubling(max_n, tau, tau2, deep):
     # the size-2n idempotents that survive left averaging over H_n are exactly
     # those of the doubled tableaux; up to DIRECT_PRODUCT_TOP the trace
-    # criterion must also agree with the direct product P * e(T)
+    # criterion must also agree with P * e(T) != 0, read off the coset sums
     for n in range(1, (max_n if deep else min(max_n, DOUBLING_TOP)) + 1):
         size = 2 * n
         proj = average_projector(n)
@@ -172,7 +197,7 @@ def _doubling(max_n, tau, tau2, deep):
                 e = _extend_idempotent(t, cache=False)
                 alive = bool(_projector_pairing_trace(proj, e))
                 if size <= DIRECT_PRODUCT_TOP:
-                    agree = agree and bool(proj * e) == alive
+                    agree = agree and bool(coset_sums(n, e)) == alive
                 if alive:
                     survivors.add(t.rows)
         expected = {

@@ -9,8 +9,11 @@ permutation product (against the type matrix), orthogonal values and
 projector entries from S_2n characters summed over cycle-type histograms of
 H_n cosets (against the Hecke-algebra idempotents), Monte-Carlo grid sums over the full tensor power (against the sums over
 distinct factor products), Haar samples by LAPACK QR with the phase fix
-(against Gram-Schmidt run twice), and matrices on the pairing basis read
-off the materialized product P_H * X (against the coset sums of X).
+(against Gram-Schmidt run twice), matrices on the pairing basis read
+off the materialized product P_H * X (against the coset sums of X), and
+complete orthogonality by every pairwise product (against the Jucys-Murphy
+eigenvalue and class-representative checks of the ``idempotents`` and
+``central`` suites).
 """
 
 import itertools
@@ -150,6 +153,16 @@ def centralizer_order(mu: Partition) -> int:
                 out *= prev**run * factorial(run)
             prev, run = part, 1
     return out
+
+
+def complete_orthogonal(elements, n: int) -> bool:
+    """e_i e_j = δ_ij e_i for every pair, and the e_i sum to the unit of C[S_n]."""
+    ok = True
+    for i, e in enumerate(elements):
+        for j, f in enumerate(elements):
+            prod = e * f
+            ok = ok and (prod == e if i == j else not prod)
+    return ok and sum(elements, AlgebraElement.zero(n)) == AlgebraElement.unit(n)
 
 
 def regular_matrix(a: AlgebraElement, basis: list[Permutation], side: str = "left"):

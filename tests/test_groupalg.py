@@ -2,11 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import mat_identity, regular_matrix
+from oracles import complete_orthogonal, mat_identity, regular_matrix
 
-from weingarten import cli, groupalg, young
+from weingarten import cli, verify, young
 from weingarten.coeffring import TAU, TauPolynomial
 from weingarten.groupalg import (
     AlgebraElement,
@@ -21,6 +21,7 @@ from weingarten.groupalg import (
 )
 from weingarten.symcore import (
     Pairing,
+    Partition,
     Permutation,
     StandardTableau,
     enumerate_pairings,
@@ -285,21 +286,16 @@ def fraction_pairs(draw):
     return draw(fraction_elements(n)), draw(fraction_elements(n))
 
 
+N1_PAIR = (AlgebraElement.unit(1, Fraction(-3, 4)), AlgebraElement.unit(1, Fraction(2, 9)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(fraction_pairs())
+@example(N1_PAIR)
 def test_kernel_matches_loop(pair):
     a, b = pair
     assert _mul_fractions(a.n, a.terms, b.terms) is not None
     assert a * b == loop_product(a, b)
-
-
-@settings(max_examples=40, deadline=None)
-@given(fraction_pairs(), st.integers(1, 9))
-def test_kernel_chunks_merge_exactly(pair, chunk_pairs):
-    a, b = pair
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(groupalg, "_CHUNK_PAIRS", chunk_pairs)
-        assert a * b == loop_product(a, b)
 
 
 def test_kernel_n1_and_mixed_denominators():
@@ -320,25 +316,25 @@ def test_kernel_cancels_orthogonal_idempotents():
     assert e * e == e == loop_product(e, e)
 
 
-def test_kernel_int64_bound():
-    big = 2**62
+def test_kernel_exact_at_and_past_int64():
     ident, swap = Permutation.identity(3), Permutation.from_images([2, 1, 3])
     b = AlgebraElement(3, {ident: Fraction(1), swap: Fraction(1)})
-    # big * 1 * min(1, 2) < 2**63: the kernel runs
-    a = AlgebraElement(3, {ident: Fraction(big)})
-    assert _mul_fractions(3, a.terms, b.terms) is not None
-    assert a * b == loop_product(a, b)
-    # big * 1 * min(2, 2) = 2**63: two pairs land on the identity, and their
-    # sum 2**63 would wrap in int64, so the loop runs and stays exact
-    a = AlgebraElement(3, {ident: Fraction(big), swap: Fraction(big)})
-    assert _mul_fractions(3, a.terms, b.terms) is None
-    assert (a * b).coefficient(ident) == 2**63
-    assert a * b == loop_product(a, b)
-    # the common denominator 15 lifts the numerator (big - 1) / 3 past the bound
-    a = AlgebraElement(3, {ident: Fraction(big - 1, 3), swap: Fraction(1, 5)})
-    assert _mul_fractions(3, a.terms, b.terms) is None
-    assert (a * b).coefficient(ident) == Fraction(big - 1, 3) + Fraction(1, 5)
-    assert a * b == loop_product(a, b)
+    cases = [
+        # two pairs land on the identity and sum to exactly 2**63
+        ({ident: Fraction(2**62), swap: Fraction(2**62)}, 2**63),
+        # numerators themselves past 2**64
+        ({ident: Fraction(2**65 + 1), swap: Fraction(-(2**64))}, 2**64 + 1),
+        # the common denominator 15 lifts the numerator (2**62 - 1) / 3 past 2**63
+        (
+            {ident: Fraction(2**62 - 1, 3), swap: Fraction(1, 5)},
+            Fraction(2**62 - 1, 3) + Fraction(1, 5),
+        ),
+    ]
+    for terms, at_identity in cases:
+        a = AlgebraElement(3, terms)
+        assert _mul_fractions(3, a.terms, b.terms) is not None
+        assert (a * b).coefficient(ident) == at_identity
+        assert a * b == loop_product(a, b)
 
 
 def test_non_fraction_coefficients_take_the_loop():
@@ -350,6 +346,10 @@ def test_non_fraction_coefficients_take_the_loop():
     assert _mul_fractions(3, ints.terms, rat.terms) is None
     assert ints * rat == loop_product(ints, rat)
     assert not AlgebraElement.zero(3) * rat and not rat * AlgebraElement.zero(3)
+    # one-line images past one byte
+    wide = AlgebraElement(256, {Permutation.transposition(1, 256, 256): Fraction(1, 2)})
+    assert _mul_fractions(256, wide.terms, wide.terms) is None
+    assert wide * wide == AlgebraElement.unit(256, Fraction(1, 4))
 
 
 @pytest.mark.parametrize("suite", ["idempotents", "central"])
@@ -363,3 +363,121 @@ def test_perturbed_idempotent_fails_the_checks(monkeypatch, capsys, suite):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1].startswith("FAIL") and "n=5" in lines[-1]
     assert all(line.startswith("ok") for line in lines[:-1])
+
+
+# -- the idempotents and central suites against pairwise products -------------
+
+
+def _elements(suite, n):
+    if suite == "idempotents":
+        tableaux = [t for lam in partitions_of(n) for t in standard_tableaux(lam)]
+        return [young.young_idempotent(t) for t in tableaux]
+    return [young.central_idempotent(lam) for lam in partitions_of(n)]
+
+
+@pytest.mark.parametrize("suite", ["idempotents", "central"])
+def test_suite_verdicts_agree_with_pairwise_products(suite):
+    verdicts = [ok for _, ok in verify.run(suite, 5)]
+    assert verdicts == [complete_orthogonal(_elements(suite, n), n) for n in range(1, 6)]
+    assert all(verdicts)
+
+
+@pytest.mark.parametrize("suite", ["idempotents", "central"])
+def test_suite_verdicts_agree_on_a_perturbed_idempotent(monkeypatch, suite):
+    t = StandardTableau([[1, 2], [3, 4]])
+    e = young.young_idempotent(t)
+    p = next(iter(e.terms))
+    bad = e + AlgebraElement.basis(p, Fraction(1, 96))
+    monkeypatch.setitem(young._IDEMPOTENT_CACHE, t.rows, bad)
+    verdicts = [ok for _, ok in verify.run(suite, 4)]
+    assert verdicts == [complete_orthogonal(_elements(suite, n), n) for n in range(1, 5)]
+    assert verdicts[-1] is False
+
+
+def _fails_at(capsys, suite, n):
+    """`verify --suite suite --n n` prints ok up to n - 1, then FAIL at n, without a traceback."""
+    assert cli.main(["verify", "--suite", suite, "--n", str(n)]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == n and lines[-1].startswith("FAIL") and f"n={n}" in lines[-1]
+    assert all(line.startswith("ok") for line in lines[:-1])
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["swapped", "zero", "listed twice", "doubled"])
+def test_flawed_idempotents_fail(monkeypatch, capsys, case):
+    # all at n = 4, among the shape-(3, 1) tableaux
+    a, b = StandardTableau([[1, 2, 3], [4]]), StandardTableau([[1, 2, 4], [3]])
+    real_idempotent, real_tableaux = young.young_idempotent, verify.standard_tableaux
+
+    def fake(t):
+        if case == "swapped":
+            # the multiset and the sum are unchanged; each e(T) has the other's contents
+            return real_idempotent({a: b, b: a}.get(t, t))
+        scale = {"zero": 0, "listed twice": Fraction(1, 2), "doubled": 2}[case]
+        return real_idempotent(t).scale(Fraction(scale)) if t == a else real_idempotent(t)
+
+    if case == "listed twice":
+        # two halves of e(a): eigenvectors, nonzero and summing to the unit,
+        # but not idempotent; only the repeated content vector shows it
+        monkeypatch.setattr(
+            verify, "standard_tableaux", lambda lam: real_tableaux(lam) + [a] * (lam == (3, 1))
+        )
+    monkeypatch.setattr(verify, "young_idempotent", fake)
+    _fails_at(capsys, "idempotents", 4)
+
+
+def _conjugate(x, w):
+    return AlgebraElement(x.n, {w * p * w.inverse(): c for p, c in x.terms.items()})
+
+
+def _fixed_by(x, k):
+    s = Permutation.transposition(k, k + 1, x.n)
+    return _conjugate(x, s) == x
+
+
+def _central_inputs(case):
+    """Elements of C[S_3] for the shapes (3), (2,1), (1,1,1) with one flaw.
+
+    An int case k is a set that only conjugation by s_k shows is not central.
+    """
+    z = {lam: young.central_idempotent(lam) for lam in partitions_of(3)}
+    hook, trivial, sign = Partition((2, 1)), Partition((3,)), Partition((1, 1, 1))
+    if case == "off-centre":
+        # (1 2) moved from one projector to another: the sum stays the unit
+        bump = AlgebraElement.basis(Permutation.from_images([2, 1, 3]), Fraction(1, 7))
+        return {**z, hook: z[hook] + bump, trivial: z[trivial] - bump}
+    if case == "not idempotent":
+        return {**z, trivial: z[trivial].scale(Fraction(2)), sign: z[sign] - z[trivial]}
+    if case == "zero":
+        return {**z, hook: AlgebraElement.zero(3)}
+    # a complete orthogonal set that is not central: the two Young
+    # idempotents of shape (2, 1) are fixed by conjugation with s_1 only,
+    # and conjugating everything by (1 3) leaves it fixed by s_2 only
+    e1 = young.young_idempotent(StandardTableau([[1, 2], [3]]))
+    e2 = young.young_idempotent(StandardTableau([[1, 3], [2]]))
+    elements = {trivial: z[trivial], hook: e1, sign: z[sign] + e2}
+    if case == 1:
+        w = Permutation.from_images([3, 2, 1])
+        elements = {lam: _conjugate(x, w) for lam, x in elements.items()}
+    return elements
+
+
+@pytest.mark.parametrize(
+    "case", ["off-centre", "not idempotent", "zero", 1, 2],
+    ids=["off-centre", "not-idempotent", "zero", "s1", "s2"],
+)
+def test_flawed_central_projectors_fail_with_the_route_check_bypassed(monkeypatch, capsys, case):
+    fake = _central_inputs(case)
+    if case in (1, 2):
+        assert complete_orthogonal(list(fake.values()), 3)
+        assert all(_fixed_by(x, 3 - case) for x in fake.values())
+        assert not all(_fixed_by(x, case) for x in fake.values())
+    real = young.central_idempotent
+
+    def bypass(lam, route="tableau-sum"):
+        # both routes return the flawed element, so the route check passes
+        return fake.get(lam, real(lam, route))
+
+    monkeypatch.setattr(verify, "central_idempotent", bypass)
+    _fails_at(capsys, "central", 3)

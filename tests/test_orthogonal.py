@@ -48,6 +48,7 @@ from weingarten.symcore import (
     Permutation,
     double_shape,
     enumerate_pairings,
+    hook_dimension,
     partitions_of,
     permutations_of,
 )
@@ -248,6 +249,22 @@ def test_two_swapped_labels_fail_the_rank_check(monkeypatch, n):
     monkeypatch.setattr(orthogonal, "type_idempotents", swapped)
     with pytest.raises(ValueError, match="dim\\(2lam\\)"):
         wg_value_orthogonal(Partition((n,)), Fraction(7))
+
+
+def test_swapped_labels_of_equal_rank_fail_the_second_type(monkeypatch):
+    # (4,4) and (2,2,2,2) both have 14 standard tableaux, so only the value
+    # at the loop type (2, 1, 1) tells E_(2,2) and E_(1,1,1,1) apart
+    a, b = Partition((2, 2)), Partition((1, 1, 1, 1))
+    assert hook_dimension(double_shape(a)) == hook_dimension(double_shape(b))
+
+    def swapped(*args):
+        types, idempotents = type_idempotents(*args)
+        idempotents[a], idempotents[b] = idempotents[b], idempotents[a]
+        return types, idempotents
+
+    monkeypatch.setattr(orthogonal, "type_idempotents", swapped)
+    with pytest.raises(ValueError, match="content formula at lam = \\[2,2\\]"):
+        wg_value_orthogonal(Partition((4,)), Fraction(7))
 
 
 @pytest.mark.parametrize("n", range(2, 5))

@@ -1,7 +1,7 @@
 """Import layering: the package root loads nothing, and a module only what it needs.
 
-numpy is loaded by the Monte-Carlo layer and by the first group-algebra
-product that the int64 kernel takes; every exact command runs without it.
+numpy is loaded by the Monte-Carlo layer alone; every exact command,
+group-algebra products included, runs without it.
 """
 
 import json
@@ -76,6 +76,11 @@ EXACT_COMMANDS = [
     ["verify", "--suite", "oid", "--n", "3"],
     ["verify", "--suite", "stability", "--n", "3"],
     ["verify", "--suite", "keyid", "--n", "4"],
+    ["verify", "--suite", "idempotents", "--n", "4"],
+    ["verify", "--suite", "central", "--n", "4"],
+    ["verify", "--suite", "doubling", "--n", "2"],
+    ["verify", "--suite", "stability", "--n", "4", "--tau", "7"],
+    ["verify", "--suite", "all", "--n", "9"],
 ]
 
 
@@ -86,18 +91,17 @@ def test_exact_command_runs_without_numpy(python_env, argv):
 
 NUMPY_COMMANDS = [
     ["mc", "--group", "unitary", "--n", "1", "--tau", "2", "--samples", "1000"],
-    ["verify", "--suite", "idempotents", "--n", "3"],
 ]
 
 
 @pytest.mark.parametrize("argv", NUMPY_COMMANDS, ids=" ".join)
-def test_monte_carlo_and_kernel_commands_load_numpy(python_env, argv):
+def test_monte_carlo_commands_load_numpy(python_env, argv):
     assert "numpy" in _loaded_by_cli(argv, python_env)
 
 
 def test_all_fraction_product_still_takes_the_kernel(python_env):
-    # numpy is imported inside the kernel; this shows the kernel still runs
-    # on first use and was not turned into a fallback to the term-pair loop
+    # the kernel runs on first use, was not turned into a fallback to the
+    # term-pair loop, and loads no numpy
     statement = (
         "from weingarten import groupalg\n"
         "kernel, results = groupalg._mul_fractions, []\n"
@@ -106,8 +110,6 @@ def test_all_fraction_product_still_takes_the_kernel(python_env):
         "    return results[-1]\n"
         "groupalg._mul_fractions = spy\n"
         "a = groupalg.jm_element(3, 3)\n"
-        "if 'numpy' in sys.modules:\n"
-        "    sys.exit('numpy loaded before the first product')\n"
         "product = a * a\n"
         "expected = groupalg._mul_terms(a.terms, a.terms)\n"
         "if not (len(results) == 1 and type(results[0]) is dict and results[0] == expected):\n"
@@ -115,4 +117,4 @@ def test_all_fraction_product_still_takes_the_kernel(python_env):
         "if product.terms != expected:\n"
         "    sys.exit(f'product {product!r}')"
     )
-    assert "numpy" in _loaded_after(statement, python_env)
+    assert not _has_numpy(_loaded_after(statement, python_env))
