@@ -38,7 +38,9 @@ CAPS = {
     "orthogonal": {"symbolic": 4, "numeric": 5},
 }
 MC_GRID_CAP = 2
-MC_MOMENT_CAP = 5**8  # each grid array holds tau^(4n) floats
+# tau^(4n) grid moments; the run scores C(tau^2+n-1, n)^2 pairs of distinct
+# products and ties tau^(2n) index tuples in Python, and the cap keeps that to seconds
+MC_MOMENT_CAP = 5**8
 BASES = {"unitary": permutations_of, "orthogonal": enumerate_pairings}
 
 

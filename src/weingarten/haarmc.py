@@ -18,10 +18,15 @@ of two of them is the cycle type of sigma^-1 rho.
 
 A grid pairs every column of the n-fold tensor power of a sample with every
 other, but a column is a product of n entries in some order, so only the
-C(tau^2 + n - 1, n) distinct products are built and accumulated; the sums are
-then scattered to the full grid.  Seeded grids are deterministic.  Moments
-that differ only by the order of their first (U: plain) n factors, or of
-their last n, get bitwise-equal z, so equal |z| list in index order.
+C(tau^2 + n - 1, n) distinct products are built, accumulated and scored: one
+mean, standard error, prediction and z per pair of distinct products, and
+grid indices only for the worst moments reported.  Each batch of Ginibre
+matrices is drawn whole, so the seeded stream does not depend on the rest, and
+then orthonormalized and accumulated a block of rows at a time; no stage holds
+the products of more than one block, or any array over the tau^(4n) grid.
+Seeded grids are deterministic.  Moments that differ only by the order of
+their first (U: plain) n factors, or of their last n, share one z, so equal
+|z| list in index order.
 
 Acceptance is statistical: every predicted moment within `threshold` standard
 errors (default 4).  At 4 SE a single Gaussian check false-fails with
@@ -46,6 +51,7 @@ from .symcore import Pairing, cross_type_matrix, enumerate_pairings, permutation
 from .unitary import wg_function_unitary
 
 _BATCH = 4096  # fixed batch size keeps seeded runs bit-reproducible
+_BLOCK = 512  # grid rows orthonormalized and accumulated at once; bounds the temporaries
 _VALUES = {"unitary": wg_function_unitary, "orthogonal": wg_value_orthogonal}
 
 
@@ -121,12 +127,18 @@ class MomentReport:
         }
 
 
-def _haar_batch(group: str, tau: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of Haar samples: orthonormalized Ginibre matrices."""
+def _ginibre(group: str, tau: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Stack of Ginibre matrices: real standard normal entries, or complex ones
+    with E|z|^2 = 1."""
     z = rng.standard_normal((count, tau, tau))
     if group == "unitary":
         z = (z + 1j * rng.standard_normal((count, tau, tau))) / np.sqrt(2.0)
-    return _orthonormalize(z)
+    return z
+
+
+def _haar_batch(group: str, tau: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Stack of Haar samples: orthonormalized Ginibre matrices."""
+    return _orthonormalize(_ginibre(group, tau, count, rng))
 
 
 def _orthonormalize(z: np.ndarray) -> np.ndarray:
@@ -255,51 +267,106 @@ def _factor_columns(n: int, tau: int) -> tuple[np.ndarray, np.ndarray]:
     return fac, cmap.reshape(-1)
 
 
-def _prediction_matrix(group: str, n: int, tau: int) -> np.ndarray:
-    """Float predictions of every degree-n moment, rows against columns.
+def _grid_sums(group: str, tau: int, samples: int, seed: int, fac: np.ndarray):
+    """Sample sums of Re(x_c conj(x_d)) and its square for every pair of
+    distinct factor products c, d (the columns of `fac`).  Each batch is drawn
+    whole, so the seeded stream is that of `_haar_batch`, then orthonormalized
+    and accumulated _BLOCK rows at a time."""
+    rng = np.random.default_rng(seed)
+    sum_re, sum_sq = np.zeros((2, fac.shape[1], fac.shape[1]))
+    remaining = samples
+    while remaining:
+        count = min(_BATCH, remaining)
+        z = _ginibre(group, tau, count, rng)
+        for start in range(0, count, _BLOCK):
+            q = _orthonormalize(z[start:start + _BLOCK]).reshape(-1, tau * tau)
+            cols = q[:, fac[0]]
+            for k in fac[1:]:  # one factor at a time, in tensor-power order
+                cols = cols * q[:, k]
+            if group == "unitary":
+                re, im = np.ascontiguousarray(cols.real), np.ascontiguousarray(cols.imag)
+                # one operand per product, so numpy takes its symmetric A.T @ A path
+                rr, ri, ii = re * re, re * im, im * im
+                sum_re += re.T @ re + im.T @ im
+                sum_sq += rr.T @ rr
+                sum_sq += 2.0 * (ri.T @ ri)
+                sum_sq += ii.T @ ii
+            else:
+                sq = cols * cols
+                sum_re += cols.T @ cols
+                sum_sq += sq.T @ sq
+        remaining -= count
+    return sum_re, sum_sq
 
-    Entry (i, j) is the moment whose row indices over the 2n factor positions
-    are the multi-index i and whose column indices are j (0-based, C order),
-    rounded once from the exact sum over the basis pairings that i and j tie.
+
+def _class_predictions(group: str, n: int, tau: int, fac: np.ndarray) -> np.ndarray:
+    """Float prediction of the moment of every pair of distinct factor products.
+
+    Entry (c, d) is the moment whose row indices over the 2n factor positions
+    are those of c's factors, then d's, and whose column indices likewise,
+    rounded once from the exact sum over the basis pairings they tie.  Row and
+    column index tuples with the same tied pairings share one exact sum.
     """
     basis = _basis(group, n)
     multi = itertools.product(range(tau), repeat=2 * n)
     ties = [tuple(p for p in basis if _ties(idx, p)) for idx in multi]
     kinds = {t: k for k, t in enumerate(dict.fromkeys(ties))}
     exact = np.array([[float(_tied_sum(group, tau, a, b)) for b in kinds] for a in kinds])
-    which = np.array([kinds[t] for t in ties], dtype=np.intp)
-    return exact[np.ix_(which, which)]
+    which = np.array([kinds[t] for t in ties], dtype=np.intp).reshape(tau**n, tau**n)
+    # the row (column) indices of each product's factors, as a C-order multi-index
+    rows, cols = (np.ravel_multi_index(tuple(v), (tau,) * n) for v in np.divmod(fac, tau))
+    return exact[which[np.ix_(rows, rows)], which[np.ix_(cols, cols)]]
 
 
-def _grid_sums(group: str, n: int, tau: int, samples: int, seed: int):
-    """Sample sums of Re(x_i conj(x_j)) and its square for every pair of
-    tensor-power columns i, j, accumulated over the distinct factor products
-    and scattered back to the full grid."""
-    rng = np.random.default_rng(seed)
-    fac, cmap = _factor_columns(n, tau)
-    sum_re, sum_sq = np.zeros((2, fac.shape[1], fac.shape[1]))
-    remaining = samples
-    while remaining:
-        count = min(_BATCH, remaining)
-        q = _haar_batch(group, tau, count, rng).reshape(count, tau * tau)
-        cols = q[:, fac[0]]
-        for k in fac[1:]:  # one factor at a time, in tensor-power order
-            cols = cols * q[:, k]
-        if group == "unitary":
-            re, im = np.ascontiguousarray(cols.real), np.ascontiguousarray(cols.imag)
-            # one operand per product, so numpy takes its symmetric A.T @ A path
-            rr, ri, ii = re * re, re * im, im * im
-            sum_re += re.T @ re + im.T @ im
-            sum_sq += rr.T @ rr
-            sum_sq += 2.0 * (ri.T @ ri)
-            sum_sq += ii.T @ ii
-        else:
-            sq = cols * cols
-            sum_re += cols.T @ cols
-            sum_sq += sq.T @ sq
-        remaining -= count
-    grid = np.ix_(cmap, cmap)
-    return sum_re[grid], sum_sq[grid]
+def _class_z(group: str, n: int, tau: int, samples: int, sums, fac: np.ndarray) -> np.ndarray:
+    """z-score of every pair of distinct factor products, from their sample sums."""
+    sum_re, sum_sq = sums
+    mean = sum_re / samples
+    variance = np.maximum(sum_sq / samples - mean * mean, 0.0)
+    stderr = np.sqrt(variance * (samples / (samples - 1)) / samples)
+    diff = mean - _class_predictions(group, n, tau, fac)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(stderr > 0, diff / stderr, np.where(np.abs(diff) < 1e-12, 0.0, np.inf))
+
+
+def _worst_failures(group: str, n: int, tau: int, z: np.ndarray, cmap: np.ndarray,
+                    threshold: float) -> list[dict]:
+    """The 64 grid moments with the largest |z| past the threshold, largest
+    first, equal |z| in grid index order; each takes the z of its pair of
+    factor products.
+
+    Grid indices are U (rows, cols, conj rows, conj cols), each over n factors,
+    and O (rows, cols) over 2n factors.  A moment pairs tensor-power columns
+    i = (A, B) and j = (A', B'), so its flat grid position is a row part of i
+    plus a column part of j.
+    """
+    dim = tau**n
+    big, small = np.divmod(np.arange(dim * dim), dim)  # A and B of each column
+    if group == "unitary":  # (A, B, A', B')
+        shape = (dim,) * 4
+        row_part, col_part = (big * dim + small) * dim**2, big * dim + small
+    else:  # (A A', B B')
+        shape = (dim * dim,) * 2
+        row_part, col_part = big * dim**3 + small * dim, big * dim**2 + small
+    members = np.split(np.argsort(cmap, kind="stable"),
+                       np.cumsum(np.bincount(cmap, minlength=z.shape[0]))[:-1])
+    abs_z = np.abs(z).ravel()
+    failing = np.flatnonzero(abs_z > threshold)
+    failing = failing[np.argsort(-abs_z[failing], kind="stable")]
+    worst: list[tuple[int, float]] = []
+    for _, level in itertools.groupby(failing, key=abs_z.__getitem__):
+        found = []
+        for k in level:
+            c, d = divmod(int(k), z.shape[1])
+            where = row_part[members[c]][:, None] + col_part[members[d]]
+            found.extend((int(f), float(z[c, d])) for f in where.ravel())
+        worst.extend(sorted(found)[:64 - len(worst)])
+        if len(worst) == 64:
+            break
+    return [
+        {"index": [int(v) for v in np.unravel_index(f, shape)], "z": value}
+        for f, value in worst
+    ]
 
 
 def grid_crosscheck(
@@ -311,35 +378,10 @@ def grid_crosscheck(
         raise ValueError(f"unknown group {group!r}")
     if samples < 100 or n < 1 or tau < 1:
         raise ValueError(f"need samples >= 100, n >= 1 and tau >= 1, got {samples}, {n}, {tau}")
-    sum_re, sum_sq = _grid_sums(group, n, tau, samples, seed)
-    # ((a1, b1), (a2, b2)) -> ((a1, a2), (b1, b2)): the row indices of all 2n
-    # factor positions against their column indices, as _prediction_matrix
-    dim = tau**n
-    mean = _regroup_pair_axes(sum_re / samples, dim).reshape(dim * dim, dim * dim)
-    mean_sq = _regroup_pair_axes(sum_sq / samples, dim).reshape(dim * dim, dim * dim)
-    variance = np.maximum(mean_sq - mean * mean, 0.0)
-    stderr = np.sqrt(variance * (samples / (samples - 1)) / samples)
-    diff = mean - _prediction_matrix(group, n, tau)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(stderr > 0, diff / stderr, np.where(np.abs(diff) < 1e-12, 0.0, np.inf))
-    if group == "unitary":
-        z = _regroup_pair_axes(z, dim)  # reported as (rows, cols, conj rows, conj cols)
-    abs_z = np.abs(z)
-    # the 64 largest |z| beyond the threshold, largest first, ties in index order
-    flat_abs = abs_z.ravel()
-    failing = np.flatnonzero(flat_abs > threshold)
-    worst = failing[np.argsort(-flat_abs[failing], kind="stable")[:64]]
-    failures = [
-        {"index": [int(v) for v in idx], "z": float(z[idx])}
-        for idx in zip(*np.unravel_index(worst, z.shape))
-    ]
+    fac, cmap = _factor_columns(n, tau)
+    z = _class_z(group, n, tau, samples, _grid_sums(group, tau, samples, seed, fac), fac)
     return GridReport(
-        group, n, tau, samples, seed, moments=int(z.size),
-        max_abs_z=float(abs_z.max()), threshold=threshold, failures=failures,
+        group, n, tau, samples, seed, moments=tau ** (4 * n),
+        max_abs_z=float(np.abs(z).max()), threshold=threshold,
+        failures=_worst_failures(group, n, tau, z, cmap, threshold),
     )
-
-
-def _regroup_pair_axes(mat: np.ndarray, dim: int) -> np.ndarray:
-    """Reorder ((a1,b1),(a2,b2)) matrix entries into ((a1,a2),(b1,b2))."""
-    t = mat.reshape(dim, dim, dim, dim)  # (a1, b1, a2, b2)
-    return np.ascontiguousarray(t.transpose(0, 2, 1, 3))

@@ -7,7 +7,9 @@ the Gram and Weingarten matrices), the dense matrix product and
 pseudo-inverse check (against the type-algebra checks), loop types by
 permutation product (against the type matrix), orthogonal values and
 projector entries from S_2n characters summed over cycle-type histograms of
-H_n cosets (against the Hecke-algebra idempotents), Monte-Carlo grid sums over the full tensor power (against the sums over
+H_n cosets (against the Hecke-algebra idempotents), Monte-Carlo grid sums over
+the full tensor power (against the sums over distinct factor products), grid
+z-scores entry by entry over all tau^(4n) moments (against one z per pair of
 distinct factor products), Haar samples by LAPACK QR with the phase fix
 (against Gram-Schmidt run twice), matrices on the pairing basis read
 off the materialized product P_H * X (against the coset sums of X), and
@@ -26,7 +28,7 @@ import numpy as np
 from weingarten.coeffring import invert
 from weingarten.exactmat import PseudoInverseReport, mat_is_symmetric, spectral_sum
 from weingarten.groupalg import AlgebraElement, average_projector, hyperoctahedral_elements
-from weingarten.haarmc import _BATCH, _haar_batch
+from weingarten.haarmc import _BATCH, _basis, _ginibre, _haar_batch, _tied_sum, _ties
 from weingarten.orthogonal import adjacent_pairing, c_orthogonal, coset_representative
 from weingarten.symcore import (
     Pairing,
@@ -286,9 +288,52 @@ def dense_grid_sums(group: str, n: int, tau: int, samples: int, seed: int):
 def qr_haar_batch(group: str, tau: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Haar samples from the same Ginibre draws as `_haar_batch`, by LAPACK QR
     with R's diagonal phases (signs) moved into Q (Mezzadri's fix)."""
-    z = rng.standard_normal((count, tau, tau))
-    if group == "unitary":
-        z = (z + 1j * rng.standard_normal((count, tau, tau))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(_ginibre(group, tau, count, rng))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, None, :]  # a real d / |d| is its sign
+
+
+def full_grid_prediction(group: str, n: int, tau: int) -> np.ndarray:
+    """Float predictions of every degree-n moment, rows against columns.
+
+    Entry (i, j) is the moment whose row indices over the 2n factor positions
+    are the multi-index i and whose column indices are j (0-based, C order),
+    rounded once from the exact sum over the basis pairings that i and j tie.
+    """
+    basis = _basis(group, n)
+    multi = itertools.product(range(tau), repeat=2 * n)
+    ties = [tuple(p for p in basis if _ties(idx, p)) for idx in multi]
+    kinds = {t: k for k, t in enumerate(dict.fromkeys(ties))}
+    exact = np.array([[float(_tied_sum(group, tau, a, b)) for b in kinds] for a in kinds])
+    which = np.array([kinds[t] for t in ties], dtype=np.intp)
+    return exact[np.ix_(which, which)]
+
+
+def _regroup_pair_axes(mat: np.ndarray, dim: int) -> np.ndarray:
+    """Reorder ((a1,b1),(a2,b2)) matrix entries into ((a1,a2),(b1,b2))."""
+    return np.ascontiguousarray(mat.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3))
+
+
+def full_grid_score(group: str, n: int, tau: int, samples: int, sum_re, sum_sq, threshold: float):
+    """z of every grid moment from sums over every pair of tensor-power columns,
+    elementwise against `full_grid_prediction`; returns z in report layout (U:
+    rows, cols, conj rows, conj cols; O: rows, cols), the moment count, max |z|
+    and the 64 largest |z| past the threshold, largest first, ties in index order."""
+    dim = tau**n
+    mean = _regroup_pair_axes(sum_re / samples, dim).reshape(dim * dim, dim * dim)
+    mean_sq = _regroup_pair_axes(sum_sq / samples, dim).reshape(dim * dim, dim * dim)
+    variance = np.maximum(mean_sq - mean * mean, 0.0)
+    stderr = np.sqrt(variance * (samples / (samples - 1)) / samples)
+    diff = mean - full_grid_prediction(group, n, tau)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(stderr > 0, diff / stderr, np.where(np.abs(diff) < 1e-12, 0.0, np.inf))
+    if group == "unitary":
+        z = _regroup_pair_axes(z, dim)
+    flat_abs = np.abs(z).ravel()
+    failing = np.flatnonzero(flat_abs > threshold)
+    worst = failing[np.argsort(-flat_abs[failing], kind="stable")[:64]]
+    failures = [
+        {"index": [int(v) for v in idx], "z": float(z[idx])}
+        for idx in zip(*np.unravel_index(worst, z.shape))
+    ]
+    return z, int(z.size), float(flat_abs.max()), failures

@@ -1,26 +1,33 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import dense_grid_sums, loop_type, qr_haar_batch
+from oracles import dense_grid_sums, full_grid_prediction, full_grid_score, loop_type, qr_haar_batch
+from weingarten import haarmc
 from weingarten.haarmc import (
     _BATCH,
+    _BLOCK,
     GridReport,
     MomentSpec,
+    _class_predictions,
+    _class_z,
+    _factor_columns,
+    _ginibre,
     _grid_sums,
     _haar_batch,
     _orthonormalize,
-    _prediction_matrix,
+    _worst_failures,
     estimate_moment,
     grid_crosscheck,
     predict_moment,
     sample_haar,
 )
 from weingarten.orthogonal import wg_value_orthogonal
-from weingarten.symcore import enumerate_pairings
+from weingarten.symcore import Partition, enumerate_pairings
 
 
 def _gram_error(q: np.ndarray) -> float:
@@ -289,24 +296,119 @@ def test_grid_z_is_bitwise_equal_under_a_factor_swap(group, tau, threshold):
     assert moved
 
 
-@pytest.mark.parametrize("group, tau", [("unitary", 2), ("orthogonal", 3)])
-def test_grid_inputs_are_bitwise_equal_under_a_factor_swap(group, tau):
-    # z is elementwise in the sums and the prediction, so it inherits their
-    # invariance under swapping factor positions 1 and 2 on every moment
-    pred = _prediction_matrix(group, 2, tau).reshape((tau,) * 8)  # rows, cols
-    assert np.array_equal(pred, pred.transpose(1, 0, 2, 3, 5, 4, 6, 7))
-    for sums in _grid_sums(group, 2, tau, 2_000, seed=5):  # (a1, a2, b1, b2) x same
-        sums = sums.reshape((tau,) * 8)
-        assert np.array_equal(sums, sums.transpose(1, 0, 3, 2, 4, 5, 6, 7))
+def _permuted_axes(layout: tuple[str, ...], n: int, first, last) -> list[int]:
+    """Axis order of a (tau,) * 4n grid whose four blocks of n axes index the
+    "first" or the "last" n factor positions, as `layout` says, with the first
+    positions permuted by `first` and the last by `last`."""
+    return [b * n + (first if kind == "first" else last)[k]
+            for b, kind in enumerate(layout) for k in range(n)]
 
 
+@pytest.mark.parametrize("group, n, tau", [
+    ("unitary", 2, 2), ("orthogonal", 2, 3), ("unitary", 3, 2), ("orthogonal", 3, 2),
+])
+def test_full_grid_z_is_bitwise_invariant_under_factor_permutations(group, n, tau):
+    # the grid scores one z per pair of distinct factor products, which is
+    # sound only because the full-grid z does not move, bit for bit, when the
+    # first n factor positions are reordered, or the last n
+    fac, cmap = _factor_columns(n, tau)
+    sums = [s[np.ix_(cmap, cmap)] for s in _grid_sums(group, tau, 2_000, 5, fac)]
+    z = full_grid_score(group, n, tau, 2_000, *sums, threshold=4.0)[0].reshape((tau,) * (4 * n))
+    pred = full_grid_prediction(group, n, tau).reshape((tau,) * (4 * n))  # rows, cols
+    split = ("first", "last") * 2
+    reported = ("first", "first", "last", "last") if group == "unitary" else split
+    for first in itertools.permutations(range(n)):
+        for last in itertools.permutations(range(n)):
+            assert np.array_equal(pred, pred.transpose(_permuted_axes(split, n, first, last)))
+            assert np.array_equal(z, z.transpose(_permuted_axes(reported, n, first, last)))
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+@pytest.mark.parametrize("tau", [1, 2, 3, 5])
+def test_blockwise_orthonormalize_is_bitwise_the_whole_batch(group, tau):
+    # the grid orthonormalizes _BLOCK rows of a batch at a time; its samples
+    # must be bit for bit those of `_haar_batch`, whole batches and tails alike
+    for count in (_BATCH, 4097 - _BATCH, 20_000 % _BATCH):
+        whole = _haar_batch(group, tau, count, np.random.default_rng(tau))
+        z = _ginibre(group, tau, count, np.random.default_rng(tau))
+        blocks = [_orthonormalize(z[s:s + _BLOCK]) for s in range(0, count, _BLOCK)]
+        assert np.array_equal(np.concatenate(blocks), whole)
+
+
+@pytest.mark.parametrize("samples", [100, 513, 4097, 20_000])
 @pytest.mark.parametrize("group, tau", [("unitary", 2), ("orthogonal", 3)])
-def test_grid_sums_match_the_dense_tensor_power(group, tau):
-    fast = _grid_sums(group, 2, tau, 20_000, seed=5)
-    dense = dense_grid_sums(group, 2, tau, 20_000, seed=5)
+def test_grid_sums_match_the_dense_tensor_power(group, tau, samples):
+    # sample counts that neither batches nor blocks divide
+    fac, cmap = _factor_columns(2, tau)
+    fast = _grid_sums(group, tau, samples, 5, fac)
+    dense = dense_grid_sums(group, 2, tau, samples, seed=5)
     for got, want in zip(fast, dense):
+        got = got[np.ix_(cmap, cmap)]
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("group, n, tau", [
+    *((g, n, tau) for g in ("unitary", "orthogonal") for n in (1, 2) for tau in (1, 2, 3, 4)),
+    ("unitary", 3, 2), ("orthogonal", 3, 2),
+])
+def test_grid_report_matches_the_full_grid_oracle(group, n, tau):
+    # class scoring against z over every grid entry, from the same sums
+    samples, seed = 2_000, 3
+    fac, cmap = _factor_columns(n, tau)
+    sums = [s[np.ix_(cmap, cmap)] for s in _grid_sums(group, tau, samples, seed, fac)]
+    for threshold in (-1, 2.0):
+        report = grid_crosscheck(group, n, tau, samples, seed, threshold)
+        _, moments, max_abs_z, failures = full_grid_score(group, n, tau, samples, *sums, threshold)
+        assert report.moments == moments
+        assert report.max_abs_z == max_abs_z
+        assert report.failures == failures
+
+
+@pytest.mark.parametrize("group, tau", [("unitary", 2), ("orthogonal", 3)])
+def test_a_wrong_class_map_disagrees_with_the_oracle(group, tau):
+    n, samples = 2, 2_000
+    fac, cmap = _factor_columns(n, tau)
+    sums = _grid_sums(group, tau, samples, 5, fac)
+    z = _class_z(group, n, tau, samples, sums, fac)
+    want = full_grid_score(group, n, tau, samples, *(s[np.ix_(cmap, cmap)] for s in sums), -1)[3]
+    assert _worst_failures(group, n, tau, z, cmap, -1) == want
+    # one tensor-power column of the worst pair's row class, moved to another class
+    c = np.unravel_index(np.abs(z).argmax(), z.shape)[0]
+    wrong = cmap.copy()
+    wrong[np.flatnonzero(cmap == c)[0]] = (c + 1) % z.shape[0]
+    assert _worst_failures(group, n, tau, z, wrong, -1) != want
+
+
+def test_grid_fails_a_two_percent_error_in_one_weingarten_value(monkeypatch):
+    # the check has power: at 200 000 samples, Wg([1,1]) off by 2 % gives
+    # max |z| near 13 on the O n=2 tau=4 grid, which passes unperturbed
+    assert grid_crosscheck("orthogonal", 2, 4, 200_000, seed=1).ok
+    exact = haarmc._VALUES["orthogonal"]
+
+    def skewed(mu, tau):
+        value = exact(mu, tau)
+        return value * Fraction(102, 100) if Partition(mu) == Partition((1, 1)) else value
+
+    monkeypatch.setitem(haarmc._VALUES, "orthogonal", skewed)
+    report = grid_crosscheck("orthogonal", 2, 4, 200_000, seed=1)
+    assert not report.ok
+    assert report.max_abs_z > 8
+
+
+@pytest.mark.parametrize("group, n, tau, limit_mb", [
+    ("unitary", 2, 3, 6), ("orthogonal", 2, 4, 6), ("unitary", 3, 3, 20),
+])
+def test_grid_allocations_stay_bounded(group, n, tau, limit_mb):
+    # tracemalloc sees numpy's buffers; no stage may hold a whole batch of
+    # products or a tau^(4n) array per statistic
+    tracemalloc.start()
+    try:
+        grid_crosscheck(group, n, tau, 8192, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 1e6
 
 
 def test_grid_crosscheck_validates_its_input():
@@ -340,19 +442,38 @@ def test_grid_matches_single_moment_path(group, n):
         assert abs(single.z - failure["z"]) <= 1e-9, failure
 
 
+def _moment_spec(group: str, tau: int, rows, cols) -> MomentSpec:
+    """The moment with the given row and column indices (1-based) over its
+    2n factor positions: for U the plain factors, then the conjugate ones."""
+    if group == "unitary":
+        n = len(rows) // 2
+        return MomentSpec(group, tau, rows[:n], cols[:n], rows[n:], cols[n:])
+    return MomentSpec(group, tau, rows, cols)
+
+
 @pytest.mark.parametrize("group", ["unitary", "orthogonal"])
 def test_prediction_matrix_matches_predict_moment(group):
     n, tau = 2, 2
-    pred = _prediction_matrix(group, n, tau)
+    pred = full_grid_prediction(group, n, tau)
     multi = list(itertools.product(range(1, tau + 1), repeat=2 * n))
     assert pred.shape == (len(multi), len(multi))
     for i, rows in enumerate(multi):
         for j, cols in enumerate(multi):
-            if group == "unitary":
-                spec = MomentSpec(group, tau, rows[:n], cols[:n], rows[n:], cols[n:])
-            else:
-                spec = MomentSpec(group, tau, rows, cols)
+            spec = _moment_spec(group, tau, rows, cols)
             assert pred[i, j] == float(predict_moment(spec)), (rows, cols)
+
+
+@pytest.mark.parametrize("group, n, tau", [
+    ("unitary", 2, 3), ("orthogonal", 2, 3), ("unitary", 3, 2),
+])
+def test_class_predictions_match_predict_moment(group, n, tau):
+    fac = _factor_columns(n, tau)[0]
+    pred = _class_predictions(group, n, tau, fac)
+    # factor k of product c is entry (rows[k, c], cols[k, c]), 1-based
+    rows, cols = (v + 1 for v in np.divmod(fac, tau))
+    for c, d in itertools.product(range(fac.shape[1]), repeat=2):
+        spec = _moment_spec(group, tau, (*rows[:, c], *rows[:, d]), (*cols[:, c], *cols[:, d]))
+        assert pred[c, d] == float(predict_moment(spec)), (c, d)
 
 
 def test_report_json_fields():

@@ -218,7 +218,7 @@ def test_values_agree_with_the_histogram_oracle(n, taus):
 def test_no_table_path_walks_h_n():
     weingarten_orthogonal(4, TAU)
     weingarten_orthogonal(4, Fraction(9))
-    haarmc._prediction_matrix("orthogonal", 2, 4)
+    haarmc._class_predictions("orthogonal", 2, 4, haarmc._factor_columns(2, 4)[0])
     assert hyperoctahedral_elements.cache_info().currsize == 0
     assert not young._CHAR_MEMO
 
