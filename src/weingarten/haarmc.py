@@ -191,14 +191,19 @@ def predict_moment(spec: MomentSpec) -> Fraction:
     return _tied_sum(spec.group, spec.tau, row_matches, col_matches)
 
 
+def _tied_types(rows: Sequence[Pairing], cols: Sequence[Pairing]) -> Counter:
+    """How many pairs of a row-tied and a column-tied pairing have each loop type."""
+    if not rows or not cols:
+        return Counter()
+    types, index = cross_type_matrix(rows, cols)
+    return Counter({types[k]: c for k, c in Counter(k for row in index for k in row).items()})
+
+
 def _tied_sum(group: str, tau: int, rows: Sequence[Pairing], cols: Sequence[Pairing]) -> Fraction:
     """Wg(loop type) summed over every pair of a row-tied and a column-tied pairing."""
-    if not rows or not cols:
-        return Fraction(0)
-    types, index = cross_type_matrix(rows, cols)
-    counts = Counter(k for row in index for k in row)
     value = _VALUES[group]
-    return sum((value(types[k], Fraction(tau)) * c for k, c in counts.items()), Fraction(0))
+    counts = _tied_types(rows, cols)
+    return sum((value(mu, Fraction(tau)) * c for mu, c in counts.items()), Fraction(0))
 
 
 def estimate_moment(spec: MomentSpec) -> MomentReport:
@@ -305,13 +310,21 @@ def _class_predictions(group: str, n: int, tau: int, fac: np.ndarray) -> np.ndar
     Entry (c, d) is the moment whose row indices over the 2n factor positions
     are those of c's factors, then d's, and whose column indices likewise,
     rounded once from the exact sum over the basis pairings they tie.  Row and
-    column index tuples with the same tied pairings share one exact sum.
+    column index tuples with the same tied pairings share one exact sum, and
+    each loop type's Weingarten value is computed once.
     """
     basis = _basis(group, n)
     multi = itertools.product(range(tau), repeat=2 * n)
     ties = [tuple(p for p in basis if _ties(idx, p)) for idx in multi]
     kinds = {t: k for k, t in enumerate(dict.fromkeys(ties))}
-    exact = np.array([[float(_tied_sum(group, tau, a, b)) for b in kinds] for a in kinds])
+    counts = [[_tied_types(a, b) for b in kinds] for a in kinds]
+    value = _VALUES[group]  # looked up per call, so a test can swap it
+    types = {mu for row in counts for cell in row for mu in cell}
+    wg = {mu: value(mu, Fraction(tau)) for mu in types}
+    exact = np.array([
+        [float(sum((wg[mu] * c for mu, c in cell.items()), Fraction(0))) for cell in row]
+        for row in counts
+    ])
     which = np.array([kinds[t] for t in ties], dtype=np.intp).reshape(tau**n, tau**n)
     # the row (column) indices of each product's factors, as a C-order multi-index
     rows, cols = (np.ravel_multi_index(tuple(v), (tau,) * n) for v in np.divmod(fac, tau))

@@ -24,10 +24,11 @@ what keeps the 945-pairing case affordable.
 
 P_H X is constant on each right coset H y, labelled by the pairing
 y^-1 pi_0 y, with value (1/|H|) * (sum of X over H y): ``coset_sums`` forms
-these sums without a product, and ``pairing_basis_matrix`` reads X's matrix
-on the pairing basis off them.  The ``stability`` suite checks that |H| P_H G
-and |H| G P_H are invariant under the generators of H, agree at every coset
-representative, and that the matrix read off P_H G is the Gram matrix.
+these sums without a product.  The ``stability`` suite checks that |H| P_H G
+and |H| G P_H are invariant under the generators of H and agree at every coset
+representative, that each representative r of pi has r pi_0 r^-1 = pi, and
+that |H| P_H G equals row 0 of the Gram matrix at every pairing, which makes
+the matrix of G on the pairing basis the Gram matrix.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from functools import lru_cache
 
 from .exactmat import (
     WeingartenTable,
-    content_product,
     spectral_sum,
     type_idempotents,
     weingarten_table,
@@ -95,11 +95,6 @@ def gram_orthogonal(n: int, tau):
     return weingarten_table("orthogonal", n, tau, enumerate_pairings(n)).gram
 
 
-def c_orthogonal(lam: Partition, tau):
-    """Eigenvalue product for the orthogonal case: prod (tau + 2j - 1 - i)."""
-    return content_product(lam, tau, 2)
-
-
 _HISTOGRAM_CACHE: dict = {}  # always empty; only wgbench/tracer.py still reads it
 
 
@@ -153,16 +148,3 @@ def coset_sums(n: int, x: AlgebraElement) -> dict[Pairing, object]:
         prev = sums.get(label)
         sums[label] = c if prev is None else prev + c
     return {label: c for label, c in sums.items() if c}
-
-
-def pairing_basis_matrix(n: int, x: AlgebraElement):
-    """Matrix of X on the pairing basis: entry (i, j) is |H| * (P_H X)(r_j^-1 r_i).
-
-    Expand sigma_pi * P * X over the standard basis sigma_pi' * P: the cosets
-    sigma_pi' H are disjoint, so the entry is the coset sum of X at the label
-    of r_j^-1 r_i, which is (r_j pi_0 r_j^-1) conjugated by r_i^-1.
-    """
-    sums, zero = coset_sums(n, x), Fraction(0)
-    inverses = [coset_representative(pi).inverse() for pi in enumerate_pairings(n)]
-    lefts = [coset_label(r_inv) for r_inv in inverses]
-    return [[sums.get(left.conjugate_by(r_inv), zero) for left in lefts] for r_inv in inverses]

@@ -20,14 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .exactmat import WeingartenTable, content_product, spectral_sum, weingarten_table
+from .exactmat import WeingartenTable, spectral_sum, weingarten_table
 from .symcore import Partition, hook_dimension, permutations_of
 from .young import character
-
-
-def c_unitary(lam: Partition, tau):
-    """Content product: product of (tau + column - row) over the diagram."""
-    return content_product(lam, tau, 1)
 
 
 def gram_unitary(n: int, tau):

@@ -40,7 +40,6 @@ from .orthogonal import (
     coset_sums,
     double_factorial_odd,
     gram_orthogonal,
-    pairing_basis_matrix,
     weingarten_orthogonal,
 )
 from .symcore import (
@@ -119,6 +118,14 @@ def _projector_pairing_trace(proj: AlgebraElement, e: AlgebraElement) -> Fractio
     return total
 
 
+def _gram_row(n: int, t):
+    """The pairings, and t^(loops against the adjacent pairing) for each: Gram row 0."""
+    pairings = enumerate_pairings(n)
+    types, index = cross_type_matrix([adjacent_pairing(n)], pairings)
+    powers = tau_powers(t, n)
+    return pairings, [powers[len(types[k])] for k in index[0]]
+
+
 def _jucys(max_n, tau, tau2, deep):
     for n in range(1, max_n + 1):
         lhs = jm_product_unitary(n, TAU)
@@ -132,12 +139,8 @@ def _oid(max_n, tau, tau2, deep):
     for n in range(1, max_n + 1):
         t, label = _parameter(n, 4, tau)
         lhs = jm_product_orthogonal(n, t)
-        pairings = enumerate_pairings(n)
-        types, index = cross_type_matrix([adjacent_pairing(n)], pairings)
-        powers = tau_powers(t, n)
-        rhs = {
-            coset_representative(pi): powers[len(types[k])] for pi, k in zip(pairings, index[0])
-        }
+        pairings, weights = _gram_row(n, t)
+        rhs = {coset_representative(pi): w for pi, w in zip(pairings, weights)}
         expected = double_factorial_odd(n)
         ok = len(lhs) == expected and len(rhs) == expected and lhs == AlgebraElement(2 * n, rhs)
         yield f"odd JM expansion n={n} ({label})", ok
@@ -194,7 +197,7 @@ def _doubling(max_n, tau, tau2, deep):
         survivors, agree = set(), True
         for lam in partitions_of(size):
             for t in standard_tableaux(lam):
-                e = _extend_idempotent(t, cache=False)
+                e = _extend_idempotent(t)
                 alive = bool(_projector_pairing_trace(proj, e))
                 if size <= DIRECT_PRODUCT_TOP:
                     agree = agree and bool(coset_sums(n, e)) == alive
@@ -223,7 +226,11 @@ def _keyid(max_n, tau, tau2, deep):
 def _stability(max_n, tau, tau2, deep):
     # a = |H| P_H G and b = |H| G P_H as coset sums: invariant under the
     # generators of H (so bi-invariant), equal at every coset representative
-    # (which meets every double coset, so P_H G = G P_H), and a gives Gram
+    # (which meets every double coset, so P_H G = G P_H), and a gives Gram.
+    # The matrix of G on the pairing basis has entry (i, j) = a(r_i^-1 pi_j r_i);
+    # once r_i pi_0 r_i^-1 = pi_i, loops(pi_i, pi_j) = loops(pi_0, r_i^-1 pi_j r_i),
+    # and x -> r_i^-1 x r_i permutes the pairings, so that matrix is the Gram
+    # matrix exactly when a equals Gram row 0 at every pairing
     for n in range(1, max_n + 1):
         t, label = _parameter(n, 3, tau)
         g = jm_product_orthogonal(n, t)
@@ -233,9 +240,11 @@ def _stability(max_n, tau, tau2, deep):
             for f in (a, b)
             for h in hyperoctahedral_generators(n)
         )
-        reps = [coset_representative(pi) for pi in enumerate_pairings(n)]
+        pairings, weights = _gram_row(n, t)
+        reps = [coset_representative(pi) for pi in pairings]
+        ok = ok and all(coset_label(r.inverse()) == pi for pi, r in zip(pairings, reps))
         ok = ok and all(a.get(coset_label(r)) == b.get(coset_label(r.inverse())) for r in reps)
-        ok = ok and pairing_basis_matrix(n, g) == gram_orthogonal(n, t)
+        ok = ok and all(a.get(pi, 0) == w for pi, w in zip(pairings, weights))
         yield f"stability lemma n={n} ({label})", ok
 
 

@@ -135,23 +135,20 @@ def _addable_corner_contents(shape: Partition) -> list[int]:
 _IDEMPOTENT_CACHE: dict[tuple[tuple[int, ...], ...], AlgebraElement] = {}
 
 
-def _extend_idempotent(t: StandardTableau, cache: bool = True) -> AlgebraElement:
-    """One recursion step; cache=False keeps huge top-level results transient."""
+def _extend_idempotent(t: StandardTableau) -> AlgebraElement:
+    """One recursion step from the (cached) idempotent of the restricted tableau; not stored."""
     n = t.size
     if n == 1:
-        e = AlgebraElement.unit(1)
-    else:
-        tbar = t.restricted()
-        e = young_idempotent(tbar).embed(n)
-        c_here = t.content(n)
-        m_n = jm_element(n, n)
-        for c_other in _addable_corner_contents(tbar.shape()):
-            if c_other == c_here:
-                continue
-            factor = m_n - AlgebraElement.unit(n, Fraction(c_other))
-            e = e * factor.scale(Fraction(1, c_here - c_other))
-    if cache:
-        _IDEMPOTENT_CACHE[t.rows] = e
+        return AlgebraElement.unit(1)
+    tbar = t.restricted()
+    e = young_idempotent(tbar).embed(n)
+    c_here = t.content(n)
+    m_n = jm_element(n, n)
+    for c_other in _addable_corner_contents(tbar.shape()):
+        if c_other == c_here:
+            continue
+        factor = m_n - AlgebraElement.unit(n, Fraction(c_other))
+        e = e * factor.scale(Fraction(1, c_here - c_other))
     return e
 
 
@@ -162,9 +159,9 @@ def young_idempotent(t: StandardTableau) -> AlgebraElement:
     m_k e(T) = e(T) m_k = content(T, k) e(T).
     """
     cached = _IDEMPOTENT_CACHE.get(t.rows)
-    if cached is not None:
-        return cached
-    return _extend_idempotent(t, cache=True)
+    if cached is None:
+        cached = _IDEMPOTENT_CACHE[t.rows] = _extend_idempotent(t)
+    return cached
 
 
 def central_idempotent(lam: Partition, route: str = "tableau-sum") -> AlgebraElement:

@@ -12,7 +12,8 @@ the full tensor power (against the sums over distinct factor products), grid
 z-scores entry by entry over all tau^(4n) moments (against one z per pair of
 distinct factor products), Haar samples by LAPACK QR with the phase fix
 (against Gram-Schmidt run twice), matrices on the pairing basis read
-off the materialized product P_H * X (against the coset sums of X), and
+off the materialized product P_H * X (against the stability suite's checks
+on coset sums and Gram row 0), and
 complete orthogonality by every pairwise product (against the Jucys-Murphy
 eigenvalue and class-representative checks of the ``idempotents`` and
 ``central`` suites).
@@ -26,10 +27,10 @@ from math import factorial
 import numpy as np
 
 from weingarten.coeffring import invert
-from weingarten.exactmat import PseudoInverseReport, mat_is_symmetric, spectral_sum
+from weingarten.exactmat import PseudoInverseReport, content_product, mat_is_symmetric, spectral_sum
 from weingarten.groupalg import AlgebraElement, average_projector, hyperoctahedral_elements
 from weingarten.haarmc import _BATCH, _basis, _ginibre, _haar_batch, _tied_sum, _ties
-from weingarten.orthogonal import adjacent_pairing, c_orthogonal, coset_representative
+from weingarten.orthogonal import adjacent_pairing, coset_representative
 from weingarten.symcore import (
     Pairing,
     Partition,
@@ -248,7 +249,7 @@ def weingarten_matrix_from_central_idempotents(n: int, tau):
     """
     w_alg = AlgebraElement.zero(2 * n)
     for lam in partitions_of(n):
-        c = c_orthogonal(lam, tau)
+        c = content_product(lam, tau, 2)
         if not c:
             continue
         w_alg = w_alg + central_idempotent(double_shape(lam), route="character").map_coefficients(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import signal
@@ -196,8 +197,8 @@ def _size4_coefficient_shifted(extend):
     The trace criterion reads only coefficients on H_2, so the survivors stay
     the same while P * e(T) no longer vanishes for the non-doubled tableaux.
     """
-    def corrupted(t, cache=True):
-        e = extend(t, cache)
+    def corrupted(t):
+        e = extend(t)
         if e.n != 4:
             return e
         return e + AlgebraElement.basis(Permutation.transposition(2, 3, 4))
@@ -208,13 +209,34 @@ def _jm_doubled(jm):
     return lambda k, n: jm(k, n).scale(Fraction(2))
 
 
+def _entry_1_0_raised(matrix):
+    """A copy of the matrix with entry (1, 0) raised by 1; row 0 is the base row."""
+    rows = [row[:] for row in matrix]
+    if len(rows) > 1:
+        rows[1][0] = rows[1][0] + 1
+    return rows
+
+
 def _off_base_row_changed(gram):
-    """Gram matrices with entry (1, 0) raised by 1; row 0 is the base row."""
+    """Gram matrices with entry (1, 0) raised by 1."""
+    return lambda n, tau: _entry_1_0_raised(gram(n, tau))
+
+
+def _table_gram_off_base_row_changed(make):
+    """Tables whose Gram entry (1, 0) is raised by 1."""
     def corrupted(n, tau):
-        rows = [row[:] for row in gram(n, tau)]
-        if len(rows) > 1:
-            rows[1][0] = rows[1][0] + 1
-        return rows
+        table = make(n, tau)
+        return dataclasses.replace(table, gram=_entry_1_0_raised(table.gram))
+    return corrupted
+
+
+def _non_base_weight_raised(gram_row):
+    """Gram row 0 with the weight of pairing 1, not the base pairing, raised by 1."""
+    def corrupted(n, tau):
+        pairings, weights = gram_row(n, tau)
+        if len(weights) > 1:
+            weights = [weights[0], weights[1] + 1, *weights[2:]]
+        return pairings, weights
     return corrupted
 
 
@@ -225,7 +247,8 @@ INJECTED = {
     "central": (1, "central_idempotent", _identity_coefficient_shifted),
     "doubling": (2, "_extend_idempotent", _size4_coefficient_shifted),
     "keyid": (1, "jm_element", _jm_doubled),
-    "stability": (2, "gram_orthogonal", _off_base_row_changed),
+    "stability": (2, "_gram_row", _non_base_weight_raised),
+    "pseudoinverse": (2, "weingarten_orthogonal", _table_gram_off_base_row_changed),
     "commute": (2, "gram_orthogonal", _off_base_row_changed),
 }
 
@@ -287,6 +310,24 @@ def test_stability_fails_on_a_coset_label_with_two_points_swapped(capsys, monkey
 
     for module in (orthogonal, verify):
         monkeypatch.setattr(module, "coset_label", swapped)
+    code, out, err = run_cli(capsys, "verify", "--suite", "stability", "--n", "2")
+    assert code == 1
+    assert out.splitlines() == ["ok   stability lemma n=1 (symbolic)",
+                                "FAIL stability lemma n=2 (symbolic)"]
+    assert "Traceback" not in err
+
+
+def test_stability_fails_on_a_representative_outside_its_coset(capsys, monkeypatch):
+    # the representative of the last pairing times (2 3), which lies outside H,
+    # no longer conjugates the adjacent pairing to that pairing
+    representative = verify.coset_representative
+    last = verify.enumerate_pairings(2)[-1]
+
+    def moved(pi):
+        r = representative(pi)
+        return r * Permutation.transposition(2, 3, len(pi)) if pi == last else r
+
+    monkeypatch.setattr(verify, "coset_representative", moved)
     code, out, err = run_cli(capsys, "verify", "--suite", "stability", "--n", "2")
     assert code == 1
     assert out.splitlines() == ["ok   stability lemma n=1 (symbolic)",

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from weingarten.haarmc import (
     sample_haar,
 )
 from weingarten.orthogonal import wg_value_orthogonal
-from weingarten.symcore import Partition, enumerate_pairings
+from weingarten.symcore import Partition, enumerate_pairings, partitions_of
 
 
 def _gram_error(q: np.ndarray) -> float:
@@ -474,6 +475,23 @@ def test_class_predictions_match_predict_moment(group, n, tau):
     for c, d in itertools.product(range(fac.shape[1]), repeat=2):
         spec = _moment_spec(group, tau, (*rows[:, c], *rows[:, d]), (*cols[:, c], *cols[:, d]))
         assert pred[c, d] == float(predict_moment(spec)), (c, d)
+
+
+def test_class_predictions_value_each_type_once(monkeypatch):
+    # U n=3 tau=3 has hundreds of pairs of row and column kinds, but 3 cycle types
+    calls = Counter()
+    exact = haarmc._VALUES["unitary"]
+
+    def counted(mu, tau):
+        calls[Partition(mu)] += 1
+        return exact(mu, tau)
+
+    monkeypatch.setitem(haarmc._VALUES, "unitary", counted)
+    fac = _factor_columns(3, 3)[0]
+    pred = _class_predictions("unitary", 3, 3, fac)
+    assert calls == Counter(partitions_of(3))
+    monkeypatch.setitem(haarmc._VALUES, "unitary", exact)
+    assert np.array_equal(pred, _class_predictions("unitary", 3, 3, fac))
 
 
 def test_report_json_fields():

@@ -21,9 +21,9 @@ from oracles import (
     weingarten_matrix_from_central_idempotents,
 )
 
-from weingarten import exactmat, haarmc, orthogonal, verify, young
+from weingarten import exactmat, haarmc, orthogonal, symcore, verify, young
 from weingarten.coeffring import TAU, render
-from weingarten.exactmat import _type_algebra, spectral_sum, type_idempotents
+from weingarten.exactmat import _type_algebra, content_product, spectral_sum, type_idempotents
 from weingarten.groupalg import (
     AlgebraElement,
     average_projector,
@@ -32,13 +32,11 @@ from weingarten.groupalg import (
 )
 from weingarten.orthogonal import (
     adjacent_pairing,
-    c_orthogonal,
     coset_label,
     coset_representative,
     coset_sums,
     double_factorial_odd,
     gram_orthogonal,
-    pairing_basis_matrix,
     weingarten_orthogonal,
     wg_value_orthogonal,
 )
@@ -114,9 +112,9 @@ def test_gram_diagonal():
 
 
 def test_c_orthogonal_examples():
-    assert c_orthogonal(Partition((2,)), TAU) == TAU * (TAU + 2)
-    assert c_orthogonal(Partition((1, 1)), TAU) == TAU * (TAU - 1)
-    assert c_orthogonal(Partition((1, 1)), Fraction(1)) == 0
+    assert content_product(Partition((2,)), TAU, 2) == TAU * (TAU + 2)
+    assert content_product(Partition((1, 1)), TAU, 2) == TAU * (TAU - 1)
+    assert content_product(Partition((1, 1)), Fraction(1), 2) == 0
 
 
 def test_loop_type_halves_cycles():
@@ -337,10 +335,22 @@ def test_stability_lemma_small():
 
 
 def test_stability_lemma_at_the_forced_size():
-    # what `verify --suite stability --n 5 --force` runs
-    checks = list(verify.run("stability", 5, Fraction(7)))
-    assert checks[-1] == ("stability lemma n=5 (tau=7)", True)
+    # what `verify --suite stability --n 6 --force` runs
+    checks = list(verify.run("stability", 6, Fraction(7)))
+    assert checks[-1] == ("stability lemma n=6 (tau=7)", True)
     assert all(ok for _, ok in checks)
+
+
+def test_stability_builds_no_table(monkeypatch):
+    # the lemma is checked on coset sums and Gram row 0; no N x N table is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stability suite built a table")
+
+    for module, name in ((verify, "gram_orthogonal"), (symcore, "type_matrix"),
+                         (exactmat, "type_matrix"), (exactmat, "weingarten_table"),
+                         (orthogonal, "weingarten_table")):
+        monkeypatch.setattr(module, name, refuse)
+    assert [ok for _, ok in verify.run("stability", 4)] == [True] * 4
 
 
 # terms added to G, as (coefficient, product of transpositions): one
@@ -432,7 +442,6 @@ def test_coset_sums_match_the_products_with_the_projector(x):
     for y in permutations_of(2 * n):
         assert order * px.coefficient(y) == right.get(coset_label(y), 0)
         assert order * xp.coefficient(y) == left.get(coset_label(y.inverse()), 0)
-    assert pairing_basis_matrix(n, x) == materialized_pairing_basis_matrix(n, px)
 
 
 def test_coset_sums_reject_an_element_outside_c_s2n():
@@ -452,15 +461,15 @@ def test_doubling_2n8_sample():
 
     proj = average_projector(4)
     alive = double_tableau(StandardTableau([[1, 2], [3, 4]]))
-    e = _extend_idempotent(alive, cache=False)
+    e = _extend_idempotent(alive)
     assert verify._projector_pairing_trace(proj, e) != 0
     dead = StandardTableau([[1, 3, 5, 7], [2, 4, 6, 8]])
-    e = _extend_idempotent(dead, cache=False)
+    e = _extend_idempotent(dead)
     assert verify._projector_pairing_trace(proj, e) == 0
 
 
 @pytest.mark.skipif("WG_DEEP" not in __import__("os").environ,
-                    reason="2n=8 doubling is opt-in (set WG_DEEP=1); takes ~12 min")
+                    reason="2n=8 doubling is opt-in (set WG_DEEP=1); takes about 326 s")
 def test_doubling_2n8_full_opt_in():
     # the survivors at 2n=8 are the 10 doubled tableaux (involutions of S_4)
     assert _suite_passes("doubling", 4, None, None, True)
@@ -480,7 +489,7 @@ def test_projected_g_equals_projected_projector_sum():
         proj = average_projector(n)
         total = AlgebraElement.zero(2 * n)
         for lam in partitions_of(n):
-            c = c_orthogonal(lam, TAU)
+            c = content_product(lam, TAU, 2)
             p2 = central_idempotent(double_shape(lam), route="character")
             total = total + p2.map_coefficients(lambda x, c=c: x * c)
         assert proj * g == proj * total

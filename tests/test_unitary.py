@@ -6,17 +6,18 @@ import sympy
 from oracles import mat_identity, mat_mul, pseudo_inverse_check, regular_matrix
 
 from weingarten.coeffring import TAU, TauRational, parse, render
+from weingarten.exactmat import content_product
 from weingarten.groupalg import AlgebraElement, jm_product_unitary
 from weingarten.symcore import Partition, partitions_of, permutations_of
-from weingarten.unitary import c_unitary, gram_unitary, weingarten_unitary, wg_function_unitary
+from weingarten.unitary import gram_unitary, weingarten_unitary, wg_function_unitary
 from weingarten.young import central_idempotent
 
 
 def test_c_unitary_examples():
-    assert c_unitary(Partition((2,)), TAU) == TAU * (TAU + 1)
-    assert c_unitary(Partition((1, 1)), TAU) == TAU * (TAU - 1)
-    assert c_unitary(Partition((1, 1, 1)), Fraction(2)) == 0
-    assert c_unitary(Partition((3, 1)), Fraction(2)) != 0
+    assert content_product(Partition((2,)), TAU, 1) == TAU * (TAU + 1)
+    assert content_product(Partition((1, 1)), TAU, 1) == TAU * (TAU - 1)
+    assert content_product(Partition((1, 1, 1)), Fraction(2), 1) == 0
+    assert content_product(Partition((3, 1)), Fraction(2), 1) != 0
 
 
 def test_gram_unitary_small():
@@ -106,7 +107,7 @@ def test_g_equals_sum_of_scaled_projectors_up_to_5():
         g = jm_product_unitary(n, TAU)
         total = AlgebraElement.zero(n)
         for lam in partitions_of(n):
-            c = c_unitary(lam, TAU)
+            c = content_product(lam, TAU, 1)
             total = total + central_idempotent(lam, "character").map_coefficients(
                 lambda x, c=c: x * c
             )
@@ -119,7 +120,7 @@ def test_weingarten_matrix_is_regular_matrix_of_w_element():
         table = weingarten_unitary(n, TAU)
         w_alg = AlgebraElement.zero(n)
         for lam in partitions_of(n):
-            inv_c = TauRational(1) / c_unitary(lam, TAU)
+            inv_c = TauRational(1) / content_product(lam, TAU, 1)
             w_alg = w_alg + central_idempotent(lam, "character").map_coefficients(
                 lambda x, f=inv_c: f * x
             )
