@@ -7,7 +7,6 @@ short, orthogonal n<=4), plus numeric tables at a chosen tau.  Output goes to
 """
 
 import argparse
-import json
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -42,7 +41,7 @@ def main() -> None:
         build = weingarten_unitary if group == "unitary" else weingarten_orthogonal
         table = build(n, tau)
         path = args.outdir / filename
-        path.write_text(json.dumps(table.to_json_dict()) + "\n")
+        path.write_text(table.to_json_text() + "\n")
         print(f"{path}  basis={len(table.basis)}  ({time.time() - started:.1f}s)")
 
 

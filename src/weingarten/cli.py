@@ -15,8 +15,6 @@ letter "t".
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import signal
@@ -24,9 +22,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import verify
 from .coeffring import TAU, is_symbolic, render
-from .exactmat import render_matrix, weingarten_table
+from .exactmat import type_texts, weingarten_table
 from .orthogonal import weingarten_orthogonal
 from .symcore import Partition, enumerate_pairings, permutations_of
 from .unitary import weingarten_unitary, wg_function_unitary
@@ -42,6 +39,11 @@ MC_GRID_CAP = 2
 # products and ties tau^(2n) index tuples in Python, and the cap keeps that to seconds
 MC_MOMENT_CAP = 5**8
 BASES = {"unitary": permutations_of, "orthogonal": enumerate_pairings}
+# verify.SUITES, named here so that only `verify` commands import verify
+VERIFY_SUITES = (
+    "jucys", "oid", "idempotents", "central", "pseudoinverse", "doubling", "keyid", "stability",
+    "commute",
+)
 
 
 def cache_dir() -> Path:
@@ -132,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chars.add_argument("--n", required=True, type=_positive_int)
 
     p_verify = sub.add_parser("verify", help="run verification suites for sizes 1..n")
-    p_verify.add_argument("--suite", required=True, choices=(*verify.SUITES, "all"))
+    p_verify.add_argument("--suite", required=True, choices=(*VERIFY_SUITES, "all"))
     p_verify.add_argument("--n", required=True, type=_positive_int)
     p_verify.add_argument("--tau", type=_parse_rational, default=None,
                           help="rational parameter for the sizes past the symbolic range "
@@ -187,13 +189,22 @@ def _emit(text: str, out: Path | None) -> int:
     return 0
 
 
-def _matrix_csv(labels: list[str], matrix) -> str:
+def _csv_fields(texts: list[str]) -> list[str]:
+    """Each nonempty one-line text as a CSV writer writes it in a row of several fields."""
+    import csv
+    import io
+
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + labels)
-    for label, row in zip(labels, render_matrix(matrix)):
-        writer.writerow([label] + row)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerows([text] for text in texts)
+    return buf.getvalue().split("\n")[:-1]
+
+
+def _matrix_csv(labels: list[str], matrix, index) -> str:
+    """The matrix under a header of labels, one labelled row each; one text per type."""
+    labels, texts = _csv_fields(labels), _csv_fields(type_texts(matrix, index))
+    lines = ["," + ",".join(labels)]
+    lines += [label + "," + ",".join(map(texts.__getitem__, row)) for label, row in zip(labels, index)]
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_table(args) -> int:
@@ -211,8 +222,8 @@ def _cmd_table(args) -> int:
         table = weingarten_table(args.group, args.n, args.tau, BASES[args.group](args.n))
         matrix = table.gram
     if args.format == "json":
-        return _emit(json.dumps(table.to_json_dict()), args.out)
-    return _emit(_matrix_csv([p.to_text() for p in table.basis], matrix), args.out)
+        return _emit(table.to_json_text(), args.out)
+    return _emit(_matrix_csv([p.to_text() for p in table.basis], matrix, table.index), args.out)
 
 
 def _cmd_wgfn(args) -> int:
@@ -232,6 +243,8 @@ def _cmd_characters(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     if args.suite == "all":
         chosen = [(name, min(args.n, verify.CAPS[name])) for name in verify.SUITES]
     else:

@@ -7,8 +7,17 @@ Both groups' tables come out of ``weingarten_table``.  Each Gram entry and
 each Weingarten entry depends only on the double-coset type of its basis pair
 (``symcore.type_matrix``): the Gram entry is tau^(parts of the type) and the
 Weingarten entry is the group's class-function value on the type.  So every
-value is computed once per type, stored as one shared object in all entries of
-that type, and rendered once per type.
+value is computed once per type and stored as one shared object in all entries
+of that type; a table keeps the type index, and its JSON and CSV text is
+rendered and encoded once per type and joined through that index.
+
+Symbolic values share one denominator.  Every c_lam(t) is a product of linear
+factors t + k, k a content of lam, so each divides D(t), the product of
+(t + k) to the largest multiplicity of k over the shapes of n.  A value at
+tau = TAU is one integer numerator, the sum of weight(lam) * D / c_lam over
+the weights' common denominator, with the factors of D that divide it
+divided out by synthetic division: no polynomial gcd, and one check at an
+integer point against the direct rational sum.
 
 The identity checks run in the type algebra.  Both Weingarten matrices and
 both Gram matrices are invariant under a group acting transitively on the
@@ -30,12 +39,21 @@ Weingarten value on a type is then the sum of E_lam / c_lam(tau).
 
 from __future__ import annotations
 
+import json
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
-from .coeffring import invert, is_symbolic, render
-from .symcore import Partition, cross_type_matrix, generator_index_maps, partitions_of, type_matrix
+from .coeffring import TAU, TauPolynomial, TauRational, invert, is_symbolic, render
+from .symcore import (
+    Partition,
+    _orbit_covers,
+    cross_type_matrix,
+    generator_index_maps,
+    partitions_of,
+    type_matrix,
+)
 
 
 def mat_is_symmetric(a) -> bool:
@@ -43,7 +61,6 @@ def mat_is_symmetric(a) -> bool:
     return all(list(col) == row for row, col in zip(a, zip(*a)))
 
 
-@dataclass
 class PseudoInverseReport:
     """Outcome of the exact pseudo-inverse identities GWG=G, WGW=W, W=W^T.
 
@@ -54,29 +71,24 @@ class PseudoInverseReport:
     The dense products need no structure and leave it True.
     """
 
-    gwg_equals_g: bool
-    wgw_equals_w: bool
-    w_symmetric: bool
-    invariant: bool = True
+    def __init__(self, gwg_equals_g: bool, wgw_equals_w: bool, w_symmetric: bool,
+                 invariant: bool = True):
+        self.gwg_equals_g = gwg_equals_g
+        self.wgw_equals_w = wgw_equals_w
+        self.w_symmetric = w_symmetric
+        self.invariant = invariant
+
+    def __eq__(self, other):
+        if not isinstance(other, PseudoInverseReport):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return f"PseudoInverseReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def ok(self) -> bool:
         return self.invariant and self.gwg_equals_g and self.wgw_equals_w and self.w_symmetric
-
-
-def _orbit_covers(maps, size: int) -> bool:
-    """Every map permutes range(size) and index 0 reaches every index."""
-    everything = set(range(size))
-    if any(len(p) != size or set(p) != everything for p in maps):
-        return False
-    seen, frontier = {0}, [0]
-    while frontier:
-        i = frontier.pop()
-        for p in maps:
-            if p[i] not in seen:
-                seen.add(p[i])
-                frontier.append(p[i])
-    return len(seen) == size
 
 
 def _invariant(m, maps) -> bool:
@@ -225,8 +237,14 @@ def spectral_sum(n: int, tau, alpha: int, weight):
 
     c_lam is content_product(lam, tau, alpha).  Leaving out the shapes where
     it vanishes is the pseudo-inverse prescription; they are a table's
-    excluded shapes.  Both groups' Weingarten values are such sums.
+    excluded shapes.  Both groups' Weingarten values are such sums.  tau is
+    a rational or the indeterminate TAU (`_symbolic_sum`); any other
+    TauRational is a ValueError.
     """
+    if isinstance(tau, TauRational):
+        if tau != TAU:
+            raise ValueError(f"spectral sums take TAU or a rational tau, not {render(tau)}")
+        return _symbolic_sum(n, alpha, weight)
     total = None
     for lam in partitions_of(n):
         c = content_product(lam, tau, alpha)
@@ -240,48 +258,166 @@ def spectral_sum(n: int, tau, alpha: int, weight):
     return total if total is not None else Fraction(0)
 
 
-def render_matrix(matrix) -> list[list[str]]:
-    """Text of every entry, each distinct entry object rendered once.
+def _linear_product(factors) -> list[int]:
+    """Coefficients, ascending, of the product of (t + k)^m over {k: m}."""
+    poly = [1]
+    for k, m in sorted(factors.items()):
+        for _ in range(m):
+            poly = [a + k * b for a, b in zip([0] + poly, poly + [0])]
+    return poly
 
-    ``weingarten_table`` shares one value object among all entries of a type,
-    so its matrices render once per type, not once per entry.
+
+def _synthetic_division(poly: list[int], root: int) -> tuple[list[int], int]:
+    """Quotient and remainder of poly (ascending) by t - root."""
+    quotient, carry = [0] * (len(poly) - 1), 0
+    for d in range(len(poly) - 1, 0, -1):
+        carry = poly[d] + root * carry
+        quotient[d - 1] = carry
+    return quotient, poly[0] + root * carry
+
+
+def _at(poly: list[int], t: int) -> int:
+    """poly (ascending) evaluated at t, by Horner's rule."""
+    value = 0
+    for c in reversed(poly):
+        value = value * t + c
+    return value
+
+
+@lru_cache(maxsize=None)
+def _cofactors(n: int, alpha: int):
+    """The shared denominator D of the c_lam(t) of the shapes of n, and each D / c_lam.
+
+    c_lam(t) is the product of (t + k) over the contents k = alpha(j-1) - (i-1)
+    of lam's boxes, so D, the product of (t + k) to the largest multiplicity
+    of k over the shapes, is a multiple of every c_lam.  Returns ({k: its
+    multiplicity in D}, {lam: integer coefficients of D / c_lam, ascending}),
+    shared by every caller: neither may be changed.
     """
-    texts = {id(x): x for row in matrix for x in row}
-    for key, x in texts.items():
-        texts[key] = render(x)
-    return [[texts[id(x)] for x in row] for row in matrix]
+    contents = {
+        lam: Counter(alpha * (j - 1) - (i - 1) for i, j in lam.cells()) for lam in partitions_of(n)
+    }
+    top = Counter()
+    for c in contents.values():
+        top |= c
+    return top, {lam: _linear_product(top - c) for lam, c in contents.items()}
 
 
-@dataclass
+def _symbolic_sum(n: int, alpha: int, weight):
+    """spectral_sum at tau = TAU, over the shared denominator D of `_cofactors`.
+
+    No c_lam(t) vanishes.  The numerator sum of weight(lam) * (D / c_lam) is
+    formed in integers over the least common denominator of the weights,
+    then every linear factor of D that divides it is divided out by
+    synthetic division.  What is left is D's other factors, so the result is
+    the reduced TauRational with monic denominator that a running sum of
+    TauRationals gives.  The value is checked at t = n, where every factor
+    t + k is at least 1, against the direct Fraction sum; a mismatch is a
+    ValueError.
+    """
+    top, cofactors = _cofactors(n, alpha)
+    weights = {lam: Fraction(w) for lam in cofactors if (w := weight(lam))}
+    if not weights:
+        return Fraction(0)
+    scale = lcm(*(w.denominator for w in weights.values()))
+    num = [0] * max(map(len, cofactors.values()))
+    for lam, w in weights.items():
+        a = w.numerator * (scale // w.denominator)
+        for d, c in enumerate(cofactors[lam]):
+            num[d] += a * c
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return TauRational(0)
+    left = {}
+    for k, m in top.items():
+        while m:
+            quotient, rest = _synthetic_division(num, -k)
+            if rest:
+                break
+            num, m = quotient, m - 1
+        left[k] = m
+    den = _linear_product(left)
+    direct = sum((w / content_product(lam, n, alpha) for lam, w in weights.items()), Fraction(0))
+    if Fraction(_at(num, n), scale * _at(den, n)) != direct:
+        raise ValueError(f"spectral sum: the reduced value differs from the direct sum at t = {n}")
+    return TauRational._raw(TauPolynomial(Fraction(c, scale) for c in num), TauPolynomial(den))
+
+
+def type_texts(matrix, index) -> list[str]:
+    """render() of each type's value in `matrix`, read at its first column in row 0.
+
+    Row 0 of a ``symcore.type_matrix`` index meets every type, in the order
+    they are numbered, and a table's matrices are constant on each type.
+    """
+    row = index[0]
+    return [render(matrix[0][row.index(g)]) for g in range(max(row) + 1)]
+
+
+def render_matrix(matrix, index) -> list[list[str]]:
+    """Text of every entry of a matrix constant on the types of `index`, one render per type."""
+    texts = type_texts(matrix, index)
+    return [list(map(texts.__getitem__, row)) for row in index]
+
+
+def _json_matrix(matrix, index) -> str:
+    """``json.dumps(render_matrix(matrix, index))``, each type's text encoded once."""
+    texts = [json.dumps(text) for text in type_texts(matrix, index)]
+    return "[" + ", ".join("[" + ", ".join(map(texts.__getitem__, row)) + "]" for row in index) + "]"
+
+
 class WeingartenTable:
     """Gram and Weingarten matrices of U(tau) or O(tau) for one (n, tau).
 
     The basis is S_n for the unitary group and the pairings of {1,...,2n} for
     the orthogonal one; `excluded` lists the shapes whose c_lam vanishes at
     tau.  A Gram-only table has no Weingarten matrix, and its JSON form has
-    neither that matrix nor the excluded shapes.
+    neither that matrix nor the excluded shapes.  Both matrices are functions
+    of the double-coset type, and `index` is the basis's type index
+    (``symcore.type_matrix``) that they are rendered through; a table made
+    without one types its basis when it is rendered.
     """
 
-    group: str
-    n: int
-    tau: object
-    basis: list
-    gram: list[list]
-    weingarten: list[list] | None = None
-    excluded: list[Partition] = field(default_factory=list)
+    def __init__(self, group: str, n: int, tau, basis: list, gram: list[list],
+                 weingarten: list[list] | None = None, excluded: list[Partition] | None = None,
+                 index: list[list[int]] | None = None):
+        self.group = group
+        self.n = n
+        self.tau = tau
+        self.basis = basis
+        self.gram = gram
+        self.weingarten = weingarten
+        self.excluded = [] if excluded is None else excluded
+        self.index = index
 
-    def to_json_dict(self) -> dict:
-        payload = {
+    def _type_index(self) -> list[list[int]]:
+        return self.index if self.index is not None else type_matrix(self.basis)[1]
+
+    def _head(self) -> dict:
+        return {
             "group": self.group,
             "n": self.n,
             "tau": "symbolic" if is_symbolic(self.tau) else render(Fraction(self.tau)),
             "basis": [p.to_text() for p in self.basis],
-            "gram": render_matrix(self.gram),
         }
+
+    def to_json_dict(self) -> dict:
+        index = self._type_index()
+        payload = self._head()
+        payload["gram"] = render_matrix(self.gram, index)
         if self.weingarten is not None:
-            payload["weingarten"] = render_matrix(self.weingarten)
+            payload["weingarten"] = render_matrix(self.weingarten, index)
             payload["excluded"] = [p.to_text() for p in self.excluded]
         return payload
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_dict())``, each matrix encoded once per type."""
+        index = self._type_index()
+        parts = [json.dumps(self._head())[:-1], ', "gram": ', _json_matrix(self.gram, index)]
+        if self.weingarten is not None:
+            parts += [', "weingarten": ', _json_matrix(self.weingarten, index),
+                      ', "excluded": ', json.dumps([p.to_text() for p in self.excluded])]
+        return "".join(parts) + "}"
 
     def pseudo_inverse_report(self) -> PseudoInverseReport:
         """GWG=G, WGW=W and W=W^T in the type algebra of this table's basis."""
@@ -296,17 +432,20 @@ def weingarten_table(
     The Gram entry of a type is tau^(its number of parts), the Weingarten
     entry is value(type, tau), and the excluded shapes are those whose
     content_product(lam, tau, alpha) vanishes (none when tau is symbolic).
-    With value None only the Gram matrix is built.
+    With value None only the Gram matrix is built.  Every entry of a type
+    is one shared value object.
     """
     if n < 1:
         raise ValueError(f"{group} tables require n >= 1, got {n}")
     types, index = type_matrix(basis)
     powers = tau_powers(tau, n)
     gram_of = [powers[len(mu)] for mu in types]
-    gram = [[gram_of[k] for k in row] for row in index]
+    gram = [list(map(gram_of.__getitem__, row)) for row in index]
     if value is None:
-        return WeingartenTable(group, n, tau, basis, gram)
+        return WeingartenTable(group, n, tau, basis, gram, index=index)
     wg_of = [value(mu, tau) for mu in types]
-    wg = [[wg_of[k] for k in row] for row in index]
-    excluded = [lam for lam in partitions_of(n) if not content_product(lam, tau, alpha)]
-    return WeingartenTable(group, n, tau, basis, gram, wg, excluded)
+    wg = [list(map(wg_of.__getitem__, row)) for row in index]
+    excluded = [] if is_symbolic(tau) else [
+        lam for lam in partitions_of(n) if not content_product(lam, tau, alpha)
+    ]
+    return WeingartenTable(group, n, tau, basis, gram, wg, excluded, index)

@@ -42,7 +42,6 @@ from .exactmat import (
     type_idempotents,
     weingarten_table,
 )
-from .groupalg import AlgebraElement
 from .symcore import (
     Pairing,
     Partition,
@@ -130,11 +129,16 @@ def weingarten_orthogonal(n: int, tau) -> WeingartenTable:
 
 
 def coset_label(sigma: Permutation) -> Pairing:
-    """sigma^-1 pi_0 sigma (pi_0 adjacent), the label of H sigma; sigma H has sigma^-1's."""
-    return adjacent_pairing(len(sigma) // 2).conjugate_by(sigma.inverse())
+    """sigma^-1 pi_0 sigma (pi_0 adjacent), the label of H sigma; sigma H has sigma^-1's.
+
+    pi_0 pairs the 0-based points x and x ^ 1, so the label maps i to
+    sigma^-1(pi_0(sigma(i))) without pi_0 being built.
+    """
+    inverse = sigma.inverse()
+    return Pairing(inverse[(s - 1) ^ 1] for s in sigma)
 
 
-def coset_sums(n: int, x: AlgebraElement) -> dict[Pairing, object]:
+def coset_sums(n: int, x) -> dict[Pairing, object]:
     """|H| * P_H x by coset label: (P_H x)(y) is the sum of x over H y, over |H|.
 
     |H| * (x P_H)(y) is coset_sums(n, x.antipode()) at the label of y^-1.

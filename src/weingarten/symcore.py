@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from math import factorial
-from operator import mul
+from operator import itemgetter, mul
 
 
 class Partition(tuple):
@@ -352,33 +352,81 @@ def type_matrix(basis) -> tuple[list[Partition], list[list[int]]]:
     For permutations the type of (b_i, b_j) is the cycle type of b_i^-1 b_j.
     For pairings it is the loop type: the cycle type of b_i b_j (a pairing is
     its own inverse) with multiplicities halved, since each loop splits into
-    two equal cycles.  Types are numbered in first-seen order and index[i][j]
-    is the number of the type of (b_i, b_j).  Cycles are walked once per
-    unordered pair: the pair (b_j, b_i) gives the inverse product, which has
-    the same cycle type.
+    two equal cycles.  index[i][j] is the number of the type of (b_i, b_j).
+
+    Only row 0 is walked, by `cross_type_matrix`, so types are numbered in
+    the order row 0 first meets them.  Types are invariant under the
+    generators' action (`generator_index_maps`): if b_k = g . b_i and p is
+    g's map, then index[k] = [index[i][t] for t in inverse(p)].  So every
+    other row is row 0 carried along a search of the maps, once
+    `_orbit_covers` has proved that each map permutes the basis and that
+    they reach every index; the search also checks that each row agrees
+    with every map that leads to it, which is the invariance the rows rest
+    on.  Raises ValueError when the basis is not one orbit of the action
+    (an element missing or repeated) or a row disagrees.
     """
-    return cross_type_matrix(basis, basis)
+    size, maps = len(basis), generator_index_maps(basis)
+    if not _orbit_covers(maps, size):
+        raise ValueError("type matrix: the generators do not permute the basis in one orbit")
+    types, (row,) = cross_type_matrix([basis[0]], basis)
+    if size == 1:
+        # row 0 is the whole matrix, and itemgetter of one index returns no tuple
+        return types, [row]
+    moves = [(p, itemgetter(*_inverse(p))) for p in maps]
+    index: list = [row] + [None] * (size - 1)
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for p, carry in moves:
+            k, carried = p[i], list(carry(index[i]))
+            if index[k] is None:
+                index[k] = carried
+                frontier.append(k)
+            elif index[k] != carried:
+                raise ValueError(f"type matrix: row {k} is not invariant under the generators")
+    return types, index
+
+
+def _inverse(p: list[int]) -> list[int]:
+    """The inverse of a permutation of range(len(p)) given as a list of images."""
+    inv = [0] * len(p)
+    for i, k in enumerate(p):
+        inv[k] = i
+    return inv
+
+
+def _orbit_covers(maps, size: int) -> bool:
+    """Every map permutes range(size) and index 0 reaches every index."""
+    everything = set(range(size))
+    if any(len(p) != size or set(p) != everything for p in maps):
+        return False
+    seen, frontier = {0}, [0]
+    while frontier:
+        i = frontier.pop()
+        for p in maps:
+            if p[i] not in seen:
+                seen.add(p[i])
+                frontier.append(p[i])
+    return len(seen) == size
 
 
 def cross_type_matrix(rows, cols) -> tuple[list[Partition], list[list[int]]]:
     """Type of every (row, column) pair, as for `type_matrix`; index is rows x cols.
 
-    Cycles are walked over 0-based one-line tuples; for pairings the walk
-    marks both cycles of a loop, so it counts each loop once.  When rows is
-    cols only the upper triangle is walked, and mirrored.
+    Types are numbered in first-seen order.  Cycles are walked over 0-based
+    one-line tuples; for pairings the walk marks both cycles of a loop, so it
+    counts each loop once.
     """
     halve = isinstance(rows[0], Pairing)
-    symmetric = rows is cols
     lefts = [tuple(x - 1 for x in (b if halve else b.inverse())) for b in rows]
     rights = [tuple(x - 1 for x in b) for b in cols]
-    size, count = len(rights[0]), len(rights)
+    size = len(rights[0])
     numbers: dict[tuple[int, ...], int] = {}
     types: list[Partition] = []
-    index = [[0] * count for _ in lefts]
-    for i, left in enumerate(lefts):
-        row = index[i]
-        for j in range(i if symmetric else 0, count):
-            right = rights[j]
+    index = []
+    for left in lefts:
+        row = []
+        for right in rights:
             seen = [False] * size
             lengths = []
             for start in range(size):
@@ -398,9 +446,8 @@ def cross_type_matrix(rows, cols) -> tuple[list[Partition], list[list[int]]]:
             if number is None:
                 number = numbers[key] = len(types)
                 types.append(Partition(key))
-            row[j] = number
-            if symmetric:
-                index[j][i] = number
+            row.append(number)
+        index.append(row)
     return types, index
 
 

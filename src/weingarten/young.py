@@ -11,19 +11,19 @@ recursion on the last box: e(T) equals e of the restricted tableau times
 the product over the other addable corners c' of
 (m_n - c') / (content(T, n) - c').  Distinct addable corners of one shape
 have distinct contents, so the denominators never vanish.  Coefficients stay
-plain rationals; promotion to symbolic happens downstream on demand.
+plain rationals; promotion to symbolic happens downstream on demand.  The
+idempotent functions import ``groupalg`` when they run, so characters load
+without it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-from .groupalg import AlgebraElement, jm_element
 from .symcore import (
     Partition,
     StandardTableau,
@@ -82,13 +82,13 @@ def character(lam: Partition, mu: Partition) -> int:
     return _mn(tuple(lam), tuple(mu))
 
 
-@dataclass(frozen=True)
 class CharacterTable:
     """Full character table of S_n on the canonical partition order."""
 
-    n: int
-    partitions: tuple[Partition, ...]
-    values: tuple[tuple[int, ...], ...]  # values[lam_index][mu_index]
+    def __init__(self, n: int, partitions: tuple[Partition, ...], values: tuple[tuple[int, ...], ...]):
+        self.n = n
+        self.partitions = partitions
+        self.values = values  # values[lam_index][mu_index]
 
     @classmethod
     def build(cls, n: int) -> "CharacterTable":
@@ -137,6 +137,8 @@ _IDEMPOTENT_CACHE: dict[tuple[tuple[int, ...], ...], AlgebraElement] = {}
 
 def _extend_idempotent(t: StandardTableau) -> AlgebraElement:
     """One recursion step from the (cached) idempotent of the restricted tableau; not stored."""
+    from .groupalg import AlgebraElement, jm_element
+
     n = t.size
     if n == 1:
         return AlgebraElement.unit(1)
@@ -173,6 +175,8 @@ def central_idempotent(lam: Partition, route: str = "tableau-sum") -> AlgebraEle
     chi on sigma since the two are conjugate in S_n; that identification is
     made here, once.
     """
+    from .groupalg import AlgebraElement
+
     lam = Partition(lam)
     n = lam.weight
     if route == "tableau-sum":

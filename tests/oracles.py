@@ -5,7 +5,9 @@ so a test can compare the two: centralizer orders (against class sizes and
 character orthogonality), the regular representation of C[S_n] (against
 the Gram and Weingarten matrices), the dense matrix product and
 pseudo-inverse check (against the type-algebra checks), loop types by
-permutation product (against the type matrix), orthogonal values and
+permutation product and the cycle walk of every basis pair (against the
+type matrix carried from row 0), symbolic spectral sums as running sums of
+reduced TauRationals (against the sums over one shared denominator), orthogonal values and
 projector entries from S_2n characters summed over cycle-type histograms of
 H_n cosets (against the Hecke-algebra idempotents), Monte-Carlo grid sums over
 the full tensor power (against the sums over distinct factor products), grid
@@ -92,6 +94,62 @@ def loop_type(pi: Pairing, rho: Pairing) -> Partition:
     for length, count in counts.items():
         sizes.extend([length] * (count // 2))
     return Partition(sorted(sizes, reverse=True))
+
+
+def pair_type(b: Permutation, c: Permutation) -> Partition:
+    """Double-coset type of one basis pair, by walking the cycles of b^-1 c.
+
+    For pairings the walk marks both cycles of a loop, so it counts loops.
+    """
+    halve = isinstance(b, Pairing)
+    left = [x - 1 for x in (b if halve else b.inverse())]
+    right = [x - 1 for x in c]
+    seen, lengths = [False] * len(right), []
+    for start in range(len(right)):
+        if seen[start]:
+            continue
+        length, k = 0, start
+        while not seen[k]:
+            seen[k] = True
+            if halve:
+                seen[right[k]] = True
+            k = left[right[k]]
+            length += 1
+        lengths.append(length)
+    return Partition(sorted(lengths, reverse=True))
+
+
+def dense_type_matrix(basis):
+    """(types, index) as ``symcore.type_matrix`` gives it, from a walk of every pair.
+
+    Each unordered pair is walked once and mirrored, since (c, b) has the
+    inverse product and so the same type; types are numbered first-seen.
+    """
+    numbers, types = {}, []
+    index = [[0] * len(basis) for _ in basis]
+    for i, b in enumerate(basis):
+        for j in range(i, len(basis)):
+            mu = pair_type(b, basis[j])
+            if mu not in numbers:
+                numbers[mu] = len(types)
+                types.append(mu)
+            index[i][j] = index[j][i] = numbers[mu]
+    return types, index
+
+
+def running_sum_spectral_sum(n: int, tau, alpha: int, weight):
+    """``exactmat.spectral_sum`` as one running sum, every partial sum a reduced TauRational."""
+    total = None
+    for lam in partitions_of(n):
+        c = content_product(lam, tau, alpha)
+        if not c:
+            continue
+        w = weight(lam)
+        if not w:
+            continue
+        term = invert(c) * w
+        total = term if total is None else total + term
+    return total if total is not None else Fraction(0)
 
 
 def conjugating_permutation(src: Pairing, dst: Pairing) -> Permutation:

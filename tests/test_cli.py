@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import signal
@@ -11,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from weingarten import cli, exactmat, orthogonal, verify, young
-from weingarten.coeffring import TAU, parse
+from weingarten.coeffring import TAU, parse, render
 from weingarten.groupalg import AlgebraElement
 from weingarten.symcore import Permutation, StandardTableau
 
@@ -49,6 +48,54 @@ def test_wgfn_symbolic(capsys):
     )
     assert code == 0
     assert out.strip() == "(-1)/(t^3 - t)"
+
+
+def test_wgfn_symbolic_at_n6_prints_the_running_sum(capsys):
+    from math import factorial
+
+    from oracles import running_sum_spectral_sum
+    from weingarten.symcore import Partition, hook_dimension
+    from weingarten.young import character
+
+    mu = Partition((3, 2, 1))
+    expected = running_sum_spectral_sum(
+        6, TAU, 1, lambda lam: Fraction(hook_dimension(lam) * character(lam, mu), factorial(6))
+    )
+    code, out, _ = run_cli(capsys, "wgfn", "--group", "unitary", "--cycle-type", "[3,2,1]")
+    assert code == 0
+    assert out == render(expected) + "\n"
+
+
+def _csv_writer_text(table, matrix):
+    """The CSV a csv.writer writes entry by entry: a header of labels, then one labelled row each."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    labels = [p.to_text() for p in table.basis]
+    writer.writerow([""] + labels)
+    for label, row in zip(labels, matrix):
+        writer.writerow([label] + [render(x) for x in row])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--group", "unitary", "--n", "1", "--tau", "symbolic"),
+    ("table", "--group", "unitary", "--n", "3", "--tau", "symbolic"),
+    ("table", "--group", "orthogonal", "--n", "3", "--tau", "2/3"),
+    ("table", "--group", "orthogonal", "--n", "2", "--tau", "1"),
+    ("gram", "--group", "orthogonal", "--n", "1", "--tau", "symbolic"),
+    ("gram", "--group", "unitary", "--n", "3", "--tau", "-4"),
+], ids=" ".join)
+def test_csv_per_type_matches_the_writer_entry_by_entry(capsys, argv):
+    kind, group, n, tau = argv[0], argv[2], int(argv[4]), cli._parse_tau(argv[6])
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    if kind == "table":
+        build = cli.weingarten_unitary if group == "unitary" else cli.weingarten_orthogonal
+        table = build(n, tau)
+        assert out == _csv_writer_text(table, table.weingarten)
+    else:
+        table = exactmat.weingarten_table(group, n, tau, cli.BASES[group](n))
+        assert out == _csv_writer_text(table, table.gram)
 
 
 def test_csv_and_json_encode_same_matrix(capsys):
@@ -226,7 +273,10 @@ def _table_gram_off_base_row_changed(make):
     """Tables whose Gram entry (1, 0) is raised by 1."""
     def corrupted(n, tau):
         table = make(n, tau)
-        return dataclasses.replace(table, gram=_entry_1_0_raised(table.gram))
+        return exactmat.WeingartenTable(
+            table.group, table.n, table.tau, table.basis, _entry_1_0_raised(table.gram),
+            table.weingarten, table.excluded, table.index,
+        )
     return corrupted
 
 

@@ -1,6 +1,7 @@
 """The type-algebra identity checks against the dense products they replace."""
 
 import copy
+import json
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -8,10 +9,10 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import loop_type, mat_mul, pseudo_inverse_check
+from oracles import loop_type, mat_mul, pseudo_inverse_check, running_sum_spectral_sum
 
 from weingarten import exactmat
-from weingarten.coeffring import TAU
+from weingarten.coeffring import TAU, TauRational, render
 from weingarten.exactmat import (
     _product,
     _type_algebra,
@@ -20,7 +21,7 @@ from weingarten.exactmat import (
     type_idempotents,
     type_pseudo_inverse_check,
 )
-from weingarten.orthogonal import gram_orthogonal, weingarten_orthogonal
+from weingarten.orthogonal import _idempotents_by_type, gram_orthogonal, weingarten_orthogonal
 from weingarten.symcore import (
     Partition,
     Permutation,
@@ -326,3 +327,81 @@ def test_class_algebra_idempotents_are_the_central_idempotents(n):
 def test_the_other_groups_alpha_raises(n, basis_of, alpha):
     with pytest.raises(ValueError, match="G E_lam != c_lam E_lam"):
         type_idempotents(n, basis_of(n), alpha)
+
+
+# -- symbolic values over one shared denominator --------------------------------
+
+
+def _unitary_weight(n, mu):
+    return lambda lam: Fraction(hook_dimension(lam) * character(lam, mu), factorial(n))
+
+
+def _orthogonal_weight(n, mu):
+    return _idempotents_by_type(n)[mu].__getitem__
+
+
+SYMBOLIC_CASES = [("unitary", n, 1) for n in range(1, 7)] + [("orthogonal", n, 2) for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("group, n, alpha", SYMBOLIC_CASES)
+def test_symbolic_sum_equals_the_running_sum_on_every_type(group, n, alpha):
+    weight_of = _unitary_weight if group == "unitary" else _orthogonal_weight
+    for mu in partitions_of(n):
+        weight = weight_of(n, mu)
+        value = spectral_sum(n, TAU, alpha, weight)
+        expected = running_sum_spectral_sum(n, TAU, alpha, weight)
+        assert isinstance(value, TauRational)
+        assert value.num.coeffs == expected.num.coeffs
+        assert value.den.coeffs == expected.den.coeffs
+
+
+def test_symbolic_sum_of_zero_weights_is_zero():
+    assert spectral_sum(3, TAU, 1, lambda lam: 0) == 0
+    cancel = {Partition((2,)): Fraction(1), Partition((1, 1)): Fraction(0)}
+    assert spectral_sum(2, TAU, 1, cancel.__getitem__) == running_sum_spectral_sum(
+        2, TAU, 1, cancel.__getitem__)
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_a_cofactor_missing_one_linear_factor_trips_the_guard(monkeypatch, alpha):
+    n = 4
+    top, cofactors = exactmat._cofactors(n, alpha)
+    lam = Partition((n,))
+    contents = Counter(alpha * (j - 1) - (i - 1) for i, j in lam.cells())
+    k = next(iter(top - contents))
+    short, rest = exactmat._synthetic_division(cofactors[lam], -k)
+    assert rest == 0
+    bad = {**cofactors, lam: short}
+    monkeypatch.setattr(exactmat, "_cofactors", lambda *args: (top, bad))
+    with pytest.raises(ValueError, match="direct sum"):
+        spectral_sum(n, TAU, alpha, _unitary_weight(n, Partition((1,) * n)))
+
+
+@pytest.mark.parametrize("tau", [TAU + 1, TAU * TAU, TauRational(7)], ids=["t+1", "t^2", "7"])
+def test_spectral_sum_takes_no_other_tau_rational(tau):
+    with pytest.raises(ValueError, match="spectral sums take TAU"):
+        spectral_sum(2, tau, 1, lambda lam: Fraction(1))
+
+
+# -- rendering through the type index ---------------------------------------------
+
+
+@pytest.mark.parametrize("group, n, tau", [
+    ("unitary", 3, TAU), ("unitary", 4, Fraction(7, 2)), ("unitary", 3, Fraction(1)),
+    ("orthogonal", 3, TAU), ("orthogonal", 3, Fraction(-2)), ("orthogonal", 2, Fraction(1)),
+])
+def test_rendering_through_the_type_index_matches_every_entry(group, n, tau):
+    table = BUILDERS[group](n, tau)
+    payload = table.to_json_dict()
+    assert payload["gram"] == [[render(x) for x in row] for row in table.gram]
+    assert payload["weingarten"] == [[render(x) for x in row] for row in table.weingarten]
+    assert table.to_json_text() == json.dumps(payload)
+
+
+def test_a_table_made_without_an_index_renders_the_same():
+    table = weingarten_orthogonal(3, TAU)
+    bare = exactmat.WeingartenTable(
+        group=table.group, n=table.n, tau=table.tau, basis=table.basis,
+        gram=table.gram, weingarten=table.weingarten, excluded=table.excluded,
+    )
+    assert bare.to_json_text() == table.to_json_text()

@@ -334,6 +334,29 @@ def test_stability_lemma_small():
     assert _suite_passes("stability", 3)
 
 
+def test_stability_builds_the_adjacent_pairing_once_per_size(monkeypatch):
+    # coset_label reads pi_0 off the point pairing x <-> x ^ 1; only the Gram
+    # row of each size builds pi_0
+    built = Counter()
+    make = orthogonal.adjacent_pairing
+
+    def counted(n):
+        built[n] += 1
+        return make(n)
+
+    monkeypatch.setattr(orthogonal, "adjacent_pairing", counted)
+    monkeypatch.setattr(verify, "adjacent_pairing", counted)
+    assert all(ok for _, ok in verify.run("stability", 5, Fraction(7)))
+    assert built == {n: 1 for n in range(1, 6)}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_coset_label_is_the_conjugated_adjacent_pairing(m):
+    pi0 = orthogonal.adjacent_pairing(m)
+    for sigma in permutations_of(2 * m):
+        assert orthogonal.coset_label(sigma) == pi0.conjugate_by(sigma.inverse())
+
+
 def test_stability_lemma_at_the_forced_size():
     # what `verify --suite stability --n 6 --force` runs
     checks = list(verify.run("stability", 6, Fraction(7)))

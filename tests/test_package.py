@@ -1,7 +1,9 @@
 """Import layering: the package root loads nothing, and a module only what it needs.
 
 numpy is loaded by the Monte-Carlo layer alone; every exact command,
-group-algebra products included, runs without it.
+group-algebra products included, runs without it.  No exact command loads
+dataclasses, and the table commands load neither the verification suites
+nor the group algebra.
 """
 
 import json
@@ -11,15 +13,18 @@ import sys
 import pytest
 
 
+WATCHED = ("weingarten", "numpy", "dataclasses")
+
+
 def _loaded_after(statement: str, env) -> list[str]:
-    """The package and numpy modules loaded by `statement` in a fresh process.
+    """The package, numpy and dataclasses modules loaded by `statement` in a fresh process.
 
     `statement` may span lines and may call `sys.exit` with a message to fail.
     """
     code = (
         f"import json, sys\n{statement}\n"
         "print(json.dumps(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('weingarten', 'numpy'))))"
+        f"if m.split('.')[0] in {WATCHED!r})))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -85,8 +90,26 @@ EXACT_COMMANDS = [
 
 
 @pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=" ".join)
-def test_exact_command_runs_without_numpy(python_env, argv):
-    assert not _has_numpy(_loaded_by_cli(argv, python_env))
+def test_exact_command_runs_without_numpy_or_dataclasses(python_env, argv):
+    loaded = _loaded_by_cli(argv, python_env)
+    assert not _has_numpy(loaded)
+    assert "dataclasses" not in loaded
+
+
+TABLE_COMMANDS = [argv for argv in EXACT_COMMANDS if argv[0] in ("table", "gram", "wgfn", "characters")]
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=" ".join)
+def test_table_commands_load_neither_verify_nor_groupalg(python_env, argv):
+    loaded = _loaded_by_cli(argv, python_env)
+    assert "weingarten.verify" not in loaded
+    assert "weingarten.groupalg" not in loaded
+
+
+def test_cli_names_the_verify_suites_in_their_order():
+    from weingarten import cli, verify
+
+    assert cli.VERIFY_SUITES == tuple(verify.SUITES)
 
 
 NUMPY_COMMANDS = [

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_type
+from oracles import dense_type_matrix, loop_type, pair_type
+from weingarten import symcore
 from weingarten.symcore import (
     Pairing,
     Partition,
@@ -342,18 +343,61 @@ def test_type_matrix_matches_loop_type_on_random_pairs_at_n5():
     _assert_first_seen_order(index)
 
 
-@pytest.mark.parametrize("basis, oracle", [
-    (permutations_of(4), _cycle_type_oracle),
-    (enumerate_pairings(3), _loop_type_oracle),
-])
-def test_type_matrix_with_a_duplicated_basis_element(basis, oracle):
-    basis = basis + [basis[2]]
+@pytest.mark.parametrize(
+    "basis", [permutations_of(n) for n in range(1, 6)] + [enumerate_pairings(n) for n in range(1, 5)],
+    ids=lambda basis: f"{type(basis[0]).__name__}-{len(basis)}",
+)
+def test_type_matrix_equals_the_dense_walk_exhaustively(basis):
+    # rows carried from row 0 give the same types, numbering and index as
+    # walking every pair
+    assert type_matrix(basis) == dense_type_matrix(basis)
+
+
+@pytest.mark.parametrize("basis", [permutations_of(6), enumerate_pairings(5)],
+                         ids=["unitary-6", "orthogonal-5"])
+def test_type_matrix_matches_the_pair_walk_on_seeded_rows(basis):
     types, index = type_matrix(basis)
-    assert index[-1] == index[2]
-    assert [row[-1] for row in index] == [row[2] for row in index]
-    for i, b in enumerate(basis):
-        for j, c in enumerate(basis):
-            assert types[index[i][j]] == oracle(b, c)
+    rng = random.Random(len(basis))
+    for i in [0, len(basis) - 1, *rng.sample(range(1, len(basis) - 1), 6)]:
+        assert [types[k] for k in index[i]] == [pair_type(basis[i], c) for c in basis]
+
+
+def _swapped_entries(map_number, a, b):
+    """generator_index_maps with entries a and b of one map swapped; still permutations."""
+    maps_of = symcore.generator_index_maps
+
+    def maps(basis):
+        out = [list(p) for p in maps_of(basis)]
+        p = out[map_number]
+        p[a], p[b] = p[b], p[a]
+        return out
+    return maps
+
+
+@pytest.mark.parametrize("basis", [permutations_of(4), enumerate_pairings(3)], ids=["unitary", "orthogonal"])
+@pytest.mark.parametrize("map_number", [0, 1])
+@pytest.mark.parametrize("a, b", [(0, 1), (2, 7), (5, 11)])
+def test_type_matrix_rejects_a_map_with_two_entries_swapped(monkeypatch, basis, map_number, a, b):
+    # a swap that splits the orbit fails the cover proof, any other the invariance check
+    monkeypatch.setattr(symcore, "generator_index_maps", _swapped_entries(map_number, a, b))
+    with pytest.raises(ValueError, match="type matrix"):
+        type_matrix(basis)
+
+
+@pytest.mark.parametrize("basis", [permutations_of(4), enumerate_pairings(3)], ids=["unitary", "orthogonal"])
+@pytest.mark.parametrize("drop", [0, 5, -1])
+def test_type_matrix_rejects_a_basis_with_one_element_dropped(basis, drop):
+    basis = list(basis)
+    del basis[drop]
+    with pytest.raises(ValueError, match="one orbit"):
+        type_matrix(basis)
+
+
+@pytest.mark.parametrize("basis", [permutations_of(4), enumerate_pairings(3)], ids=["unitary", "orthogonal"])
+def test_type_matrix_rejects_a_duplicated_basis_element(basis):
+    # the generators' maps then miss the first copy, so they permute nothing
+    with pytest.raises(ValueError, match="one orbit"):
+        type_matrix(basis + [basis[2]])
 
 
 @pytest.mark.parametrize("basis, oracle", [
