@@ -3,7 +3,8 @@
 
 Symbolic tables up to the default caps (unitary n<=4 here to keep the run
 short, orthogonal n<=4), plus numeric tables at a chosen tau.  Output goes to
---outdir (default ./tables).
+--outdir (default ./tables); each file is written row by row, byte for byte
+what ``weingarten table --out`` writes.
 """
 
 import argparse
@@ -41,7 +42,8 @@ def main() -> None:
         build = weingarten_unitary if group == "unitary" else weingarten_orthogonal
         table = build(n, tau)
         path = args.outdir / filename
-        path.write_text(table.to_json_text() + "\n")
+        with path.open("w") as fh:
+            fh.writelines(table.json_chunks())
         print(f"{path}  basis={len(table.basis)}  ({time.time() - started:.1f}s)")
 
 

@@ -23,11 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .coeffring import TAU, is_symbolic, render
-from .exactmat import type_texts, weingarten_table
-from .orthogonal import weingarten_orthogonal
-from .symcore import Partition, enumerate_pairings, permutations_of
-from .unitary import weingarten_unitary, wg_function_unitary
-from .young import CharacterTable
+from .symcore import Partition
 
 # default desk-scale caps; --force lifts them
 CAPS = {
@@ -38,7 +34,6 @@ MC_GRID_CAP = 2
 # tau^(4n) grid moments; the run scores C(tau^2+n-1, n)^2 pairs of distinct
 # products and ties tau^(2n) index tuples in Python, and the cap keeps that to seconds
 MC_MOMENT_CAP = 5**8
-BASES = {"unitary": permutations_of, "orthogonal": enumerate_pairings}
 # verify.SUITES, named here so that only `verify` commands import verify
 VERIFY_SUITES = (
     "jucys", "oid", "idempotents", "central", "pseudoinverse", "doubling", "keyid", "stability",
@@ -175,63 +170,58 @@ def _write_failed(path: Path, exc: OSError) -> int:
     return 2
 
 
-def _emit(text: str, out: Path | None) -> int:
-    """Write text and a final newline to stdout or `out`; 2 if `out` fails."""
-    if not text.endswith("\n"):
-        text += "\n"
+def _emit(chunks, out: Path | None) -> int:
+    """Write the chunks to stdout or `out`; 2 if `out` fails.  A table's
+    first chunk comes after its proofs, so a domain error opens nothing."""
+    first = next(chunks)
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(first)
+        sys.stdout.writelines(chunks)
         return 0
     try:
-        out.write_text(text)
+        with out.open("w") as fh:
+            fh.write(first)
+            fh.writelines(chunks)
     except OSError as exc:
         return _write_failed(out, exc)
     return 0
 
 
-def _csv_fields(texts: list[str]) -> list[str]:
-    """Each nonempty one-line text as a CSV writer writes it in a row of several fields."""
-    import csv
-    import io
-
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([text] for text in texts)
-    return buf.getvalue().split("\n")[:-1]
-
-
-def _matrix_csv(labels: list[str], matrix, index) -> str:
-    """The matrix under a header of labels, one labelled row each; one text per type."""
-    labels, texts = _csv_fields(labels), _csv_fields(type_texts(matrix, index))
-    lines = ["," + ",".join(labels)]
-    lines += [label + "," + ",".join(map(texts.__getitem__, row)) for label, row in zip(labels, index)]
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_table(args) -> int:
-    """``table`` writes G and W (CSV: W alone); ``gram`` builds and writes G alone."""
+    """``table`` writes G and W (CSV: W alone); ``gram`` builds and writes G alone.
+
+    ``table`` imports its own group's module, ``gram`` neither.
+    """
     kind = "symbolic" if is_symbolic(args.tau) else "numeric"
     message = _check_cap(args.n, CAPS[args.group][kind], args.force, f"{kind} {args.group}")
     if message:
         print(message, file=sys.stderr)
         return 2
-    if args.command == "table":
-        build = weingarten_unitary if args.group == "unitary" else weingarten_orthogonal
-        table = build(args.n, args.tau)
-        matrix = table.weingarten
+    if args.command == "gram":
+        from .exactmat import weingarten_table
+
+        table = weingarten_table(args.group, args.n, args.tau)
+    elif args.group == "unitary":
+        from .unitary import weingarten_unitary
+
+        table = weingarten_unitary(args.n, args.tau)
     else:
-        table = weingarten_table(args.group, args.n, args.tau, BASES[args.group](args.n))
-        matrix = table.gram
-    if args.format == "json":
-        return _emit(table.to_json_text(), args.out)
-    return _emit(_matrix_csv([p.to_text() for p in table.basis], matrix, table.index), args.out)
+        from .orthogonal import weingarten_orthogonal
+
+        table = weingarten_orthogonal(args.n, args.tau)
+    return _emit(table.json_chunks() if args.format == "json" else table.csv_chunks(), args.out)
 
 
 def _cmd_wgfn(args) -> int:
+    from .unitary import wg_function_unitary
+
     print(render(wg_function_unitary(args.cycle_type, args.tau)))
     return 0
 
 
 def _cmd_characters(args) -> int:
+    from .young import CharacterTable
+
     table = CharacterTable.build(args.n)
     path = cache_dir() / f"characters-n{args.n}.json"
     try:

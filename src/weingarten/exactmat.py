@@ -1,15 +1,12 @@
 """Exact tables and type-algebra identities shared by the two Weingarten modules.
 
-Matrices are plain lists of row lists whose entries live in any of the
-package's coefficient rings; everything here is exact, nothing is numeric.
-
 Both groups' tables come out of ``weingarten_table``.  Each Gram entry and
-each Weingarten entry depends only on the double-coset type of its basis pair
-(``symcore.type_matrix``): the Gram entry is tau^(parts of the type) and the
-Weingarten entry is the group's class-function value on the type.  So every
-value is computed once per type and stored as one shared object in all entries
-of that type; a table keeps the type index, and its JSON and CSV text is
-rendered and encoded once per type and joined through that index.
+each Weingarten entry depends only on the double-coset type of its basis
+pair: tau^(parts of the type), and the group's class-function value on it.
+So a table holds one exact value of each per type, and no N x N list.  Only
+rendering needs the type of every pair (``symcore.type_matrix``, which
+proves it): JSON and CSV are written one matrix row at a time, each row
+joined through that index from texts rendered once per type.
 
 Symbolic values share one denominator.  Every c_lam(t) is a product of linear
 factors t + k, k a content of lam, so each divides D(t), the product of
@@ -19,15 +16,15 @@ the weights' common denominator, with the factors of D that divide it
 divided out by synthetic division: no polynomial gcd, and one check at an
 integer point against the direct rational sum.
 
-The identity checks run in the type algebra.  Both Weingarten matrices and
-both Gram matrices are invariant under a group acting transitively on the
-basis (left multiplication on S_n, conjugation on pairings), so a product of
-them is fixed by its row at the base index.  Row 0 of a product of two
-functions of the type is again a function of the type, given by p(n)-sized
-structure constants: the class algebra of S_n for U(t), the Hecke algebra of
-(S_2n, H_n) for O(t).  The checks first prove invariance and transitivity
-from the generators' index maps and that row 0 is constant on each type, then
-build the constants from N * p(n) cycle walks and compare p(n) values.
+The identity checks run in the type algebra.  The type of a basis pair is
+invariant under a group acting transitively on the basis (left
+multiplication on S_n, conjugation on pairings), so a product of two
+functions of the type is again one, fixed by its row at the base index, and
+row 0 of it is given by p(n)-sized structure constants: the class algebra of
+S_n for U(t), the Hecke algebra of (S_2n, H_n) for O(t).  ``_type_algebra``
+proves transitivity from the generators' index maps, then builds the
+constants from N * p(n) cycle walks and the transpose of each type from p(n)
+more, once per group and n; tables, checks and idempotents share it.
 
 The same algebra gives the orthogonal Weingarten values.  The Gram element
 G(t), with value t^(parts) on each type, acts on the lam-component by
@@ -42,7 +39,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .coeffring import TAU, TauPolynomial, TauRational, invert, is_symbolic, render
@@ -50,25 +47,24 @@ from .symcore import (
     Partition,
     _orbit_covers,
     cross_type_matrix,
+    enumerate_pairings,
     generator_index_maps,
     partitions_of,
+    permutations_of,
     type_matrix,
 )
 
-
-def mat_is_symmetric(a) -> bool:
-    # list comparison checks identity first, so shared entries cost no __eq__
-    return all(list(col) == row for row, col in zip(a, zip(*a)))
+# each group's canonical basis: S_n, and the pairings of {1,...,2n}
+BASES = {"unitary": permutations_of, "orthogonal": enumerate_pairings}
 
 
 class PseudoInverseReport:
     """Outcome of the exact pseudo-inverse identities GWG=G, WGW=W, W=W^T.
 
-    `invariant` is the structure the type-algebra check rests on: both
-    matrices are invariant under the generators, the base index's orbit is
-    the whole basis, and row 0 of each is constant on each double-coset type.
-    When it fails the identities are not established and read False.
-    The dense products need no structure and leave it True.
+    `invariant` is the structure the type-algebra check rests on: the
+    generators permute the basis in one orbit, and the table's basis and
+    types are those its type algebra was built on.  When it fails the
+    identities read False.  The dense products leave it True.
     """
 
     def __init__(self, gwg_equals_g: bool, wgw_equals_w: bool, w_symmetric: bool,
@@ -91,34 +87,25 @@ class PseudoInverseReport:
         return self.invariant and self.gwg_equals_g and self.wgw_equals_w and self.w_symmetric
 
 
-def _invariant(m, maps) -> bool:
-    """m[p[i]][p[j]] == m[i][j] for every map p and every i, j."""
-    return all([m[p[i]][k] for k in p] == m[i] for p in maps for i in range(len(m)))
+@lru_cache(maxsize=None)
+def _type_algebra(group: str, n: int):
+    """The type algebra of the group's basis at n, or None when its structure fails.
 
-
-def _type_algebra(basis, *matrices):
-    """Structure constants of the type algebra and each matrix's value per type.
-
-    Returns None unless the structure holds: every matrix is square of size
-    len(basis) and invariant under the generators' index maps, index 0's
-    orbit is the whole basis, row 0 of every matrix is constant on each type,
-    and no pair has a type that row 0 lacks.  Otherwise returns (types,
-    constants, values): types are numbered as they first appear in row 0, so
-    the identity type is 0, r_g is that first column of type g,
-    constants[g][(a, b)] counts the k with type(0, k) = a and
-    type(k, r_g) = b, and values[i][g] is matrix i's entry at (0, r_g).
+    The structure holds when the generators' index maps permute the basis in
+    one orbit and no pair (k, r_g) has a type that row 0 lacks.  Returns
+    (basis, types, constants, transposes): types are numbered as they first
+    appear in row 0, so the identity type is 0, r_g is that first column of
+    type g, constants[g][(a, b)] counts the k with type(0, k) = a and
+    type(k, r_g) = b, and transposes[g] is the type of (r_g, 0), None when
+    row 0 lacks it.  Shared by every caller: nothing returned may be changed.
     """
-    size, maps = len(basis), generator_index_maps(basis)
-    square = all(len(m) == size and all(len(row) == size for row in m) for m in matrices)
-    if not (square and _orbit_covers(maps, size) and all(_invariant(m, maps) for m in matrices)):
+    basis = BASES[group](n)
+    if not _orbit_covers(generator_index_maps(basis), len(basis)):
         return None
     types, (row,) = cross_type_matrix([basis[0]], basis)
-    reps = [row.index(g) for g in range(len(types))]
-    values = [[m[0][k] for k in reps] for m in matrices]
-    if not all(m[0][k] == v[g] for m, v in zip(matrices, values) for k, g in enumerate(row)):
-        return None
+    reps = [basis[row.index(g)] for g in range(len(types))]
     number = {mu: g for g, mu in enumerate(types)}
-    rep_types, index = cross_type_matrix(basis, [basis[k] for k in reps])
+    rep_types, index = cross_type_matrix(basis, reps)
     renumber = [number.get(mu) for mu in rep_types]
     if None in renumber:
         return None
@@ -126,7 +113,16 @@ def _type_algebra(basis, *matrices):
     for a, bs in zip(row, index):
         for g, b in enumerate(bs):
             constants[g][a, renumber[b]] += 1
-    return types, constants, values
+    back_types, back = cross_type_matrix(reps, [basis[0]])
+    return basis, types, constants, [number.get(back_types[t]) for (t,) in back]
+
+
+def _table_algebra(table):
+    """The type algebra of the table's group and n, or None unless it proved the table's basis and types."""
+    algebra = _type_algebra(table.group, table.n)
+    if algebra is None or algebra[0] != table.basis or algebra[1] != table.types:
+        return None
+    return algebra
 
 
 def _product(constants, a, b) -> list:
@@ -134,34 +130,13 @@ def _product(constants, a, b) -> list:
     return [sum((a[x] * b[y] * k for (x, y), k in c.items()), Fraction(0)) for c in constants]
 
 
-def type_pseudo_inverse_check(gram, wg, basis) -> PseudoInverseReport:
-    """GWG=G, WGW=W in the type algebra of `basis`, and W=W^T entrywise.
-
-    Invariance under the generators gives invariance under the group they
-    generate, and an orbit covering the basis makes every row an image of
-    row 0, so the identities hold everywhere once they hold on row 0.  Row 0
-    of each product is computed per double-coset type from the structure
-    constants.  Failures are reported, never raised.
-    """
-    algebra = _type_algebra(basis, gram, wg)
-    if algebra is None:
-        return PseudoInverseReport(False, False, False, invariant=False)
-    _, constants, (g, w) = algebra
-    gw = _product(constants, g, w)
-    return PseudoInverseReport(
-        gwg_equals_g=_product(constants, gw, g) == g,
-        wgw_equals_w=_product(constants, w, gw) == w,
-        w_symmetric=mat_is_symmetric(wg),
-    )
-
-
-def type_commutation_check(a, b, basis) -> bool:
-    """AB = BA, compared in the type algebra of `basis` after proving the structure."""
-    algebra = _type_algebra(basis, a, b)
-    if algebra is None:
+def type_commutation_check(a, b) -> bool:
+    """AB = BA for two matrices read through tables of one basis, in its type algebra."""
+    algebra = _table_algebra(a.table)
+    if algebra is None or _table_algebra(b.table) != algebra:
         return False
-    _, constants, (x, y) = algebra
-    return _product(constants, x, y) == _product(constants, y, x)
+    constants = algebra[2]
+    return _product(constants, a.values, b.values) == _product(constants, b.values, a.values)
 
 
 def _probe(n: int, alpha: int) -> int:
@@ -172,8 +147,8 @@ def _probe(n: int, alpha: int) -> int:
     return t0
 
 
-def type_idempotents(n: int, basis, alpha: int):
-    """Primitive idempotents E_lam of the type algebra of `basis`, as values per type.
+def type_idempotents(group: str, n: int, alpha: int):
+    """Primitive idempotents E_lam of the type algebra of the group's basis, as values per type.
 
     G(t0) has value t0^(parts) on each type and acts on the lam-component by
     c_lam = content_product(lam, t0, alpha); with the c_lam distinct,
@@ -184,10 +159,10 @@ def type_idempotents(n: int, basis, alpha: int):
     these give E_lam E_mu = delta E_lam.  Raises ValueError naming the first
     identity that fails.
     """
-    algebra = _type_algebra(basis)
+    algebra = _type_algebra(group, n)
     if algebra is None:
         raise ValueError("type idempotents: the basis fails the type-algebra structure proof")
-    types, constants, _ = algebra
+    _, types, constants, _ = algebra
     t0, shapes = _probe(n, alpha), partitions_of(n)
     c = {lam: content_product(lam, t0, alpha) for lam in shapes}
     if len(set(c.values())) < len(shapes):
@@ -344,108 +319,139 @@ def _symbolic_sum(n: int, alpha: int, weight):
     return TauRational._raw(TauPolynomial(Fraction(c, scale) for c in num), TauPolynomial(den))
 
 
-def type_texts(matrix, index) -> list[str]:
-    """render() of each type's value in `matrix`, read at its first column in row 0.
+def _csv_fields(texts: list[str]) -> list[str]:
+    """Each nonempty one-line text as a CSV writer writes it in a row of several fields."""
+    import csv
+    import io
 
-    Row 0 of a ``symcore.type_matrix`` index meets every type, in the order
-    they are numbered, and a table's matrices are constant on each type.
-    """
-    row = index[0]
-    return [render(matrix[0][row.index(g)]) for g in range(max(row) + 1)]
-
-
-def render_matrix(matrix, index) -> list[list[str]]:
-    """Text of every entry of a matrix constant on the types of `index`, one render per type."""
-    texts = type_texts(matrix, index)
-    return [list(map(texts.__getitem__, row)) for row in index]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([text] for text in texts)
+    return buf.getvalue().split("\n")[:-1]
 
 
-def _json_matrix(matrix, index) -> str:
-    """``json.dumps(render_matrix(matrix, index))``, each type's text encoded once."""
-    texts = [json.dumps(text) for text in type_texts(matrix, index)]
-    return "[" + ", ".join("[" + ", ".join(map(texts.__getitem__, row)) + "]" for row in index) + "]"
+class TypeRows:
+    """A matrix with one value per type of a table's basis pairs, read row by row through its index."""
+
+    def __init__(self, table: WeingartenTable, values: list):
+        self.table = table
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.table.basis)
+
+    def __getitem__(self, i: int) -> list:
+        return list(map(self.values.__getitem__, self.table.index[i]))
 
 
 class WeingartenTable:
-    """Gram and Weingarten matrices of U(tau) or O(tau) for one (n, tau).
+    """Gram and Weingarten matrices of U(tau) or O(tau) for one (n, tau), one value per type.
 
     The basis is S_n for the unitary group and the pairings of {1,...,2n} for
-    the orthogonal one; `excluded` lists the shapes whose c_lam vanishes at
-    tau.  A Gram-only table has no Weingarten matrix, and its JSON form has
-    neither that matrix nor the excluded shapes.  Both matrices are functions
-    of the double-coset type, and `index` is the basis's type index
-    (``symcore.type_matrix``) that they are rendered through; a table made
-    without one types its basis when it is rendered.
+    the orthogonal one; `types` are the double-coset types of basis pairs,
+    numbered as row 0 meets them; `excluded` lists the shapes whose c_lam
+    vanishes at tau.  A Gram-only table has no Weingarten values, and its
+    JSON form has neither that matrix nor the excluded shapes.
     """
 
-    def __init__(self, group: str, n: int, tau, basis: list, gram: list[list],
-                 weingarten: list[list] | None = None, excluded: list[Partition] | None = None,
-                 index: list[list[int]] | None = None):
+    def __init__(self, group: str, n: int, tau, basis: list, types: list[Partition],
+                 gram_by_type: list, weingarten_by_type: list | None = None,
+                 excluded: list[Partition] | None = None):
         self.group = group
         self.n = n
         self.tau = tau
         self.basis = basis
-        self.gram = gram
-        self.weingarten = weingarten
+        self.types = types
+        self.gram_by_type = gram_by_type
+        self.weingarten_by_type = weingarten_by_type
         self.excluded = [] if excluded is None else excluded
-        self.index = index
 
-    def _type_index(self) -> list[list[int]]:
-        return self.index if self.index is not None else type_matrix(self.basis)[1]
+    @cached_property
+    def index(self) -> list[list[int]]:
+        """The N x N type index (``symcore.type_matrix``), proved to number the types as `types` does."""
+        types, index = type_matrix(self.basis)
+        if types != self.types:
+            raise ValueError(f"{self.group} table: the type index numbers the types otherwise")
+        return index
 
-    def _head(self) -> dict:
-        return {
-            "group": self.group,
-            "n": self.n,
-            "tau": "symbolic" if is_symbolic(self.tau) else render(Fraction(self.tau)),
-            "basis": [p.to_text() for p in self.basis],
-        }
+    @property
+    def gram(self) -> TypeRows:
+        return TypeRows(self, self.gram_by_type)
 
-    def to_json_dict(self) -> dict:
-        index = self._type_index()
-        payload = self._head()
-        payload["gram"] = render_matrix(self.gram, index)
-        if self.weingarten is not None:
-            payload["weingarten"] = render_matrix(self.weingarten, index)
-            payload["excluded"] = [p.to_text() for p in self.excluded]
-        return payload
+    @property
+    def weingarten(self) -> TypeRows | None:
+        return None if self.weingarten_by_type is None else TypeRows(self, self.weingarten_by_type)
 
-    def to_json_text(self) -> str:
-        """``json.dumps(self.to_json_dict())``, each matrix encoded once per type."""
-        index = self._type_index()
-        parts = [json.dumps(self._head())[:-1], ', "gram": ', _json_matrix(self.gram, index)]
-        if self.weingarten is not None:
-            parts += [', "weingarten": ', _json_matrix(self.weingarten, index),
-                      ', "excluded": ', json.dumps([p.to_text() for p in self.excluded])]
-        return "".join(parts) + "}"
+    def json_chunks(self):
+        """The table's JSON text and a newline, one matrix row per chunk.
+
+        Every proof and rendering runs before the first chunk.
+        """
+        index, values = self.index, {"gram": self.gram_by_type, "weingarten": self.weingarten_by_type}
+        texts = {name: [json.dumps(render(x)) for x in v] for name, v in values.items() if v is not None}
+        tau = "symbolic" if is_symbolic(self.tau) else render(Fraction(self.tau))
+        basis = [p.to_text() for p in self.basis]
+        yield json.dumps({"group": self.group, "n": self.n, "tau": tau, "basis": basis})[:-1]
+        for name, text in texts.items():
+            yield f', "{name}": ['
+            for k, row in enumerate(index):
+                yield (", [" if k else "[") + ", ".join(map(text.__getitem__, row)) + "]"
+            yield "]"
+        if self.weingarten_by_type is not None:
+            yield ', "excluded": ' + json.dumps([p.to_text() for p in self.excluded])
+        yield "}\n"
+
+    def csv_chunks(self):
+        """W (G for a Gram-only table) as CSV under a header of basis labels, one line per chunk.
+
+        Every proof and rendering runs before the first chunk.
+        """
+        index = self.index
+        values = self.gram_by_type if self.weingarten_by_type is None else self.weingarten_by_type
+        labels = _csv_fields([p.to_text() for p in self.basis])
+        texts = _csv_fields([render(x) for x in values])
+        yield "," + ",".join(labels) + "\n"
+        for label, row in zip(labels, index):
+            yield label + "," + ",".join(map(texts.__getitem__, row)) + "\n"
 
     def pseudo_inverse_report(self) -> PseudoInverseReport:
-        """GWG=G, WGW=W and W=W^T in the type algebra of this table's basis."""
-        return type_pseudo_inverse_check(self.gram, self.weingarten, self.basis)
+        """GWG=G, WGW=W and W=W^T in the type algebra of this table's basis.
+
+        Every row is an image of row 0, where the products are computed per
+        type.  W is symmetric because each type is closed under
+        transposition: (r_g, 0) has type g.  Failures are reported, never raised.
+        """
+        algebra = _table_algebra(self)
+        if algebra is None:
+            return PseudoInverseReport(False, False, False, invariant=False)
+        _, _, constants, transposes = algebra
+        g, w = self.gram_by_type, self.weingarten_by_type
+        gw = _product(constants, g, w)
+        return PseudoInverseReport(
+            gwg_equals_g=_product(constants, gw, g) == g,
+            wgw_equals_w=_product(constants, w, gw) == w,
+            w_symmetric=transposes == list(range(len(g))),
+        )
 
 
-def weingarten_table(
-    group: str, n: int, tau, basis, value=None, alpha: int | None = None
-) -> WeingartenTable:
-    """Assemble a table from the type matrix of `basis`.
+def weingarten_table(group: str, n: int, tau, value=None, alpha: int | None = None) -> WeingartenTable:
+    """Assemble a table on the group's basis from its type algebra.
 
-    The Gram entry of a type is tau^(its number of parts), the Weingarten
-    entry is value(type, tau), and the excluded shapes are those whose
+    The Gram value of a type is tau^(its number of parts), the Weingarten
+    value is value(type, tau), and the excluded shapes are those whose
     content_product(lam, tau, alpha) vanishes (none when tau is symbolic).
-    With value None only the Gram matrix is built.  Every entry of a type
-    is one shared value object.
+    With value None only the Gram values are built.
     """
     if n < 1:
         raise ValueError(f"{group} tables require n >= 1, got {n}")
-    types, index = type_matrix(basis)
+    algebra = _type_algebra(group, n)
+    if algebra is None:
+        raise ValueError(f"{group} table: the basis fails the type-algebra structure proof")
+    basis, types = algebra[:2]
     powers = tau_powers(tau, n)
-    gram_of = [powers[len(mu)] for mu in types]
-    gram = [list(map(gram_of.__getitem__, row)) for row in index]
+    gram = [powers[len(mu)] for mu in types]
     if value is None:
-        return WeingartenTable(group, n, tau, basis, gram, index=index)
-    wg_of = [value(mu, tau) for mu in types]
-    wg = [list(map(wg_of.__getitem__, row)) for row in index]
+        return WeingartenTable(group, n, tau, basis, types, gram)
     excluded = [] if is_symbolic(tau) else [
         lam for lam in partitions_of(n) if not content_product(lam, tau, alpha)
     ]
-    return WeingartenTable(group, n, tau, basis, gram, wg, excluded, index)
+    return WeingartenTable(group, n, tau, basis, types, gram, [value(mu, tau) for mu in types], excluded)

@@ -18,9 +18,9 @@ of a pair (pi, pi'), and the E_lam are its primitive idempotents.
 ``exactmat.type_idempotents`` builds them from the Gram element once per n,
 with the structure and the idempotent identities proved; each one is also
 checked against dim(2lam) on two loop types.  A Weingarten value is then
-p(n) scaled sums on its loop type, and table assembly
-(``exactmat.weingarten_table``) computes one value per loop type, which is
-what keeps the 945-pairing case affordable.
+p(n) scaled sums on its loop type, and a table
+(``exactmat.weingarten_table``) holds one value per loop type, which is
+what keeps the 10 395-pairing case affordable.
 
 P_H X is constant on each right coset H y, labelled by the pairing
 y^-1 pi_0 y, with value (1/|H|) * (sum of X over H y): ``coset_sums`` forms
@@ -47,7 +47,6 @@ from .symcore import (
     Partition,
     Permutation,
     double_shape,
-    enumerate_pairings,
     hook_dimension,
 )
 
@@ -90,8 +89,8 @@ def coset_representative(pi: Pairing) -> Permutation:
 
 
 def gram_orthogonal(n: int, tau):
-    """(2n-1)!! square Gram matrix over the canonical pairing basis."""
-    return weingarten_table("orthogonal", n, tau, enumerate_pairings(n)).gram
+    """(2n-1)!! square Gram matrix over the canonical pairing basis, rows read through the type index."""
+    return weingarten_table("orthogonal", n, tau).gram
 
 
 _HISTOGRAM_CACHE: dict = {}  # always empty; only wgbench/tracer.py still reads it
@@ -104,7 +103,7 @@ def _idempotents_by_type(n: int) -> dict[Partition, dict[Partition, Fraction]]:
     E_lam is r = dim(2lam)/(2n-1)!! at the identity type, and r/(n(n-1)) times
     the sum of 2j - 1 - i over the boxes (i, j) of lam at the type (2, 1^(n-2)).
     """
-    types, idempotents = type_idempotents(n, enumerate_pairings(n), 2)
+    types, idempotents = type_idempotents("orthogonal", n, 2)
     pairings = double_factorial_odd(n)
     swap = types.index(Partition((2,) + (1,) * (n - 2))) if n > 1 else None
     for lam, e in idempotents.items():
@@ -125,7 +124,7 @@ def wg_value_orthogonal(mu: Partition, tau):
 
 def weingarten_orthogonal(n: int, tau) -> WeingartenTable:
     """Gram and Weingarten matrices of O(tau) on the canonical pairing basis."""
-    return weingarten_table("orthogonal", n, tau, enumerate_pairings(n), wg_value_orthogonal, 2)
+    return weingarten_table("orthogonal", n, tau, wg_value_orthogonal, 2)
 
 
 def coset_label(sigma: Permutation) -> Pairing:

@@ -11,8 +11,8 @@ function
 never by inverting an n! x n! matrix entrywise.  With symbolic tau every
 c_lam is a nonzero polynomial; at an integer tau the shapes with c_lam = 0
 are excluded, which is exactly the pseudo-inverse prescription.  Both
-matrices are built by ``exactmat.weingarten_table`` from the cycle type of
-sigma^-1 rho.
+matrices are built by ``exactmat.weingarten_table``, one value per cycle
+type of sigma^-1 rho.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from fractions import Fraction
 from math import factorial
 
 from .exactmat import WeingartenTable, spectral_sum, weingarten_table
-from .symcore import Partition, hook_dimension, permutations_of
+from .symcore import Partition, hook_dimension
 from .young import character
 
 
 def gram_unitary(n: int, tau):
-    """n! x n! Gram matrix over the canonical S_n basis."""
-    return weingarten_table("unitary", n, tau, permutations_of(n)).gram
+    """n! x n! Gram matrix over the canonical S_n basis, rows read through the type index."""
+    return weingarten_table("unitary", n, tau).gram
 
 
 def wg_function_unitary(mu: Partition, tau):
@@ -41,4 +41,4 @@ def wg_function_unitary(mu: Partition, tau):
 
 def weingarten_unitary(n: int, tau) -> WeingartenTable:
     """Gram and Weingarten matrices of U(tau) on the canonical S_n basis."""
-    return weingarten_table("unitary", n, tau, permutations_of(n), wg_function_unitary, 1)
+    return weingarten_table("unitary", n, tau, wg_function_unitary, 1)

@@ -264,7 +264,7 @@ def _commute(max_n, tau, tau2, deep):
     for n in range(1, max_n + 1):
         g1 = gram_orthogonal(n, Fraction(t1))
         g2 = gram_orthogonal(n, Fraction(t2))
-        ok = type_commutation_check(g1, g2, enumerate_pairings(n))
+        ok = type_commutation_check(g1, g2)
         yield f"Gram commutation n={n} (tau={t1},{t2})", ok
 
 

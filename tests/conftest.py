@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import weingarten
-from weingarten import groupalg, orthogonal, young
+from weingarten import exactmat, groupalg, orthogonal, young
 
 
 @pytest.fixture(autouse=True)
@@ -19,6 +19,7 @@ def _clear_memos():
     young._IDEMPOTENT_CACHE.clear()
     orthogonal._idempotents_by_type.cache_clear()
     groupalg.hyperoctahedral_elements.cache_clear()
+    exactmat._type_algebra.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -2,8 +2,10 @@
 
 Each one recomputes by brute force a quantity the package gets another way,
 so a test can compare the two: centralizer orders (against class sizes and
-character orthogonality), the regular representation of C[S_n] (against
-the Gram and Weingarten matrices), the dense matrix product and
+character orthogonality), a table's JSON dict and CSV text with every
+entry rendered on its own (against the row-by-row stream rendered once per
+type), the regular representation of C[S_n] (against the Gram and
+Weingarten matrices), the dense matrix product and
 pseudo-inverse check (against the type-algebra checks), loop types by
 permutation product and the cycle walk of every basis pair (against the
 type matrix carried from row 0), symbolic spectral sums as running sums of
@@ -21,6 +23,8 @@ eigenvalue and class-representative checks of the ``idempotents`` and
 ``central`` suites).
 """
 
+import csv
+import io
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -28,8 +32,8 @@ from math import factorial
 
 import numpy as np
 
-from weingarten.coeffring import invert
-from weingarten.exactmat import PseudoInverseReport, content_product, mat_is_symmetric, spectral_sum
+from weingarten.coeffring import invert, is_symbolic, render
+from weingarten.exactmat import PseudoInverseReport, WeingartenTable, content_product, spectral_sum
 from weingarten.groupalg import AlgebraElement, average_projector, hyperoctahedral_elements
 from weingarten.haarmc import _BATCH, _basis, _ginibre, _haar_batch, _tied_sum, _ties
 from weingarten.orthogonal import adjacent_pairing, coset_representative
@@ -46,7 +50,8 @@ from weingarten.young import central_idempotent, character
 
 
 def mat_mul(a, b):
-    """Dense O(N^3) product of two matrices given as lists of rows."""
+    """Dense O(N^3) product of two matrices given as sequences of rows."""
+    a, b = list(a), list(b)
     n, k, m = len(a), len(b), len(b[0])
     assert all(len(row) == k for row in a)
     out = []
@@ -73,14 +78,62 @@ def mat_identity(n: int):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
+def mat_is_symmetric(a) -> bool:
+    # list comparison checks identity first, so shared entries cost no __eq__
+    return all(list(col) == row for row, col in zip(a, zip(*a)))
+
+
 def pseudo_inverse_check(gram, wg) -> PseudoInverseReport:
     """GWG=G, WGW=W and W=W^T by exact dense multiplication; needs no structure."""
+    gram, wg = list(gram), list(wg)
     gw = mat_mul(gram, wg)
     return PseudoInverseReport(
         gwg_equals_g=mat_mul(gw, gram) == gram,
         wgw_equals_w=mat_mul(wg, gw) == wg,
         w_symmetric=mat_is_symmetric(wg),
     )
+
+
+def table_with(table: WeingartenTable, **changes) -> WeingartenTable:
+    """A copy of the table with the named constructor arguments replaced."""
+    fields = {name: getattr(table, name) for name in (
+        "group", "n", "tau", "basis", "types", "gram_by_type", "weingarten_by_type", "excluded")}
+    return WeingartenTable(**{**fields, **changes})
+
+
+def render_matrix(matrix) -> list[list[str]]:
+    """Text of every entry of a matrix, each rendered on its own."""
+    return [[render(x) for x in row] for row in matrix]
+
+
+def table_json_dict(table: WeingartenTable) -> dict:
+    """The dict whose ``json.dumps`` is the table's JSON text."""
+    payload = {
+        "group": table.group,
+        "n": table.n,
+        "tau": "symbolic" if is_symbolic(table.tau) else render(Fraction(table.tau)),
+        "basis": [p.to_text() for p in table.basis],
+        "gram": render_matrix(table.gram),
+    }
+    if table.weingarten is not None:
+        payload["weingarten"] = render_matrix(table.weingarten)
+        payload["excluded"] = [p.to_text() for p in table.excluded]
+    return payload
+
+
+def csv_writer_text(table: WeingartenTable) -> str:
+    """The CSV a csv.writer writes entry by entry: a header of labels, then one labelled row each.
+
+    The matrix is the Weingarten matrix, the Gram matrix of a Gram-only table.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    labels = [p.to_text() for p in table.basis]
+    writer.writerow([""] + labels)
+    matrix = table.gram if table.weingarten is None else table.weingarten
+    for label, row in zip(labels, matrix):
+        writer.writerow([label] + [render(x) for x in row])
+    return buf.getvalue()
 
 
 def loop_type(pi: Pairing, rho: Pairing) -> Partition:

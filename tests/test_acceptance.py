@@ -82,6 +82,7 @@ def test_criterion_07_pseudo_inverse_contract():
     ok = ok and weingarten_orthogonal(4, Fraction(7)).pseudo_inverse_report().ok
     ok = ok and weingarten_orthogonal(5, Fraction(7)).pseudo_inverse_report().ok
     ok = ok and weingarten_orthogonal(5, TAU).pseudo_inverse_report().ok
+    ok = ok and weingarten_orthogonal(6, Fraction(7)).pseudo_inverse_report().ok
     ok = ok and weingarten_unitary(6, TAU).pseudo_inverse_report().ok
     # degenerate parameters with nonempty excluded sets
     table = weingarten_unitary(3, Fraction(1))
@@ -92,7 +93,7 @@ def test_criterion_07_pseudo_inverse_contract():
     ok = ok and table.pseudo_inverse_report().ok
     _conclude(
         7, "GWG=G, WGW=W, W symmetric in the type algebra, symbolic U n<=6 and O n<=5, "
-        "O n=5 at tau=7 (incl. degenerate tau)", ok, started,
+        "O n=5 and n=6 at tau=7 (incl. degenerate tau)", ok, started,
     )
 
 

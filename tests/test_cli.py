@@ -4,15 +4,18 @@ import json
 import signal
 import subprocess
 import sys
-
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from oracles import csv_writer_text, table_json_dict, table_with
 
-from weingarten import cli, exactmat, orthogonal, verify, young
+from weingarten import cli, exactmat, orthogonal, symcore, verify, young
 from weingarten.coeffring import TAU, parse, render
 from weingarten.groupalg import AlgebraElement
+from weingarten.orthogonal import weingarten_orthogonal
 from weingarten.symcore import Permutation, StandardTableau
+from weingarten.unitary import weingarten_unitary
 
 
 def run_cli(capsys, *argv):
@@ -66,15 +69,24 @@ def test_wgfn_symbolic_at_n6_prints_the_running_sum(capsys):
     assert out == render(expected) + "\n"
 
 
-def _csv_writer_text(table, matrix):
-    """The CSV a csv.writer writes entry by entry: a header of labels, then one labelled row each."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    labels = [p.to_text() for p in table.basis]
-    writer.writerow([""] + labels)
-    for label, row in zip(labels, matrix):
-        writer.writerow([label] + [render(x) for x in row])
-    return buf.getvalue()
+def _build(kind, group, n, tau):
+    if kind == "gram":
+        return exactmat.weingarten_table(group, n, tau)
+    return (weingarten_unitary if group == "unitary" else weingarten_orthogonal)(n, tau)
+
+
+STREAM_CASES = [("unitary", n, tau) for n in range(1, 6) for tau in ("symbolic", "7", "1")] + [
+    ("orthogonal", n, tau) for n in range(1, 5) for tau in ("symbolic", "7", "1")
+]
+
+
+@pytest.mark.parametrize("group, n, tau", STREAM_CASES, ids=lambda x: str(x))
+def test_streamed_output_equals_the_whole_string_oracles(capsys, group, n, tau):
+    # every entry rendered on its own, then json.dumps or a csv.writer at once
+    table = _build("table", group, n, cli._parse_tau(tau))
+    argv = ["table", "--group", group, "--n", str(n), "--tau", tau]
+    assert run_cli(capsys, *argv) == (0, json.dumps(table_json_dict(table)) + "\n", "")
+    assert run_cli(capsys, *argv, "--format", "csv") == (0, csv_writer_text(table), "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -84,18 +96,12 @@ def _csv_writer_text(table, matrix):
     ("table", "--group", "orthogonal", "--n", "2", "--tau", "1"),
     ("gram", "--group", "orthogonal", "--n", "1", "--tau", "symbolic"),
     ("gram", "--group", "unitary", "--n", "3", "--tau", "-4"),
+    ("gram", "--group", "orthogonal", "--n", "4", "--tau", "symbolic"),
 ], ids=" ".join)
-def test_csv_per_type_matches_the_writer_entry_by_entry(capsys, argv):
-    kind, group, n, tau = argv[0], argv[2], int(argv[4]), cli._parse_tau(argv[6])
-    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
-    assert code == 0
-    if kind == "table":
-        build = cli.weingarten_unitary if group == "unitary" else cli.weingarten_orthogonal
-        table = build(n, tau)
-        assert out == _csv_writer_text(table, table.weingarten)
-    else:
-        table = exactmat.weingarten_table(group, n, tau, cli.BASES[group](n))
-        assert out == _csv_writer_text(table, table.gram)
+def test_csv_and_json_per_type_match_the_oracles_entry_by_entry(capsys, argv):
+    table = _build(argv[0], argv[2], int(argv[4]), cli._parse_tau(argv[6]))
+    assert run_cli(capsys, *argv, "--format", "csv") == (0, csv_writer_text(table), "")
+    assert run_cli(capsys, *argv) == (0, json.dumps(table_json_dict(table)) + "\n", "")
 
 
 def test_csv_and_json_encode_same_matrix(capsys):
@@ -202,17 +208,11 @@ def test_verify_all_n3_passes(capsys):
 
 
 def test_verify_exit_code_reflects_injected_failure(capsys, monkeypatch):
-    from weingarten.exactmat import WeingartenTable
-    from weingarten.unitary import weingarten_unitary
-
     def corrupted(n, tau):
         table = weingarten_unitary(n, tau)
-        bad = [row[:] for row in table.weingarten]
-        bad[0][0] = bad[0][0] + 1  # no longer a pseudo-inverse
-        return WeingartenTable(
-            group=table.group, n=table.n, tau=table.tau, basis=table.basis,
-            gram=table.gram, weingarten=bad, excluded=table.excluded,
-        )
+        bad = list(table.weingarten_by_type)
+        bad[0] = bad[0] + 1  # the identity type's value: no longer a pseudo-inverse
+        return table_with(table, weingarten_by_type=bad)
 
     monkeypatch.setattr(verify, "weingarten_unitary", corrupted)
     code, out, _ = run_cli(capsys, "verify", "--suite", "pseudoinverse", "--n", "1")
@@ -256,27 +256,27 @@ def _jm_doubled(jm):
     return lambda k, n: jm(k, n).scale(Fraction(2))
 
 
-def _entry_1_0_raised(matrix):
-    """A copy of the matrix with entry (1, 0) raised by 1; row 0 is the base row."""
-    rows = [row[:] for row in matrix]
-    if len(rows) > 1:
-        rows[1][0] = rows[1][0] + 1
-    return rows
-
-
-def _off_base_row_changed(gram):
-    """Gram matrices with entry (1, 0) raised by 1."""
-    return lambda n, tau: _entry_1_0_raised(gram(n, tau))
-
-
-def _table_gram_off_base_row_changed(make):
-    """Tables whose Gram entry (1, 0) is raised by 1."""
+def _table_gram_value_raised(make):
+    """Tables whose Gram value on the type numbered 1, not the identity type, is raised by 1."""
     def corrupted(n, tau):
         table = make(n, tau)
-        return exactmat.WeingartenTable(
-            table.group, table.n, table.tau, table.basis, _entry_1_0_raised(table.gram),
-            table.weingarten, table.excluded, table.index,
-        )
+        gram = list(table.gram_by_type)
+        if len(gram) > 1:
+            gram[1] = gram[1] + 1
+        return table_with(table, gram_by_type=gram)
+    return corrupted
+
+
+def _type_numbering_reversed(gram):
+    """Gram matrices whose table numbers the types in reverse, values and all.
+
+    The matrix is the same, but not numbered as the type algebra's row 0, so
+    no product of it is proved.  A changed value could not fail the check:
+    the type algebra of the pairings is commutative.
+    """
+    def corrupted(n, tau):
+        g = gram(n, tau)
+        return table_with(g.table, types=g.table.types[::-1], gram_by_type=g.values[::-1]).gram
     return corrupted
 
 
@@ -298,8 +298,8 @@ INJECTED = {
     "doubling": (2, "_extend_idempotent", _size4_coefficient_shifted),
     "keyid": (1, "jm_element", _jm_doubled),
     "stability": (2, "_gram_row", _non_base_weight_raised),
-    "pseudoinverse": (2, "weingarten_orthogonal", _table_gram_off_base_row_changed),
-    "commute": (2, "gram_orthogonal", _off_base_row_changed),
+    "pseudoinverse": (2, "weingarten_orthogonal", _table_gram_value_raised),
+    "commute": (2, "gram_orthogonal", _type_numbering_reversed),
 }
 
 
@@ -407,26 +407,53 @@ def test_stability_catches_what_a_dropped_generator_misses(capsys, monkeypatch, 
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["table", "--group", "orthogonal", "--n", "3", "--tau", "7"],
-    ["table", "--group", "orthogonal", "--n", "3", "--format", "csv"],
-    ["mc", "--group", "orthogonal", "--n", "3", "--tau", "2", "--indices", "1,1,2,2,1,1;1,2,1,2,1,1"],
-])
-def test_an_unproven_orthogonal_value_is_exit_3(capsys, monkeypatch, argv):
+_ORTHOGONAL_N3 = ["--group", "orthogonal", "--n", "3"]
+
+
+@pytest.mark.parametrize("argv, to_file", [
+    (["table", *_ORTHOGONAL_N3, "--tau", "7"], False),
+    (["table", *_ORTHOGONAL_N3, "--tau", "7"], True),
+    (["table", *_ORTHOGONAL_N3, "--format", "csv"], False),
+    (["table", *_ORTHOGONAL_N3, "--format", "csv"], True),
+    (["mc", *_ORTHOGONAL_N3, "--tau", "2", "--indices", "1,1,2,2,1,1;1,2,1,2,1,1"], False),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else ("out" if x else "stdout"))
+def test_an_unproven_orthogonal_value_is_exit_3(capsys, monkeypatch, tmp_path, argv, to_file):
     # one structure constant off by one: the idempotents fail their proof,
-    # and no table or prediction is printed
+    # and no table or prediction is printed, nor any --out file made
     real = exactmat._type_algebra
 
     def bumped(*args):
-        types, constants, values = real(*args)
+        basis, types, constants, transposes = real(*args)
+        constants = [Counter(c) for c in constants]
         constants[1][next(iter(constants[1]))] += 1
-        return types, constants, values
+        return basis, types, constants, transposes
 
     monkeypatch.setattr(exactmat, "_type_algebra", bumped)
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 3 and out == ""
+    target = tmp_path / "table.out"
+    code, out, err = run_cli(capsys, *argv, *(["--out", str(target)] if to_file else []))
+    assert code == 3 and out == "" and not target.exists()
     assert err.startswith("domain error: type idempotents") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_an_unproven_type_index_writes_nothing(capsys, monkeypatch, tmp_path, fmt, to_file):
+    # two entries swapped in the map of (1 2 3 4) used for rendering: the
+    # index fails its invariance proof before the first byte is written
+    maps_of = symcore.generator_index_maps
+
+    def swapped(basis):
+        maps = maps_of(basis)
+        maps[0][2], maps[0][7] = maps[0][7], maps[0][2]
+        return maps
+
+    monkeypatch.setattr(symcore, "generator_index_maps", swapped)
+    target = tmp_path / "table.out"
+    argv = ["table", "--group", "unitary", "--n", "4", "--format", fmt]
+    code, out, err = run_cli(capsys, *argv, *(["--out", str(target)] if to_file else []))
+    assert (code, out) == (3, "") and not target.exists()
+    assert err.startswith("domain error: type matrix: ") and err.count("\n") == 1
 
 
 def test_verify_doubling_disagreement_is_a_fail_not_a_traceback(capsys, monkeypatch):
@@ -511,6 +538,32 @@ def test_closed_stdout_is_not_a_failed_check(python_env):
     assert head == b'{"group": '
     assert proc.returncode not in (0, 1)
     assert "Traceback" not in err
+
+
+# A child's ru_maxrss counts the memory of the process it was forked from, up
+# to its exec, so the table runs under a small helper that reads its own
+# child's peak with os.wait4, not under this test process.
+_PEAK_RSS_HELPER = """
+import os, subprocess, sys
+with open(os.devnull, "wb") as sink:
+    proc = subprocess.Popen([sys.executable, "-m", "weingarten", *sys.argv[1:]], stdout=sink)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("argv, limit_mb", [
+    (["table", "--group", "unitary", "--n", "6", "--force"], 40),
+    (["table", "--group", "orthogonal", "--n", "5", "--force"], 45),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else f"{x}MB")
+def test_peak_memory_does_not_grow_with_the_output(python_env, argv, limit_mb):
+    # 46 MB and 104 MB of JSON, streamed one row at a time
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_HELPER, *argv], env=python_env,
+                          capture_output=True, text=True, timeout=120)
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert peak_kb / 1024 < limit_mb
 
 
 @pytest.mark.parametrize("text", ["garbage", "[0]", "[1,2]", "[2,x]", "[]"])

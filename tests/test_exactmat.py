@@ -1,6 +1,5 @@
 """The type-algebra identity checks against the dense products they replace."""
 
-import copy
 import json
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +8,14 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import loop_type, mat_mul, pseudo_inverse_check, running_sum_spectral_sum
+from oracles import (
+    loop_type,
+    mat_mul,
+    pseudo_inverse_check,
+    running_sum_spectral_sum,
+    table_json_dict,
+    table_with,
+)
 
 from weingarten import exactmat
 from weingarten.coeffring import TAU, TauRational, render
@@ -19,14 +25,13 @@ from weingarten.exactmat import (
     spectral_sum,
     type_commutation_check,
     type_idempotents,
-    type_pseudo_inverse_check,
+    weingarten_table,
 )
 from weingarten.orthogonal import _idempotents_by_type, gram_orthogonal, weingarten_orthogonal
 from weingarten.symcore import (
     Partition,
     Permutation,
     cross_type_matrix,
-    enumerate_pairings,
     generator_index_maps,
     hook_dimension,
     partitions_of,
@@ -39,21 +44,14 @@ from weingarten.young import character
 BUILDERS = {"unitary": weingarten_unitary, "orthogonal": weingarten_orthogonal}
 
 
-def _type_check(table, basis=None):
-    basis = table.basis if basis is None else basis
-    return type_pseudo_inverse_check(table.gram, table.weingarten, basis)
+def _dense_check(table):
+    """The dense products' report on the table's matrices, each row read through its index."""
+    return pseudo_inverse_check(list(table.gram), list(table.weingarten))
 
 
-def _copy(matrix):
-    return [row[:] for row in matrix]
-
-
-def _fresh(matrix):
-    """Entrywise copy: equal values, no object shared with `matrix` or within the copy."""
-    return [
-        [Fraction(x.numerator, x.denominator) if isinstance(x, Fraction) else copy.deepcopy(x) for x in row]
-        for row in matrix
-    ]
+def _fresh(values):
+    """A copy with equal values and no object shared with `values` or within the copy."""
+    return [Fraction(x.numerator, x.denominator) if isinstance(x, Fraction) else x * 1 for x in values]
 
 
 @pytest.mark.parametrize(
@@ -65,8 +63,8 @@ def _fresh(matrix):
 )
 def test_type_check_agrees_with_dense_oracle(group, n, tau):
     table = BUILDERS[group](n, tau)
-    report = _type_check(table)
-    assert report == pseudo_inverse_check(table.gram, table.weingarten)
+    report = table.pseudo_inverse_report()
+    assert report == _dense_check(table)
     assert report.ok and report.invariant
 
 
@@ -79,83 +77,89 @@ def test_type_check_agrees_with_dense_oracle_at_random_tau(case, offset):
     group, n = case
     tau = n + offset + Fraction(1, 13)  # strictly above n
     table = BUILDERS[group](n, tau)
-    assert _type_check(table) == pseudo_inverse_check(table.gram, table.weingarten)
+    assert table.pseudo_inverse_report() == _dense_check(table)
 
 
 @pytest.mark.parametrize(
     "group, n, tau",
     [("unitary", 3, TAU), ("unitary", 4, Fraction(7)), ("orthogonal", 2, TAU), ("orthogonal", 3, Fraction(8))],
 )
-def test_entries_are_compared_by_value_not_by_object(group, n, tau):
-    # table entries are shared objects; a copy with none shared must check the same
+def test_values_are_compared_by_value_not_by_object(group, n, tau):
+    # a table's values may be shared objects; a copy with none shared must check the same
     table = BUILDERS[group](n, tau)
-    gram, wg = _fresh(table.gram), _fresh(table.weingarten)
-    assert all(len({id(x) for row in m for x in row}) == len(m) ** 2 for m in (gram, wg))
-    report = type_pseudo_inverse_check(gram, wg, table.basis)
-    assert report == pseudo_inverse_check(gram, wg) == _type_check(table)
+    fresh = table_with(table, gram_by_type=_fresh(table.gram_by_type),
+                       weingarten_by_type=_fresh(table.weingarten_by_type))
+    for old, new in ((table.gram_by_type, fresh.gram_by_type),
+                     (table.weingarten_by_type, fresh.weingarten_by_type)):
+        assert new == old and not {id(x) for x in new} & {id(x) for x in old}
+    report = fresh.pseudo_inverse_report()
+    assert report == table.pseudo_inverse_report() == _dense_check(fresh)
     assert report.ok and report.invariant
+
+
+def _renamed_last_type(types):
+    return types[:-1] + [Partition((9, 9))]
 
 
 @pytest.mark.parametrize(
     "group, n, tau", [("unitary", 3, TAU), ("unitary", 4, Fraction(7)), ("orthogonal", 3, Fraction(8))]
 )
-@pytest.mark.parametrize("which", ["gram", "weingarten"])
-def test_one_off_base_row_entry_fails_invariance(group, n, tau, which):
+@pytest.mark.parametrize(
+    "numbering", [lambda types: types[::-1], _renamed_last_type], ids=["reversed", "renamed"]
+)
+def test_a_type_numbering_other_than_row_0s_fails_the_structure(group, n, tau, numbering):
+    # the values stay those of the right types, only their numbering moves
     table = BUILDERS[group](n, tau)
-    size = len(table.basis)
-    for i, j in [(1, 0), (size - 1, size - 2), (size // 2, size - 1)]:
-        bad = _copy(getattr(table, which))
-        bad[i][j] = bad[i][j] + 1
-        gram, wg = (bad, table.weingarten) if which == "gram" else (table.gram, bad)
-        report = type_pseudo_inverse_check(gram, wg, table.basis)
-        assert not report.invariant
-        assert not report.ok
+    bad = table_with(table, types=numbering(table.types))
+    report = bad.pseudo_inverse_report()
+    assert not report.invariant and not report.ok
+    assert not type_commutation_check(bad.gram, table.gram)
+    with pytest.raises(ValueError, match="numbers the types otherwise"):
+        "".join(bad.json_chunks())
 
 
 @pytest.mark.parametrize("group, n, tau", [("unitary", 3, Fraction(5)), ("orthogonal", 3, Fraction(8))])
-def test_invariant_perturbation_fails_the_identities(group, n, tau):
+def test_a_perturbation_on_one_type_fails_the_identities(group, n, tau):
     table = BUILDERS[group](n, tau)
     basis = table.basis
     if group == "unitary":
-        kind = [[(s.inverse() * t).cycle_type() for t in basis] for s in basis]
+        target = (basis[0].inverse() * basis[-1]).cycle_type()
     else:
-        kind = [[loop_type(p, q) for q in basis] for p in basis]
-    target = kind[0][-1]
-    bad = [
-        [w + 1 if k == target else w for w, k in zip(row, kinds)]
-        for row, kinds in zip(table.weingarten, kind)
-    ]
-    report = type_pseudo_inverse_check(table.gram, bad, basis)
+        target = loop_type(basis[0], basis[-1])
+    bad = table_with(table, weingarten_by_type=[
+        w + 1 if mu == target else w for w, mu in zip(table.weingarten_by_type, table.types)
+    ])
+    assert list(bad.weingarten)[0][-1] == list(table.weingarten)[0][-1] + 1
+    report = bad.pseudo_inverse_report()
     assert report.invariant and report.w_symmetric
     assert not report.gwg_equals_g and not report.wgw_equals_w
-    assert report == pseudo_inverse_check(table.gram, bad)
+    assert report == _dense_check(bad)
 
 
-def test_change_off_the_base_entry_of_the_row_is_seen():
-    """E from delta_(12) - delta_(23): G E G is zero at the base entry only.
-
-    E is left-invariant but not constant on cycle types, so the type check
-    rejects it before any product.
-    """
-    table = weingarten_unitary(3, Fraction(5))
-    s12, s23 = Permutation((2, 1, 3)), Permutation((1, 3, 2))
-    e, _ = _group_matrix(3, lambda x: Fraction(int(x == s12) - int(x == s23)))
-    bad = [[w + d for w, d in zip(row, drow)] for row, drow in zip(table.weingarten, e)]
-    report = type_pseudo_inverse_check(table.gram, bad, table.basis)
-    assert not report.ok and not report.invariant
-    assert not pseudo_inverse_check(table.gram, bad).gwg_equals_g
+@pytest.mark.parametrize("group, n, tau", [("unitary", 3, Fraction(5)), ("orthogonal", 3, Fraction(8))])
+@pytest.mark.parametrize("which", ["gram_by_type", "weingarten_by_type"])
+def test_one_wrong_value_per_type_fails(group, n, tau, which):
+    table = BUILDERS[group](n, tau)
+    for g in range(len(table.types)):
+        values = list(getattr(table, which))
+        values[g] += 1
+        bad = table_with(table, **{which: values})
+        assert not bad.pseudo_inverse_report().ok
+        assert not _dense_check(bad).ok
 
 
 def test_action_with_two_orbits_fails_the_structure_check(monkeypatch):
-    # row 0 satisfies both identities, row 1 does not; no map links them
-    monkeypatch.setattr(exactmat, "generator_index_maps", lambda basis: [[0, 1]])
-    basis = permutations_of(2)
-    gram = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    wg = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
-    report = type_pseudo_inverse_check(gram, wg, basis)
+    # identity maps prove no orbit past index 0, however right the values are
+    table = weingarten_unitary(2, Fraction(3))
+    monkeypatch.setattr(exactmat, "generator_index_maps", lambda basis: [list(range(len(basis)))])
+    _type_algebra.cache_clear()
+    report = table.pseudo_inverse_report()
     assert not report.invariant and not report.ok
-    assert not type_commutation_check(gram, wg, basis)  # they commute, but unproven
-    assert not pseudo_inverse_check(gram, wg).ok
+    assert not type_commutation_check(table.gram, table.gram)  # it commutes, but unproven
+    with pytest.raises(ValueError, match="structure proof"):
+        weingarten_unitary(2, Fraction(3))
+    with pytest.raises(ValueError, match="structure proof"):
+        type_idempotents("unitary", 2, 1)
 
 
 @pytest.mark.parametrize("group", ["unitary", "orthogonal"])
@@ -163,41 +167,41 @@ def test_basis_with_one_element_swapped_out_fails(group):
     table = BUILDERS[group](3, TAU)
     basis = list(table.basis)
     basis[-1] = basis[0]
-    assert not _type_check(table, basis).ok
+    assert not table_with(table, basis=basis).pseudo_inverse_report().ok
     basis[-1] = Permutation.identity(len(basis[0]) + 1)
-    assert not _type_check(table, basis).ok
+    assert not table_with(table, basis=basis).pseudo_inverse_report().ok
     basis[-1] = Permutation((2, 3, 1) + tuple(range(4, len(basis[0]) + 1)))
-    assert not _type_check(table, basis).ok
+    assert not table_with(table, basis=basis).pseudo_inverse_report().ok
 
 
 def test_generator_maps_of_s1_fix_the_single_element():
     assert generator_index_maps(permutations_of(1)) == [[0]]
 
 
-def _group_matrix(n, f):
-    """M[s][t] = f(s^-1 t): invariant under left multiplication on S_n."""
-    basis = permutations_of(n)
-    return [[f(s.inverse() * t) for t in basis] for s in basis], basis
-
-
 def test_commutation_check_agrees_with_dense_products():
     for n in (1, 2, 3):
         g1, g2 = gram_orthogonal(n, Fraction(3)), gram_orthogonal(n, Fraction(7))
-        assert type_commutation_check(g1, g2, enumerate_pairings(n))
-        assert mat_mul(g1, g2) == mat_mul(g2, g1)
-    # two invariant matrices from non-commuting elements of C[S_3]
-    s12, s23 = Permutation((2, 1, 3)), Permutation((1, 3, 2))
-    a, basis = _group_matrix(3, lambda x: Fraction(int(x == s12)))
-    b, _ = _group_matrix(3, lambda x: Fraction(int(x == s23)))
-    assert not type_commutation_check(a, b, basis)
-    assert mat_mul(a, b) != mat_mul(b, a)
+        assert type_commutation_check(g1, g2)
+        assert mat_mul(list(g1), list(g2)) == mat_mul(list(g2), list(g1))
 
 
-def test_commutation_check_rejects_a_non_invariant_matrix():
-    g1, g2 = gram_orthogonal(3, Fraction(3)), gram_orthogonal(3, Fraction(7))
-    bad = _copy(g2)
-    bad[4][2] = bad[4][2] + 1
-    assert not type_commutation_check(g1, bad, enumerate_pairings(3))
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+def test_commutation_check_rejects_constants_that_do_not_commute(monkeypatch, group):
+    # the Gram values of two parameters separate (a, b) from (b, a) whenever
+    # a and b have different numbers of parts
+    g1 = weingarten_table(group, 3, Fraction(3)).gram
+    g2 = weingarten_table(group, 3, Fraction(7)).gram
+    basis, types, constants, transposes = _type_algebra(group, 3)
+    bad = [Counter(c) for c in constants]
+    bad[1][0, 1] += 1
+    monkeypatch.setattr(exactmat, "_type_algebra", lambda *args: (basis, types, bad, transposes))
+    assert not type_commutation_check(g1, g2)
+
+
+def test_commutation_check_rejects_matrices_on_two_bases():
+    g1, g2 = gram_orthogonal(3, Fraction(3)), gram_orthogonal(2, Fraction(7))
+    assert not type_commutation_check(g1, g2)
+    assert not type_commutation_check(g1, weingarten_table("unitary", 3, Fraction(7)).gram)
 
 
 def _row_times(row, matrix):
@@ -219,9 +223,10 @@ def test_type_algebra_holds_on_every_column(group, n, tau):
     # the reduction counts only at one column per type; every other column of
     # the same type must give the same counts and the same product entries
     table = BUILDERS[group](n, tau)
-    gram, wg = table.gram, table.weingarten
-    _, constants, (g, w) = _type_algebra(table.basis, gram, wg)
-    _, index = type_matrix(table.basis)
+    gram, wg = list(table.gram), list(table.weingarten)
+    g, w = table.gram_by_type, table.weingarten_by_type
+    _, _, constants, _ = _type_algebra(group, n)
+    index = table.index
     row = index[0]
     for r in range(len(row)):
         assert Counter((row[k], index[k][r]) for k in range(len(row))) == constants[row[r]]
@@ -234,8 +239,8 @@ def test_type_algebra_holds_on_every_column(group, n, tau):
 @pytest.mark.parametrize("group, n, tau", TYPE_CASES)
 def test_structure_constants_count_classes(group, n, tau):
     table = BUILDERS[group](n, tau)
-    _, constants, _ = _type_algebra(table.basis, table.gram, table.weingarten)
-    row = type_matrix(table.basis)[1][0]
+    _, _, constants, transposes = _type_algebra(group, n)
+    row = table.index[0]
     identity = row[0]
     for gamma, c in enumerate(constants):
         sums = Counter()
@@ -244,6 +249,30 @@ def test_structure_constants_count_classes(group, n, tau):
         assert sums == Counter(row)
         assert {beta: k for (alpha, beta), k in c.items() if alpha == identity} == {gamma: 1}
         assert {alpha: k for (alpha, beta), k in c.items() if beta == identity} == {gamma: 1}
+    # the index is the dense walk's, whose column 0 is its row 0
+    assert transposes == list(range(len(constants)))
+    assert [index_row[0] for index_row in table.index] == row
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+def test_one_constant_walk_per_group_and_n(monkeypatch, group):
+    # builds, reports, commutation checks and idempotents share one memo
+    walks = Counter()
+    walk = exactmat.cross_type_matrix
+
+    def counted(rows, cols):
+        walks[len(rows), len(cols)] += 1
+        return walk(rows, cols)
+
+    monkeypatch.setattr(exactmat, "cross_type_matrix", counted)
+    for n in (3, 4):
+        for tau in (TAU, Fraction(7)):
+            assert BUILDERS[group](n, tau).pseudo_inverse_report().ok
+        g2, g3 = (weingarten_table(group, n, Fraction(t)).gram for t in (2, 3))
+        assert type_commutation_check(g2, g3)
+        size, p = len(_type_algebra(group, n)[0]), len(partitions_of(n))
+        assert walks[size, p] == 1
+    assert sum(walks.values()) == 2 * 3
 
 
 def _merged_walk(keep, drop):
@@ -267,6 +296,16 @@ def _unseen_walk(drop):
     return walk
 
 
+def _transposed_walk(drop, keep):
+    """The type walk with the transpose of type `drop`, the walk of (r_g, 0), reported as `keep`."""
+    def walk(rows, cols):
+        types, index = cross_type_matrix(rows, cols)
+        if len(cols) == 1 and len(rows) > 1:
+            types = [keep if mu == drop else mu for mu in types]
+        return types, index
+    return walk
+
+
 @pytest.mark.parametrize("group, tau", [("unitary", Fraction(5)), ("orthogonal", Fraction(8))])
 @pytest.mark.parametrize(
     "walk",
@@ -279,40 +318,59 @@ def _unseen_walk(drop):
 def test_wrong_type_walk_fails(monkeypatch, group, tau, walk):
     table = BUILDERS[group](3, tau)
     monkeypatch.setattr(exactmat, "cross_type_matrix", walk)
+    _type_algebra.cache_clear()
     report = table.pseudo_inverse_report()
     assert not report.ok and not report.invariant
-    assert not type_commutation_check(table.gram, table.weingarten, table.basis)
+    assert not type_commutation_check(table.gram, table.weingarten)
+
+
+@pytest.mark.parametrize("group, tau", [("unitary", Fraction(5)), ("orthogonal", Fraction(8))])
+@pytest.mark.parametrize("drop, keep", [((3,), (1, 1, 1)), ((2, 1), (3,))])
+def test_a_type_not_closed_under_transposition_fails(monkeypatch, group, tau, drop, keep):
+    table = BUILDERS[group](3, tau)
+    monkeypatch.setattr(exactmat, "cross_type_matrix", _transposed_walk(Partition(drop), Partition(keep)))
+    _type_algebra.cache_clear()
+    report = table.pseudo_inverse_report()
+    assert report.invariant and report.gwg_equals_g and report.wgw_equals_w
+    assert not report.w_symmetric and not report.ok
+
+
+@pytest.mark.parametrize("group, tau", [("unitary", Fraction(5)), ("orthogonal", Fraction(8))])
+@pytest.mark.parametrize("keep, drop", [((2, 1), (3,)), ((1, 1, 1), (2, 1))])
+def test_two_merged_types_fail_the_report(monkeypatch, group, tau, keep, drop):
+    # the table and the constants are built on the merged types, each value
+    # the true one of its type; the orthogonal values fail their own proof first
+    true = BUILDERS[group](3, tau)
+    value = dict(zip(true.types, true.weingarten_by_type))
+    monkeypatch.setattr(exactmat, "cross_type_matrix", _merged_walk(Partition(keep), Partition(drop)))
+    _type_algebra.cache_clear()
+    table = weingarten_table(group, 3, tau, lambda mu, t: value[mu], 1 if group == "unitary" else 2)
+    assert len(table.types) == 2
+    assert not table.pseudo_inverse_report().ok
+    if group == "orthogonal":
+        _idempotents_by_type.cache_clear()
+        with pytest.raises(ValueError, match="type idempotents"):
+            weingarten_orthogonal(3, tau)
 
 
 @pytest.mark.parametrize("group, n, tau", [("unitary", 3, Fraction(5)), ("orthogonal", 3, Fraction(8))])
 def test_one_constant_off_by_one_fails(monkeypatch, group, n, tau):
     table = BUILDERS[group](n, tau)
-    types, constants, values = _type_algebra(table.basis, table.gram, table.weingarten)
+    basis, types, constants, transposes = _type_algebra(group, n)
     assert table.pseudo_inverse_report().ok
     for gamma, c in enumerate(constants):
         for pair in c:
             bad = [Counter(x) for x in constants]
             bad[gamma][pair] += 1
-            monkeypatch.setattr(exactmat, "_type_algebra", lambda *args: (types, bad, values))
+            monkeypatch.setattr(exactmat, "_type_algebra", lambda *args: (basis, types, bad, transposes))
             assert not table.pseudo_inverse_report().ok
-
-
-@pytest.mark.parametrize("group, n, tau", [("unitary", 3, Fraction(5)), ("orthogonal", 3, Fraction(8))])
-def test_one_wrong_value_per_type_fails(monkeypatch, group, n, tau):
-    table = BUILDERS[group](n, tau)
-    types, constants, values = _type_algebra(table.basis, table.gram, table.weingarten)
-    for i, gamma in [(i, gamma) for i in range(2) for gamma in range(len(constants))]:
-        bad = [list(v) for v in values]
-        bad[i][gamma] += 1
-        monkeypatch.setattr(exactmat, "_type_algebra", lambda *args: (types, constants, bad))
-        assert not table.pseudo_inverse_report().ok
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_class_algebra_idempotents_are_the_central_idempotents(n):
     # on S_n with alpha = 1 the E_lam are dim(lam) chi_lam / n!, a known
     # answer that owes nothing to the orthogonal route
-    types, idempotents = type_idempotents(n, permutations_of(n), 1)
+    types, idempotents = type_idempotents("unitary", n, 1)
     assert list(idempotents) == partitions_of(n)
     for lam, e in idempotents.items():
         assert e == [Fraction(hook_dimension(lam) * character(lam, mu), factorial(n)) for mu in types]
@@ -323,10 +381,10 @@ def test_class_algebra_idempotents_are_the_central_idempotents(n):
 
 
 @pytest.mark.parametrize("n", range(2, 5))
-@pytest.mark.parametrize("basis_of, alpha", [(enumerate_pairings, 1), (permutations_of, 2)])
-def test_the_other_groups_alpha_raises(n, basis_of, alpha):
+@pytest.mark.parametrize("group, alpha", [("orthogonal", 1), ("unitary", 2)])
+def test_the_other_groups_alpha_raises(n, group, alpha):
     with pytest.raises(ValueError, match="G E_lam != c_lam E_lam"):
-        type_idempotents(n, basis_of(n), alpha)
+        type_idempotents(group, n, alpha)
 
 
 # -- symbolic values over one shared denominator --------------------------------
@@ -392,16 +450,16 @@ def test_spectral_sum_takes_no_other_tau_rational(tau):
 ])
 def test_rendering_through_the_type_index_matches_every_entry(group, n, tau):
     table = BUILDERS[group](n, tau)
-    payload = table.to_json_dict()
-    assert payload["gram"] == [[render(x) for x in row] for row in table.gram]
-    assert payload["weingarten"] == [[render(x) for x in row] for row in table.weingarten]
-    assert table.to_json_text() == json.dumps(payload)
+    payload = table_json_dict(table)
+    assert payload["gram"] == [[render(table.gram_by_type[t]) for t in row] for row in table.index]
+    assert "".join(table.json_chunks()) == json.dumps(payload) + "\n"
 
 
-def test_a_table_made_without_an_index_renders_the_same():
+def test_the_index_is_built_only_when_rendered():
     table = weingarten_orthogonal(3, TAU)
-    bare = exactmat.WeingartenTable(
-        group=table.group, n=table.n, tau=table.tau, basis=table.basis,
-        gram=table.gram, weingarten=table.weingarten, excluded=table.excluded,
-    )
-    assert bare.to_json_text() == table.to_json_text()
+    table.pseudo_inverse_report()
+    chunks = table.json_chunks()
+    assert "index" not in vars(table)
+    first = next(chunks)
+    assert vars(table)["index"] == type_matrix(table.basis)[1]
+    assert first + "".join(chunks) == json.dumps(table_json_dict(table)) + "\n"

@@ -236,12 +236,12 @@ def test_regular_matrix_of_jm_product_is_gram():
 
     for n in (1, 2, 3):
         g = jm_product_unitary(n, TAU)
-        expected = gram_unitary(n, TAU)
+        expected = list(gram_unitary(n, TAU))
         for side in ("left", "right"):
             assert regular_matrix(g, permutations_of(n), side) == expected
     for n in (4, 5):
         g = jm_product_unitary(n, TAU)
-        assert regular_matrix(g, permutations_of(n), "left") == gram_unitary(n, TAU)
+        assert regular_matrix(g, permutations_of(n), "left") == list(gram_unitary(n, TAU))
 
 
 def test_regular_matrix_rejects_bad_side():

@@ -3,7 +3,9 @@
 numpy is loaded by the Monte-Carlo layer alone; every exact command,
 group-algebra products included, runs without it.  No exact command loads
 dataclasses, and the table commands load neither the verification suites
-nor the group algebra.
+nor the group algebra.  A ``table`` command loads only its own group's
+module, ``gram`` neither group module, and ``characters`` neither those nor
+the table layer.
 """
 
 import json
@@ -104,6 +106,22 @@ def test_table_commands_load_neither_verify_nor_groupalg(python_env, argv):
     loaded = _loaded_by_cli(argv, python_env)
     assert "weingarten.verify" not in loaded
     assert "weingarten.groupalg" not in loaded
+
+
+GROUP_MODULES = {"weingarten.unitary", "weingarten.orthogonal", "weingarten.exactmat"}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(argv, {"weingarten.exactmat", f"weingarten.{argv[2]}"})
+     for argv in EXACT_COMMANDS if argv[0] == "table"]
+    + [(["gram", "--group", group, "--n", "3", "--format", "csv"], {"weingarten.exactmat"})
+       for group in ("unitary", "orthogonal")]
+    + [(["characters", "--n", "4"], set())],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else "",
+)
+def test_each_table_command_loads_only_its_group_module(python_env, argv, expected):
+    assert GROUP_MODULES & set(_loaded_by_cli(argv, python_env)) == expected
 
 
 def test_cli_names_the_verify_suites_in_their_order():

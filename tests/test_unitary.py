@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from oracles import mat_identity, mat_mul, pseudo_inverse_check, regular_matrix
+from oracles import mat_identity, mat_mul, pseudo_inverse_check, regular_matrix, table_json_dict, table_with
 
 from weingarten.coeffring import TAU, TauRational, parse, render
 from weingarten.exactmat import content_product
@@ -21,8 +21,8 @@ def test_c_unitary_examples():
 
 
 def test_gram_unitary_small():
-    assert gram_unitary(1, TAU) == [[TAU]]
-    g2 = gram_unitary(2, TAU)
+    assert list(gram_unitary(1, TAU)) == [[TAU]]
+    g2 = list(gram_unitary(2, TAU))
     assert g2 == [[TAU * TAU, TAU], [TAU, TAU * TAU]]
     for n in (1, 2, 3):
         g = gram_unitary(n, TAU)
@@ -68,8 +68,8 @@ def test_weingarten_matrix_equals_sympy_inverse_n3():
 
 def test_weingarten_unitary_n1_numeric():
     table = weingarten_unitary(1, Fraction(7))
-    assert table.weingarten == [[Fraction(1, 7)]]
-    assert table.gram == [[Fraction(7)]]
+    assert list(table.weingarten) == [[Fraction(1, 7)]]
+    assert list(table.gram) == [[Fraction(7)]]
     assert table.excluded == []
 
 
@@ -95,11 +95,14 @@ def test_inverse_regime_wg_is_matrix_inverse():
     assert mat_mul(table.gram, table.weingarten) == mat_identity(6)
 
 
-def test_pseudo_inverse_detects_bad_matrix():
+def test_pseudo_inverse_detects_a_bad_value():
+    # the identity type's value, on the diagonal of W
     table = weingarten_unitary(2, Fraction(3))
-    bad = [row[:] for row in table.weingarten]
-    bad[0][0] += 1
-    assert not pseudo_inverse_check(table.gram, bad).ok
+    values = table.weingarten_by_type
+    bad = table_with(table, weingarten_by_type=[values[0] + 1, *values[1:]])
+    assert list(bad.weingarten)[0][0] == list(table.weingarten)[0][0] + 1
+    assert not bad.pseudo_inverse_report().ok
+    assert not pseudo_inverse_check(list(bad.gram), list(bad.weingarten)).ok
 
 
 def test_g_equals_sum_of_scaled_projectors_up_to_5():
@@ -125,7 +128,7 @@ def test_weingarten_matrix_is_regular_matrix_of_w_element():
                 lambda x, f=inv_c: f * x
             )
         for side in ("left", "right"):
-            assert regular_matrix(w_alg, permutations_of(n), side) == table.weingarten
+            assert regular_matrix(w_alg, permutations_of(n), side) == list(table.weingarten)
 
 
 def test_wg_entries_depend_only_on_cycle_type():
@@ -150,7 +153,7 @@ def test_excluded_shapes_symbolic_empty():
 
 def test_table_json_shape():
     table = weingarten_unitary(2, TAU)
-    payload = table.to_json_dict()
+    payload = table_json_dict(table)
     assert payload["group"] == "unitary"
     assert payload["tau"] == "symbolic"
     assert payload["basis"] == ["[1,2]", "[2,1]"]

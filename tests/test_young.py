@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from oracles import centralizer_order, regular_matrix
+from oracles import centralizer_order, mat_is_symmetric, regular_matrix
 
 from weingarten.groupalg import AlgebraElement, jm_element
 from weingarten.symcore import (
@@ -19,7 +19,6 @@ from weingarten.young import (
     character,
     young_idempotent,
 )
-from weingarten.exactmat import mat_is_symmetric
 
 
 def test_trivial_and_sign_characters():
