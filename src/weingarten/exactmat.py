@@ -4,9 +4,9 @@ Both groups' tables come out of ``weingarten_table``.  Each Gram entry and
 each Weingarten entry depends only on the double-coset type of its basis
 pair: tau^(parts of the type), and the group's class-function value on it.
 So a table holds one exact value of each per type, and no N x N list.  Only
-rendering needs the type of every pair (``symcore.type_matrix``, which
-proves it): JSON and CSV are written one matrix row at a time, each row
-joined through that index from texts rendered once per type.
+rendering needs the type of every pair: JSON and CSV are written one matrix
+row at a time, each row carried from the type algebra's row 0 and joined
+through it from texts rendered once per type.
 
 Symbolic values share one denominator.  Every c_lam(t) is a product of linear
 factors t + k, k a content of lam, so each divides D(t), the product of
@@ -22,9 +22,9 @@ multiplication on S_n, conjugation on pairings), so a product of two
 functions of the type is again one, fixed by its row at the base index, and
 row 0 of it is given by p(n)-sized structure constants: the class algebra of
 S_n for U(t), the Hecke algebra of (S_2n, H_n) for O(t).  ``_type_algebra``
-proves transitivity from the generators' index maps, then builds the
-constants from N * p(n) cycle walks and the transpose of each type from p(n)
-more, once per group and n; tables, checks and idempotents share it.
+proves transitivity from the generators' index maps and walks row 0, then
+builds the constants and the transpose of each type from N * p(n) cycle
+walks, once per group and n; tables, rendering, checks and idempotents share it.
 
 The same algebra gives the orthogonal Weingarten values.  The Gram element
 G(t), with value t^(parts) on each type, acts on the lam-component by
@@ -37,7 +37,7 @@ Weingarten value on a type is then the sum of E_lam / c_lam(tau).
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -46,16 +46,18 @@ from .coeffring import TAU, TauPolynomial, TauRational, invert, is_symbolic, ren
 from .symcore import (
     Partition,
     _orbit_covers,
+    carried_index,
     cross_type_matrix,
     enumerate_pairings,
     generator_index_maps,
     partitions_of,
     permutations_of,
-    type_matrix,
 )
 
 # each group's canonical basis: S_n, and the pairings of {1,...,2n}
 BASES = {"unitary": permutations_of, "orthogonal": enumerate_pairings}
+
+TypeAlgebra = namedtuple("TypeAlgebra", "basis types maps row constants transposes")
 
 
 class PseudoInverseReport:
@@ -92,15 +94,16 @@ def _type_algebra(group: str, n: int):
     """The type algebra of the group's basis at n, or None when its structure fails.
 
     The structure holds when the generators' index maps permute the basis in
-    one orbit and no pair (k, r_g) has a type that row 0 lacks.  Returns
-    (basis, types, constants, transposes): types are numbered as they first
-    appear in row 0, so the identity type is 0, r_g is that first column of
-    type g, constants[g][(a, b)] counts the k with type(0, k) = a and
-    type(k, r_g) = b, and transposes[g] is the type of (r_g, 0), None when
-    row 0 lacks it.  Shared by every caller: nothing returned may be changed.
+    one orbit and no pair (k, r_g) has a type that row 0 lacks.  Returns its
+    basis, types, maps and row 0: types are numbered as they first appear in
+    row 0, so the identity type is 0, r_g is that first column of type g,
+    constants[g][(a, b)] counts the k with type(0, k) = a and
+    type(k, r_g) = b, and transposes[g] is the type of (r_g, r_0), r_0 being
+    b_0.  Shared by every caller: nothing returned may be changed.
     """
     basis = BASES[group](n)
-    if not _orbit_covers(generator_index_maps(basis), len(basis)):
+    maps = generator_index_maps(basis)
+    if not _orbit_covers(maps, len(basis)):
         return None
     types, (row,) = cross_type_matrix([basis[0]], basis)
     reps = [basis[row.index(g)] for g in range(len(types))]
@@ -113,14 +116,14 @@ def _type_algebra(group: str, n: int):
     for a, bs in zip(row, index):
         for g, b in enumerate(bs):
             constants[g][a, renumber[b]] += 1
-    back_types, back = cross_type_matrix(reps, [basis[0]])
-    return basis, types, constants, [number.get(back_types[t]) for (t,) in back]
+    transposes = [renumber[index[row.index(g)][0]] for g in range(len(types))]
+    return TypeAlgebra(basis, types, maps, row, constants, transposes)
 
 
 def _table_algebra(table):
     """The type algebra of the table's group and n, or None unless it proved the table's basis and types."""
     algebra = _type_algebra(table.group, table.n)
-    if algebra is None or algebra[0] != table.basis or algebra[1] != table.types:
+    if algebra is None or algebra.basis != table.basis or algebra.types != table.types:
         return None
     return algebra
 
@@ -135,7 +138,7 @@ def type_commutation_check(a, b) -> bool:
     algebra = _table_algebra(a.table)
     if algebra is None or _table_algebra(b.table) != algebra:
         return False
-    constants = algebra[2]
+    constants = algebra.constants
     return _product(constants, a.values, b.values) == _product(constants, b.values, a.values)
 
 
@@ -162,7 +165,7 @@ def type_idempotents(group: str, n: int, alpha: int):
     algebra = _type_algebra(group, n)
     if algebra is None:
         raise ValueError("type idempotents: the basis fails the type-algebra structure proof")
-    _, types, constants, _ = algebra
+    types, constants = algebra.types, algebra.constants
     t0, shapes = _probe(n, alpha), partitions_of(n)
     c = {lam: content_product(lam, t0, alpha) for lam in shapes}
     if len(set(c.values())) < len(shapes):
@@ -367,11 +370,11 @@ class WeingartenTable:
 
     @cached_property
     def index(self) -> list[list[int]]:
-        """The N x N type index (``symcore.type_matrix``), proved to number the types as `types` does."""
-        types, index = type_matrix(self.basis)
-        if types != self.types:
-            raise ValueError(f"{self.group} table: the type index numbers the types otherwise")
-        return index
+        """The N x N type index, carried from row 0 of the type algebra that proved the basis and types."""
+        algebra = _table_algebra(self)
+        if algebra is None:
+            raise ValueError(f"{self.group} table: the basis or types are not those its type algebra proved")
+        return carried_index(algebra.maps, algebra.row)
 
     @property
     def gram(self) -> TypeRows:
@@ -423,7 +426,7 @@ class WeingartenTable:
         algebra = _table_algebra(self)
         if algebra is None:
             return PseudoInverseReport(False, False, False, invariant=False)
-        _, _, constants, transposes = algebra
+        constants, transposes = algebra.constants, algebra.transposes
         g, w = self.gram_by_type, self.weingarten_by_type
         gw = _product(constants, g, w)
         return PseudoInverseReport(
@@ -446,7 +449,7 @@ def weingarten_table(group: str, n: int, tau, value=None, alpha: int | None = No
     algebra = _type_algebra(group, n)
     if algebra is None:
         raise ValueError(f"{group} table: the basis fails the type-algebra structure proof")
-    basis, types = algebra[:2]
+    basis, types = algebra.basis, algebra.types
     powers = tau_powers(tau, n)
     gram = [powers[len(mu)] for mu in types]
     if value is None:

@@ -346,34 +346,24 @@ def enumerate_pairings(n: int) -> list[Pairing]:
     return out
 
 
-def type_matrix(basis) -> tuple[list[Partition], list[list[int]]]:
-    """Double-coset type of every basis pair, as (types, index).
+def carried_index(maps, row: list[int]) -> list[list[int]]:
+    """Every row of a double-coset type index, carried from its row 0.
 
-    For permutations the type of (b_i, b_j) is the cycle type of b_i^-1 b_j.
-    For pairings it is the loop type: the cycle type of b_i b_j (a pairing is
-    its own inverse) with multiplicities halved, since each loop splits into
-    two equal cycles.  index[i][j] is the number of the type of (b_i, b_j).
-
-    Only row 0 is walked, by `cross_type_matrix`, so types are numbered in
-    the order row 0 first meets them.  Types are invariant under the
-    generators' action (`generator_index_maps`): if b_k = g . b_i and p is
-    g's map, then index[k] = [index[i][t] for t in inverse(p)].  So every
-    other row is row 0 carried along a search of the maps, once
-    `_orbit_covers` has proved that each map permutes the basis and that
-    they reach every index; the search also checks that each row agrees
-    with every map that leads to it, which is the invariance the rows rest
-    on.  Raises ValueError when the basis is not one orbit of the action
-    (an element missing or repeated) or a row disagrees.
+    row[j] is the number of the type of (b_0, b_j).  Types are invariant
+    under the generators' action (`generator_index_maps`): if b_k = g . b_i
+    and p is g's map, then index[k] = [index[i][t] for t in inverse(p)].  So
+    every other row is row 0 carried along a search of the maps, which
+    `_orbit_covers` must have proved to permute the basis in one orbit; the
+    search also checks that each row agrees with every map that leads to
+    it, which is the invariance the rows rest on.  Raises ValueError when a
+    row disagrees.  Every row returned is a new list.
     """
-    size, maps = len(basis), generator_index_maps(basis)
-    if not _orbit_covers(maps, size):
-        raise ValueError("type matrix: the generators do not permute the basis in one orbit")
-    types, (row,) = cross_type_matrix([basis[0]], basis)
+    size = len(row)
     if size == 1:
         # row 0 is the whole matrix, and itemgetter of one index returns no tuple
-        return types, [row]
+        return [list(row)]
     moves = [(p, itemgetter(*_inverse(p))) for p in maps]
-    index: list = [row] + [None] * (size - 1)
+    index: list = [list(row)] + [None] * (size - 1)
     frontier = [0]
     while frontier:
         i = frontier.pop()
@@ -384,7 +374,7 @@ def type_matrix(basis) -> tuple[list[Partition], list[list[int]]]:
                 frontier.append(k)
             elif index[k] != carried:
                 raise ValueError(f"type matrix: row {k} is not invariant under the generators")
-    return types, index
+    return index
 
 
 def _inverse(p: list[int]) -> list[int]:
@@ -411,11 +401,14 @@ def _orbit_covers(maps, size: int) -> bool:
 
 
 def cross_type_matrix(rows, cols) -> tuple[list[Partition], list[list[int]]]:
-    """Type of every (row, column) pair, as for `type_matrix`; index is rows x cols.
+    """Double-coset type of every (row, column) pair, as (types, index); index is rows x cols.
 
-    Types are numbered in first-seen order.  Cycles are walked over 0-based
-    one-line tuples; for pairings the walk marks both cycles of a loop, so it
-    counts each loop once.
+    For permutations the type of (b, c) is the cycle type of b^-1 c.  For
+    pairings it is the loop type: the cycle type of b c (a pairing is its own
+    inverse) with multiplicities halved, since each loop splits into two
+    equal cycles.  Types are numbered in first-seen order.  Cycles are
+    walked over 0-based one-line tuples; for pairings the walk marks both
+    cycles of a loop, so it counts each loop once.
     """
     halve = isinstance(rows[0], Pairing)
     lefts = [tuple(x - 1 for x in (b if halve else b.inverse())) for b in rows]

@@ -2,24 +2,28 @@
 writes character files only under its own temporary ``WG_CACHE_DIR``."""
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 import weingarten
-from weingarten import exactmat, groupalg, orthogonal, young
+from weingarten import young
 
 
 @pytest.fixture(autouse=True)
 def _clear_memos():
     """Clear the module-level memos after each test, so one test's entries
-    (or a poisoned entry) never reach the next."""
+    (or a poisoned entry) never reach the next: every ``lru_cache`` found in
+    a loaded ``weingarten`` module, and the dict memos named here."""
     yield
     young._CHAR_MEMO.clear()
     young._IDEMPOTENT_CACHE.clear()
-    orthogonal._idempotents_by_type.cache_clear()
-    groupalg.hyperoctahedral_elements.cache_clear()
-    exactmat._type_algebra.cache_clear()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("weingarten."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -173,7 +173,7 @@ def pair_type(b: Permutation, c: Permutation) -> Partition:
 
 
 def dense_type_matrix(basis):
-    """(types, index) as ``symcore.type_matrix`` gives it, from a walk of every pair.
+    """(types, index) as a table's ``index`` and type numbering give it, from a walk of every pair.
 
     Each unordered pair is walked once and mirrored, since (c, b) has the
     inverse product and so the same type; types are numbered first-seen.

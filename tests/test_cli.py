@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from oracles import csv_writer_text, table_json_dict, table_with
 
-from weingarten import cli, exactmat, orthogonal, symcore, verify, young
+from weingarten import cli, exactmat, orthogonal, verify, young
 from weingarten.coeffring import TAU, parse, render
 from weingarten.groupalg import AlgebraElement
 from weingarten.orthogonal import weingarten_orthogonal
@@ -423,10 +423,10 @@ def test_an_unproven_orthogonal_value_is_exit_3(capsys, monkeypatch, tmp_path, a
     real = exactmat._type_algebra
 
     def bumped(*args):
-        basis, types, constants, transposes = real(*args)
-        constants = [Counter(c) for c in constants]
+        algebra = real(*args)
+        constants = [Counter(c) for c in algebra.constants]
         constants[1][next(iter(constants[1]))] += 1
-        return basis, types, constants, transposes
+        return algebra._replace(constants=constants)
 
     monkeypatch.setattr(exactmat, "_type_algebra", bumped)
     target = tmp_path / "table.out"
@@ -439,16 +439,18 @@ def test_an_unproven_orthogonal_value_is_exit_3(capsys, monkeypatch, tmp_path, a
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_an_unproven_type_index_writes_nothing(capsys, monkeypatch, tmp_path, fmt, to_file):
-    # two entries swapped in the map of (1 2 3 4) used for rendering: the
-    # index fails its invariance proof before the first byte is written
-    maps_of = symcore.generator_index_maps
+    # two entries swapped in the map of (1 2 3 4) that the type algebra keeps
+    # for rendering: the index fails its invariance proof before the first
+    # byte is written
+    maps_of = exactmat.generator_index_maps
 
     def swapped(basis):
         maps = maps_of(basis)
         maps[0][2], maps[0][7] = maps[0][7], maps[0][2]
         return maps
 
-    monkeypatch.setattr(symcore, "generator_index_maps", swapped)
+    monkeypatch.setattr(exactmat, "generator_index_maps", swapped)
+    exactmat._type_algebra.cache_clear()
     target = tmp_path / "table.out"
     argv = ["table", "--group", "unitary", "--n", "4", "--format", fmt]
     code, out, err = run_cli(capsys, *argv, *(["--out", str(target)] if to_file else []))

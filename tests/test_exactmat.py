@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    dense_type_matrix,
     loop_type,
     mat_mul,
     pseudo_inverse_check,
@@ -17,7 +18,7 @@ from oracles import (
     table_with,
 )
 
-from weingarten import exactmat
+from weingarten import exactmat, symcore
 from weingarten.coeffring import TAU, TauRational, render
 from weingarten.exactmat import (
     _product,
@@ -36,7 +37,6 @@ from weingarten.symcore import (
     hook_dimension,
     partitions_of,
     permutations_of,
-    type_matrix,
 )
 from weingarten.unitary import weingarten_unitary, wg_function_unitary
 from weingarten.young import character
@@ -114,7 +114,7 @@ def test_a_type_numbering_other_than_row_0s_fails_the_structure(group, n, tau, n
     report = bad.pseudo_inverse_report()
     assert not report.invariant and not report.ok
     assert not type_commutation_check(bad.gram, table.gram)
-    with pytest.raises(ValueError, match="numbers the types otherwise"):
+    with pytest.raises(ValueError, match="not those its type algebra proved"):
         "".join(bad.json_chunks())
 
 
@@ -172,6 +172,24 @@ def test_basis_with_one_element_swapped_out_fails(group):
     assert not table_with(table, basis=basis).pseudo_inverse_report().ok
     basis[-1] = Permutation((2, 3, 1) + tuple(range(4, len(basis[0]) + 1)))
     assert not table_with(table, basis=basis).pseudo_inverse_report().ok
+    with pytest.raises(ValueError, match="not those its type algebra proved"):
+        "".join(table_with(table, basis=basis).csv_chunks())
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+@pytest.mark.parametrize("change", ["dropped", "duplicated"])
+def test_a_basis_with_one_element_dropped_or_duplicated_fails_the_proof(monkeypatch, group, change):
+    # the generators' maps then leave the basis, or miss the first copy
+    real = exactmat.BASES[group]
+
+    def changed(n):
+        basis = real(n)
+        return basis[:5] + basis[6:] if change == "dropped" else basis + [basis[2]]
+
+    monkeypatch.setitem(exactmat.BASES, group, changed)
+    assert _type_algebra(group, 3) is None
+    with pytest.raises(ValueError, match="structure proof"):
+        weingarten_table(group, 3, Fraction(7))
 
 
 def test_generator_maps_of_s1_fix_the_single_element():
@@ -191,10 +209,10 @@ def test_commutation_check_rejects_constants_that_do_not_commute(monkeypatch, gr
     # a and b have different numbers of parts
     g1 = weingarten_table(group, 3, Fraction(3)).gram
     g2 = weingarten_table(group, 3, Fraction(7)).gram
-    basis, types, constants, transposes = _type_algebra(group, 3)
-    bad = [Counter(c) for c in constants]
+    algebra = _type_algebra(group, 3)
+    bad = [Counter(c) for c in algebra.constants]
     bad[1][0, 1] += 1
-    monkeypatch.setattr(exactmat, "_type_algebra", lambda *args: (basis, types, bad, transposes))
+    monkeypatch.setattr(exactmat, "_type_algebra", lambda *args: algebra._replace(constants=bad))
     assert not type_commutation_check(g1, g2)
 
 
@@ -225,7 +243,7 @@ def test_type_algebra_holds_on_every_column(group, n, tau):
     table = BUILDERS[group](n, tau)
     gram, wg = list(table.gram), list(table.weingarten)
     g, w = table.gram_by_type, table.weingarten_by_type
-    _, _, constants, _ = _type_algebra(group, n)
+    constants = _type_algebra(group, n).constants
     index = table.index
     row = index[0]
     for r in range(len(row)):
@@ -239,8 +257,8 @@ def test_type_algebra_holds_on_every_column(group, n, tau):
 @pytest.mark.parametrize("group, n, tau", TYPE_CASES)
 def test_structure_constants_count_classes(group, n, tau):
     table = BUILDERS[group](n, tau)
-    _, _, constants, transposes = _type_algebra(group, n)
-    row = table.index[0]
+    algebra = _type_algebra(group, n)
+    constants, row = algebra.constants, table.index[0]
     identity = row[0]
     for gamma, c in enumerate(constants):
         sums = Counter()
@@ -250,29 +268,40 @@ def test_structure_constants_count_classes(group, n, tau):
         assert {beta: k for (alpha, beta), k in c.items() if alpha == identity} == {gamma: 1}
         assert {alpha: k for (alpha, beta), k in c.items() if beta == identity} == {gamma: 1}
     # the index is the dense walk's, whose column 0 is its row 0
-    assert transposes == list(range(len(constants)))
+    assert algebra.transposes == list(range(len(constants)))
     assert [index_row[0] for index_row in table.index] == row
 
 
 @pytest.mark.parametrize("group", ["unitary", "orthogonal"])
 def test_one_constant_walk_per_group_and_n(monkeypatch, group):
-    # builds, reports, commutation checks and idempotents share one memo
-    walks = Counter()
-    walk = exactmat.cross_type_matrix
+    # builds, JSON and CSV renders, reports, commutation checks and
+    # idempotents share one proof: one map build, one walk of row 0 and one
+    # N x p(n) walk, under either module's name
+    calls = Counter()
+    maps_of, walk = symcore.generator_index_maps, symcore.cross_type_matrix
 
-    def counted(rows, cols):
-        walks[len(rows), len(cols)] += 1
+    def counted_maps(basis):
+        calls["maps"] += 1
+        return maps_of(basis)
+
+    def counted_walk(rows, cols):
+        calls[len(rows), len(cols)] += 1
         return walk(rows, cols)
 
-    monkeypatch.setattr(exactmat, "cross_type_matrix", counted)
+    for module in (symcore, exactmat):
+        monkeypatch.setattr(module, "generator_index_maps", counted_maps)
+        monkeypatch.setattr(module, "cross_type_matrix", counted_walk)
     for n in (3, 4):
+        calls.clear()
         for tau in (TAU, Fraction(7)):
-            assert BUILDERS[group](n, tau).pseudo_inverse_report().ok
+            table = BUILDERS[group](n, tau)
+            assert table.pseudo_inverse_report().ok
+            assert "".join(table.json_chunks()) and "".join(table.csv_chunks())
         g2, g3 = (weingarten_table(group, n, Fraction(t)).gram for t in (2, 3))
         assert type_commutation_check(g2, g3)
-        size, p = len(_type_algebra(group, n)[0]), len(partitions_of(n))
-        assert walks[size, p] == 1
-    assert sum(walks.values()) == 2 * 3
+        type_idempotents(group, n, 1 if group == "unitary" else 2)
+        size, p = len(table.basis), len(partitions_of(n))
+        assert calls == {"maps": 1, (1, size): 1, (size, p): 1}
 
 
 def _merged_walk(keep, drop):
@@ -297,11 +326,18 @@ def _unseen_walk(drop):
 
 
 def _transposed_walk(drop, keep):
-    """The type walk with the transpose of type `drop`, the walk of (r_g, 0), reported as `keep`."""
+    """The type walk with the transpose of type `drop`, the type of (r_g, r_0), reported as `keep`.
+
+    Only the identity column of the N x p(n) walk changes, at the rows of the representatives.
+    """
     def walk(rows, cols):
         types, index = cross_type_matrix(rows, cols)
-        if len(cols) == 1 and len(rows) > 1:
-            types = [keep if mu == drop else mu for mu in types]
+        if len(rows) > 1 and len(cols) > 1:
+            index = [list(row) for row in index]
+            for rep in cols:
+                row = index[rows.index(rep)]
+                if types[row[0]] == drop:
+                    row[0] = types.index(keep)
         return types, index
     return walk
 
@@ -331,8 +367,7 @@ def test_a_type_not_closed_under_transposition_fails(monkeypatch, group, tau, dr
     monkeypatch.setattr(exactmat, "cross_type_matrix", _transposed_walk(Partition(drop), Partition(keep)))
     _type_algebra.cache_clear()
     report = table.pseudo_inverse_report()
-    assert report.invariant and report.gwg_equals_g and report.wgw_equals_w
-    assert not report.w_symmetric and not report.ok
+    assert report.invariant and not report.w_symmetric and not report.ok
 
 
 @pytest.mark.parametrize("group, tau", [("unitary", Fraction(5)), ("orthogonal", Fraction(8))])
@@ -356,13 +391,13 @@ def test_two_merged_types_fail_the_report(monkeypatch, group, tau, keep, drop):
 @pytest.mark.parametrize("group, n, tau", [("unitary", 3, Fraction(5)), ("orthogonal", 3, Fraction(8))])
 def test_one_constant_off_by_one_fails(monkeypatch, group, n, tau):
     table = BUILDERS[group](n, tau)
-    basis, types, constants, transposes = _type_algebra(group, n)
+    algebra = _type_algebra(group, n)
     assert table.pseudo_inverse_report().ok
-    for gamma, c in enumerate(constants):
+    for gamma, c in enumerate(algebra.constants):
         for pair in c:
-            bad = [Counter(x) for x in constants]
+            bad = [Counter(x) for x in algebra.constants]
             bad[gamma][pair] += 1
-            monkeypatch.setattr(exactmat, "_type_algebra", lambda *args: (basis, types, bad, transposes))
+            monkeypatch.setattr(exactmat, "_type_algebra", lambda *args: algebra._replace(constants=bad))
             assert not table.pseudo_inverse_report().ok
 
 
@@ -461,5 +496,5 @@ def test_the_index_is_built_only_when_rendered():
     chunks = table.json_chunks()
     assert "index" not in vars(table)
     first = next(chunks)
-    assert vars(table)["index"] == type_matrix(table.basis)[1]
+    assert vars(table)["index"] == dense_type_matrix(table.basis)[1]
     assert first + "".join(chunks) == json.dumps(table_json_dict(table)) + "\n"

@@ -224,13 +224,14 @@ def test_no_table_path_walks_h_n():
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_every_constant_off_by_one_raises(monkeypatch, n):
-    basis, types, constants, transposes = _type_algebra("orthogonal", n)
+    algebra = _type_algebra("orthogonal", n)
     type_idempotents("orthogonal", n, 2)
-    for gamma, c in enumerate(constants):
+    for gamma, c in enumerate(algebra.constants):
         for pair in c:
-            bad = [Counter(x) for x in constants]
+            bad = [Counter(x) for x in algebra.constants]
             bad[gamma][pair] += 1
-            monkeypatch.setattr(exactmat, "_type_algebra", lambda *args, bad=bad: (basis, types, bad, transposes))
+            monkeypatch.setattr(exactmat, "_type_algebra",
+                                lambda *args, bad=bad: algebra._replace(constants=bad))
             with pytest.raises(ValueError, match="type idempotents"):
                 type_idempotents("orthogonal", n, 2)
 
@@ -369,9 +370,9 @@ def test_stability_builds_no_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the stability suite built a table")
 
-    for module, name in ((verify, "gram_orthogonal"), (symcore, "type_matrix"),
-                         (exactmat, "type_matrix"), (exactmat, "weingarten_table"),
-                         (orthogonal, "weingarten_table")):
+    for module, name in ((verify, "gram_orthogonal"), (symcore, "carried_index"),
+                         (exactmat, "carried_index"), (exactmat, "_type_algebra"),
+                         (exactmat, "weingarten_table"), (orthogonal, "weingarten_table")):
         monkeypatch.setattr(module, name, refuse)
     assert [ok for _, ok in verify.run("stability", 4)] == [True] * 4
 
