@@ -9,12 +9,13 @@ Two coefficient types circulate in this package:
 
 :class:`TauPolynomial`, a dense polynomial over Fraction coefficients, is only
 the type of a TauRational's numerator and denominator.  TauRational reads
-``int`` and ``Fraction`` operands as constants under ``+ - * /`` and ``==``,
-and a constant TauRational equals and hashes like the same Fraction, so
-callers can mix a Fraction-weighted group-algebra element with a symbolic
-one without ceremony.  The module-level constant :data:`TAU` is the
-indeterminate; passing it where a dimension is expected turns any
-computation symbolic.
+``int`` and ``Fraction`` operands as constants under ``+ *`` and ``==``,
+and a constant TauRational equals and hashes like the same Fraction.  It
+has no ``-``, ``/`` or inverse: the package forms symbolic values as one
+numerator over a known denominator, and proves symbolic identities at
+integer points in Fractions.  The module-level constant :data:`TAU` is the
+indeterminate; passing it where a dimension is expected makes a table or
+value symbolic.
 
 Text form uses the variable letter "t", explicit "^" powers, and terms in
 descending degree, e.g. ``(-1)/(t^3 - t)``.  Exact integers render bare.
@@ -23,6 +24,7 @@ descending degree, e.g. ``(-1)/(t^3 - t)``.  Exact integers render bare.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class TauPolynomial:
@@ -75,12 +77,6 @@ class TauPolynomial:
         for i, c in enumerate(b):
             out[i] += c
         return TauPolynomial(out)
-
-    def __neg__(self):
-        return TauPolynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other: "TauPolynomial") -> "TauPolynomial":
-        return self + (-other)
 
     def __mul__(self, other):
         """Product with a polynomial, or with a Fraction scalar."""
@@ -193,36 +189,16 @@ class TauRational:
             return self._constant() == other
         return NotImplemented
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, TauRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TauRational(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            other = TauRational(other)
+        elif not isinstance(other, TauRational):
             return NotImplemented
-        if self.den == o.den:
-            return TauRational(self.num + o.num, self.den)
-        return TauRational(self.num * o.den + o.num * self.den, self.den * o.den)
+        if self.den == other.den:
+            return TauRational(self.num + other.num, self.den)
+        return TauRational(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return TauRational._raw(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -237,33 +213,16 @@ class TauRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o:
-            raise ZeroDivisionError("division by zero rational function")
-        return TauRational(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o / self
-
     def __pow__(self, k: int) -> "TauRational":
-        """Integer powers; powers of coprime num and monic den stay reduced."""
+        """Powers k >= 0; powers of coprime num and monic den stay reduced."""
         if k < 0:
-            return self.inverse() ** -k
+            raise ValueError(f"TauRational powers need k >= 0, got {k}")
         num = den = _ONE
         for _ in range(k):
             num = num * self.num
             if self.den.degree:
                 den = den * self.den
         return TauRational._raw(num, den)
-
-    def inverse(self) -> "TauRational":
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        return TauRational(self.den, self.num)
 
     def __repr__(self):
         return f"TauRational({render(self)!r})"
@@ -273,18 +232,58 @@ TAU = TauRational(TauPolynomial((0, 1)))
 """The indeterminate itself; pass as the dimension to go symbolic."""
 
 
-def invert(x):
-    """Multiplicative inverse in the appropriate ring."""
-    if isinstance(x, TauRational):
-        return x.inverse()
-    if not x:
-        raise ZeroDivisionError("inverse of zero")
-    return 1 / Fraction(x)
-
-
 def is_symbolic(x) -> bool:
     """True when x carries the indeterminate (so computations stay symbolic)."""
     return isinstance(x, TauRational) and x._constant() is None
+
+
+# -- polynomials as plain coefficient lists, ascending ------------------------
+
+
+def _linear_product(factors) -> list[int]:
+    """Coefficients, ascending, of the product of (t + k)^m over {k: m}."""
+    poly = [1]
+    for k, m in sorted(factors.items()):
+        for _ in range(m):
+            poly = [a + k * b for a, b in zip([0] + poly, poly + [0])]
+    return poly
+
+
+def _synthetic_division(poly: list[int], root: int) -> tuple[list[int], int]:
+    """Quotient and remainder of poly (ascending) by t - root."""
+    quotient, carry = [0] * (len(poly) - 1), 0
+    for d in range(len(poly) - 1, 0, -1):
+        carry = poly[d] + root * carry
+        quotient[d - 1] = carry
+    return quotient, poly[0] + root * carry
+
+
+def _at(poly: list[int], t: int) -> int:
+    """poly (ascending) evaluated at t, by Horner's rule."""
+    value = 0
+    for c in reversed(poly):
+        value = value * t + c
+    return value
+
+
+def _divide_out(poly, top) -> tuple[list, dict]:
+    """poly (ascending, nonzero) with each factor t + k of the product of (t + k)^top[k]
+    that divides it divided out, up to top[k] times, and {k: the multiplicity of t + k left}."""
+    left = {}
+    for k, m in top.items():
+        while m:
+            quotient, rest = _synthetic_division(poly, -k)
+            if rest:
+                break
+            poly, m = quotient, m - 1
+        left[k] = m
+    return poly, left
+
+
+def _numerators(values: list) -> tuple[int, list[int]]:
+    """The least common denominator q of rational values, and each value times q."""
+    q = lcm(*(x.denominator for x in values))
+    return q, [x.numerator * (q // x.denominator) for x in values]
 
 
 # -- text form -------------------------------------------------------------

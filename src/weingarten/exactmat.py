@@ -25,10 +25,12 @@ S_n for U(t), the Hecke algebra of (S_2n, H_n) for O(t).  ``_type_algebra``
 proves transitivity from the generators' index maps and walks row 0, then
 builds the constants and the transpose of each type from N * p(n) cycle
 walks, once per group and n; tables, rendering, checks and idempotents share it.
+A symbolic table's identities are proved at integer points (`_points`),
+with no rational-function arithmetic.
 
 The same algebra gives the orthogonal Weingarten values.  The Gram element
 G(t), with value t^(parts) on each type, acts on the lam-component by
-c_lam(t) = ``content_product(lam, t, alpha)``, so ``type_idempotents``
+c_lam(t) = ``content_product(lam, t, ALPHA[group])``, so ``type_idempotents``
 interpolates the primitive idempotents E_lam from G at one probe t0 where
 the c_lam(t0) are distinct, and proves them before returning.  The
 Weingarten value on a type is then the sum of E_lam / c_lam(tau).
@@ -42,7 +44,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .coeffring import TAU, TauPolynomial, TauRational, invert, is_symbolic, render
+from .coeffring import TAU, TauPolynomial, TauRational, _at, _divide_out, _linear_product, _numerators
+from .coeffring import is_symbolic, render
 from .symcore import (
     Partition,
     _orbit_covers,
@@ -56,11 +59,15 @@ from .symcore import (
 
 # each group's canonical basis: S_n, and the pairings of {1,...,2n}
 BASES = {"unitary": permutations_of, "orthogonal": enumerate_pairings}
+# each group's alpha in the content products c_lam (see `content_product`)
+ALPHA = {"unitary": 1, "orthogonal": 2}
 
 TypeAlgebra = namedtuple("TypeAlgebra", "basis types maps row constants transposes")
 
 
-class PseudoInverseReport:
+class PseudoInverseReport(
+    namedtuple("PseudoInverseReport", "gwg_equals_g wgw_equals_w w_symmetric invariant", defaults=(True,))
+):
     """Outcome of the exact pseudo-inverse identities GWG=G, WGW=W, W=W^T.
 
     `invariant` is the structure the type-algebra check rests on: the
@@ -69,24 +76,11 @@ class PseudoInverseReport:
     identities read False.  The dense products leave it True.
     """
 
-    def __init__(self, gwg_equals_g: bool, wgw_equals_w: bool, w_symmetric: bool,
-                 invariant: bool = True):
-        self.gwg_equals_g = gwg_equals_g
-        self.wgw_equals_w = wgw_equals_w
-        self.w_symmetric = w_symmetric
-        self.invariant = invariant
-
-    def __eq__(self, other):
-        if not isinstance(other, PseudoInverseReport):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        return f"PseudoInverseReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
-        return self.invariant and self.gwg_equals_g and self.wgw_equals_w and self.w_symmetric
+        return all(self)
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +124,7 @@ def _table_algebra(table):
 
 def _product(constants, a, b) -> list:
     """Values per type of AB from those of A and B: row 0 of AB at each r_g."""
-    return [sum((a[x] * b[y] * k for (x, y), k in c.items()), Fraction(0)) for c in constants]
+    return [sum(a[x] * b[y] * k for (x, y), k in c.items()) for c in constants]
 
 
 def type_commutation_check(a, b) -> bool:
@@ -150,11 +144,11 @@ def _probe(n: int, alpha: int) -> int:
     return t0
 
 
-def type_idempotents(group: str, n: int, alpha: int):
+def type_idempotents(group: str, n: int):
     """Primitive idempotents E_lam of the type algebra of the group's basis, as values per type.
 
     G(t0) has value t0^(parts) on each type and acts on the lam-component by
-    c_lam = content_product(lam, t0, alpha); with the c_lam distinct,
+    c_lam = content_product(lam, t0, ALPHA[group]); with the c_lam distinct,
     E_lam = product over mu != lam of (G(t0) - c_mu) / (c_lam - c_mu).
     Returns (types, {lam: E_lam's value on each type}) after proving the
     structure, that every E_lam is nonzero with G(t0) E_lam = c_lam E_lam, and
@@ -165,7 +159,7 @@ def type_idempotents(group: str, n: int, alpha: int):
     algebra = _type_algebra(group, n)
     if algebra is None:
         raise ValueError("type idempotents: the basis fails the type-algebra structure proof")
-    types, constants = algebra.types, algebra.constants
+    types, constants, alpha = algebra.types, algebra.constants, ALPHA[group]
     t0, shapes = _probe(n, alpha), partitions_of(n)
     c = {lam: content_product(lam, t0, alpha) for lam in shapes}
     if len(set(c.values())) < len(shapes):
@@ -223,43 +217,12 @@ def spectral_sum(n: int, tau, alpha: int, weight):
         if tau != TAU:
             raise ValueError(f"spectral sums take TAU or a rational tau, not {render(tau)}")
         return _symbolic_sum(n, alpha, weight)
-    total = None
+    total = Fraction(0)
     for lam in partitions_of(n):
         c = content_product(lam, tau, alpha)
-        if not c:
-            continue
-        w = weight(lam)
-        if not w:
-            continue
-        term = invert(c) * w
-        total = term if total is None else total + term
-    return total if total is not None else Fraction(0)
-
-
-def _linear_product(factors) -> list[int]:
-    """Coefficients, ascending, of the product of (t + k)^m over {k: m}."""
-    poly = [1]
-    for k, m in sorted(factors.items()):
-        for _ in range(m):
-            poly = [a + k * b for a, b in zip([0] + poly, poly + [0])]
-    return poly
-
-
-def _synthetic_division(poly: list[int], root: int) -> tuple[list[int], int]:
-    """Quotient and remainder of poly (ascending) by t - root."""
-    quotient, carry = [0] * (len(poly) - 1), 0
-    for d in range(len(poly) - 1, 0, -1):
-        carry = poly[d] + root * carry
-        quotient[d - 1] = carry
-    return quotient, poly[0] + root * carry
-
-
-def _at(poly: list[int], t: int) -> int:
-    """poly (ascending) evaluated at t, by Horner's rule."""
-    value = 0
-    for c in reversed(poly):
-        value = value * t + c
-    return value
+        if c and (w := weight(lam)):
+            total += w / c
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -307,19 +270,48 @@ def _symbolic_sum(n: int, alpha: int, weight):
         num.pop()
     if not num:
         return TauRational(0)
-    left = {}
-    for k, m in top.items():
-        while m:
-            quotient, rest = _synthetic_division(num, -k)
-            if rest:
-                break
-            num, m = quotient, m - 1
-        left[k] = m
+    num, left = _divide_out(num, top)
     den = _linear_product(left)
     direct = sum((w / content_product(lam, n, alpha) for lam, w in weights.items()), Fraction(0))
     if Fraction(_at(num, n), scale * _at(den, n)) != direct:
         raise ValueError(f"spectral sum: the reduced value differs from the direct sum at t = {n}")
     return TauRational._raw(TauPolynomial(Fraction(c, scale) for c in num), TauPolynomial(den))
+
+
+def integer_points(n: int, degree: int) -> range:
+    """degree + 1 integers from n: polynomials of degree at most `degree` that agree there are equal.
+
+    Every factor t + k of D is at least 1 there, since each content k is at least 1 - n.
+    """
+    return range(n, n + degree + 1)
+
+
+def _points(group: str, n: int, gram: list, weingarten: list):
+    """Symbolic Gram and Weingarten values at enough integer points to prove GWG = G and WGW = W.
+
+    None unless every Gram value is a polynomial and every Weingarten
+    denominator divides D, the shared denominator of `_cofactors`.  With
+    d = deg D, m the largest degree of D W_g and n_G that of G_g,
+    D (GWG - G) is a polynomial on each type of degree at most
+    max(2 n_G + m, n_G + d), and D^2 (WGW - W) one of degree at most
+    max(n_G + 2 m, m + d).  D is nonzero at `integer_points`, so both
+    identities hold at every t once they hold at the larger degree + 1.
+    """
+    top, _ = _cofactors(n, ALPHA[group])
+    values = [x if isinstance(x, TauRational) else TauRational(x) for x in gram + weingarten]
+    gram, weingarten = values[:len(gram)], values[len(gram):]
+    if any(x.den.degree for x in gram) or any(
+            len(_divide_out(x.den.coeffs, top)[0]) > 1 for x in weingarten):
+        return None
+    d = sum(top.values())
+    n_g = max(x.num.degree for x in gram)
+    m = max((x.num.degree - x.den.degree + d for x in weingarten if x), default=0)
+    degree = max(2 * n_g + m, n_g + d, n_g + 2 * m, m + d)
+    return [
+        ([_at(x.num.coeffs, t) for x in gram],
+         [_at(x.num.coeffs, t) / _at(x.den.coeffs, t) for x in weingarten])
+        for t in integer_points(n, degree)
+    ]
 
 
 def _csv_fields(texts: list[str]) -> list[str]:
@@ -420,28 +412,37 @@ class WeingartenTable:
         """GWG=G, WGW=W and W=W^T in the type algebra of this table's basis.
 
         Every row is an image of row 0, where the products are computed per
-        type.  W is symmetric because each type is closed under
-        transposition: (r_g, 0) has type g.  Failures are reported, never raised.
+        type, symbolic values' at the integer points of `_points`.  With
+        G = A/p and W = B/q for integer A and B, GWG = G is ABA = pqA and
+        WGW = W is BAB = pqB, compared in integers.  W is symmetric because
+        each type is closed under transposition: (r_g, 0) has type g.
+        Failures are reported, never raised.
         """
         algebra = _table_algebra(self)
         if algebra is None:
             return PseudoInverseReport(False, False, False, invariant=False)
-        constants, transposes = algebra.constants, algebra.transposes
+        constants = algebra.constants
         g, w = self.gram_by_type, self.weingarten_by_type
-        gw = _product(constants, g, w)
-        return PseudoInverseReport(
-            gwg_equals_g=_product(constants, gw, g) == g,
-            wgw_equals_w=_product(constants, w, gw) == w,
-            w_symmetric=transposes == list(range(len(g))),
-        )
+        symmetric = algebra.transposes == list(range(len(g)))
+        symbolic = any(isinstance(x, TauRational) for x in g + w)
+        points = _points(self.group, self.n, g, w) if symbolic else [(g, w)]
+        if points is None:
+            return PseudoInverseReport(False, False, symmetric)
+        gwg = wgw = True
+        for g, w in points:
+            (p, a), (q, b) = _numerators(g), _numerators(w)
+            ab = _product(constants, a, b)
+            gwg = gwg and _product(constants, ab, a) == [p * q * x for x in a]
+            wgw = wgw and _product(constants, b, ab) == [p * q * x for x in b]
+        return PseudoInverseReport(gwg, wgw, symmetric)
 
 
-def weingarten_table(group: str, n: int, tau, value=None, alpha: int | None = None) -> WeingartenTable:
+def weingarten_table(group: str, n: int, tau, value=None) -> WeingartenTable:
     """Assemble a table on the group's basis from its type algebra.
 
     The Gram value of a type is tau^(its number of parts), the Weingarten
     value is value(type, tau), and the excluded shapes are those whose
-    content_product(lam, tau, alpha) vanishes (none when tau is symbolic).
+    content_product(lam, tau, ALPHA[group]) vanishes (none when tau is symbolic).
     With value None only the Gram values are built.
     """
     if n < 1:
@@ -455,6 +456,6 @@ def weingarten_table(group: str, n: int, tau, value=None, alpha: int | None = No
     if value is None:
         return WeingartenTable(group, n, tau, basis, types, gram)
     excluded = [] if is_symbolic(tau) else [
-        lam for lam in partitions_of(n) if not content_product(lam, tau, alpha)
+        lam for lam in partitions_of(n) if not content_product(lam, tau, ALPHA[group])
     ]
     return WeingartenTable(group, n, tau, basis, types, gram, [value(mu, tau) for mu in types], excluded)

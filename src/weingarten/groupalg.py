@@ -1,10 +1,11 @@
-"""Sparse group-algebra arithmetic in C[S_n] over a pluggable coefficient ring.
+"""Sparse group-algebra arithmetic in C[S_n] with exact rational coefficients.
 
-Coefficients may be ``fractions.Fraction`` or :class:`~weingarten.coeffring.TauRational`;
-anything supporting ``+ * -``, truthiness for zero tests, and ``==``.  Elements are immutable by convention:
-no method mutates ``terms`` after construction.  A product whose coefficients
-are all ``Fraction`` sums integer numerators over a common denominator;
-every other product runs term pair by term pair.  Both are plain Python,
+Coefficients are ``fractions.Fraction``.  Sums and scalar multiples also
+take :class:`~weingarten.coeffring.TauRational` ones, but differences and
+products do not: a product of two elements sums integer numerators over a
+common denominator in one kernel, and a symbolic identity is checked by
+products at integer values of t.  Elements are immutable by convention: no
+method mutates ``terms`` after construction.  The kernel is plain Python,
 so no product loads numpy.
 
 This module owns the Jucys-Murphy elements, the two product expansions that
@@ -96,12 +97,9 @@ class AlgebraElement:
             return self.scale(other)
         if self.n != other.n:
             raise ValueError(f"ambient size mismatch: {self.n} vs {other.n}")
-        out = _mul_fractions(self.n, self.terms, other.terms)
-        if out is None:
-            return AlgebraElement(self.n, _mul_terms(self.terms, other.terms))
         # the kernel drops zero sums itself, so skip the filter in __init__
         product = object.__new__(AlgebraElement)
-        product.n, product.terms = self.n, out
+        product.n, product.terms = self.n, _mul_fractions(self.n, self.terms, other.terms)
         return product
 
     def __rmul__(self, coeff):
@@ -134,47 +132,29 @@ class AlgebraElement:
         return f"AlgebraElement(S_{self.n}, {body}{more})"
 
 
-def _mul_terms(a_terms: dict, b_terms: dict) -> dict:
-    """Product of two term dicts, one term pair at a time, over any ring.
-
-    The general path (symbolic coefficients) and the oracle that the
-    integer kernel is tested against.
-    """
-    out: dict = {}
-    rhs = list(b_terms.items())
-    get = out.get
-    for p, ca in a_terms.items():
-        for q, cb in rhs:
-            r = Permutation(p[j - 1] for j in q)
-            c = ca * cb
-            prev = get(r)
-            out[r] = c if prev is None else prev + c
-    return out
-
-
 def _common_denominator(terms: dict):
-    """(D, numerators over D) for all-Fraction coefficients, else None."""
+    """(D, numerators over D) of nonempty Fraction coefficients; TypeError for any other."""
     coeffs = terms.values()
-    if any(type(c) is not Fraction for c in coeffs):
-        return None
+    for c in coeffs:
+        if type(c) is not Fraction:
+            raise TypeError(f"C[S_n] products take Fraction coefficients, not {type(c).__name__}")
     den = lcm(*(c.denominator for c in coeffs))
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
-def _mul_fractions(n: int, a_terms: dict, b_terms: dict) -> dict | None:
+def _mul_fractions(n: int, a_terms: dict, b_terms: dict) -> dict:
     """Product of two Fraction-valued term dicts in integer numerators over one denominator.
 
     r = p * q, r[i] = p[q[i] - 1], is q's one-line bytes translated through a
     256-byte table holding p from offset 1, so it runs in C and the bytes key
-    hashes once.  None (use :func:`_mul_terms`) when an operand is empty, a
-    coefficient is not a Fraction, or n > 255.
+    hashes once.  A coefficient that is not a Fraction is a TypeError, and
+    n > 255, whose images do not fit a byte, a ValueError.
     """
-    if not (a_terms and b_terms and n <= 255):
-        return None
-    scaled_a, scaled_b = _common_denominator(a_terms), _common_denominator(b_terms)
-    if scaled_a is None or scaled_b is None:
-        return None
-    (den_a, num_a), (den_b, num_b) = scaled_a, scaled_b
+    if n > 255:
+        raise ValueError(f"C[S_n] products need n <= 255, got {n}")
+    if not (a_terms and b_terms):
+        return {}
+    (den_a, num_a), (den_b, num_b) = _common_denominator(a_terms), _common_denominator(b_terms)
     pad = bytes(255 - n)
     tables = [b"\0" + bytes(p) + pad for p in a_terms]
     sums: dict = {}
@@ -201,11 +181,11 @@ def _tau_plus(m: AlgebraElement, tau) -> AlgebraElement:
 
 
 def jm_product_unitary(n: int, tau) -> AlgebraElement:
-    """Expand (tau + m_1)(tau + m_2)...(tau + m_n) in C[S_n].
+    """Expand (tau + m_1)(tau + m_2)...(tau + m_n) in C[S_n] at a rational tau.
 
     By Jucys' classical identity this equals the sum over all of S_n of
     tau^(number of cycles) times the permutation; callers verify rather than
-    assume that.
+    assume that.  Each coefficient is a polynomial of degree at most n in tau.
     """
     if n < 1:
         raise ValueError(f"jm_product_unitary requires n >= 1, got {n}")
@@ -216,7 +196,7 @@ def jm_product_unitary(n: int, tau) -> AlgebraElement:
 
 
 def jm_product_orthogonal(n: int, tau) -> AlgebraElement:
-    """Expand (tau + m_(2n-1))...(tau + m_3)(tau + m_1) in C[S_2n].
+    """Expand (tau + m_(2n-1))...(tau + m_3)(tau + m_1) in C[S_2n] at a rational tau.
 
     The odd-indexed Jucys-Murphy elements commute, so the value is order
     independent; the descending order is fixed anyway so that the expansion

@@ -37,6 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactmat import (
+    ALPHA,
     WeingartenTable,
     spectral_sum,
     type_idempotents,
@@ -103,7 +104,7 @@ def _idempotents_by_type(n: int) -> dict[Partition, dict[Partition, Fraction]]:
     E_lam is r = dim(2lam)/(2n-1)!! at the identity type, and r/(n(n-1)) times
     the sum of 2j - 1 - i over the boxes (i, j) of lam at the type (2, 1^(n-2)).
     """
-    types, idempotents = type_idempotents("orthogonal", n, 2)
+    types, idempotents = type_idempotents("orthogonal", n)
     pairings = double_factorial_odd(n)
     swap = types.index(Partition((2,) + (1,) * (n - 2))) if n > 1 else None
     for lam, e in idempotents.items():
@@ -119,12 +120,12 @@ def _idempotents_by_type(n: int) -> dict[Partition, dict[Partition, Fraction]]:
 def wg_value_orthogonal(mu: Partition, tau):
     """Weingarten entry for a pair of pairings of loop type mu."""
     mu = Partition(mu)
-    return spectral_sum(mu.weight, tau, 2, _idempotents_by_type(mu.weight)[mu].__getitem__)
+    return spectral_sum(mu.weight, tau, ALPHA["orthogonal"], _idempotents_by_type(mu.weight)[mu].__getitem__)
 
 
 def weingarten_orthogonal(n: int, tau) -> WeingartenTable:
     """Gram and Weingarten matrices of O(tau) on the canonical pairing basis."""
-    return weingarten_table("orthogonal", n, tau, wg_value_orthogonal, 2)
+    return weingarten_table("orthogonal", n, tau, wg_value_orthogonal)
 
 
 def coset_label(sigma: Permutation) -> Pairing:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .exactmat import WeingartenTable, spectral_sum, weingarten_table
+from .exactmat import ALPHA, WeingartenTable, spectral_sum, weingarten_table
 from .symcore import Partition, hook_dimension
 from .young import character
 
@@ -34,11 +34,10 @@ def wg_function_unitary(mu: Partition, tau):
     """The Weingarten class function on the cycle type mu."""
     mu = Partition(mu)
     n = mu.weight
-    return spectral_sum(
-        n, tau, 1, lambda lam: Fraction(hook_dimension(lam) * character(lam, mu), factorial(n))
-    )
+    return spectral_sum(n, tau, ALPHA["unitary"],
+                        lambda lam: Fraction(hook_dimension(lam) * character(lam, mu), factorial(n)))
 
 
 def weingarten_unitary(n: int, tau) -> WeingartenTable:
     """Gram and Weingarten matrices of U(tau) on the canonical S_n basis."""
-    return weingarten_table("unitary", n, tau, wg_function_unitary, 1)
+    return weingarten_table("unitary", n, tau, wg_function_unitary)

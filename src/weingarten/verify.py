@@ -4,7 +4,8 @@ Each suite is a generator over n = 1..max_n that yields ``(label, ok)``
 pairs.  The ``verify`` subcommand prints them and the acceptance tests call
 `run`; no other module holds a copy of a check (the two table contracts call
 the type-algebra checks of ``exactmat``).  Sizes past a suite's symbolic
-range use the numeric parameter ``tau`` (default 7).
+range use the numeric parameter ``tau`` (default 7).  A symbolic size is
+proved in Fractions at integer values of t, as many as its degree needs.
 
 The suites follow the compact proof: the unitary and odd Jucys-Murphy
 expansions (``jucys``, ``oid``), Young's idempotents and the central
@@ -24,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 
 from .coeffring import TAU
-from .exactmat import tau_powers, type_commutation_check
+from .exactmat import integer_points, tau_powers, type_commutation_check
 from .groupalg import (
     AlgebraElement,
     average_projector,
@@ -118,31 +119,42 @@ def _projector_pairing_trace(proj: AlgebraElement, e: AlgebraElement) -> Fractio
     return total
 
 
-def _gram_row(n: int, t):
-    """The pairings, and t^(loops against the adjacent pairing) for each: Gram row 0."""
+def _gram_row(n: int):
+    """The pairings, and the loops of each against the adjacent pairing: Gram row 0 is t^loops."""
     pairings = enumerate_pairings(n)
     types, index = cross_type_matrix([adjacent_pairing(n)], pairings)
-    powers = tau_powers(t, n)
-    return pairings, [powers[len(types[k])] for k in index[0]]
+    return pairings, [len(types[k]) for k in index[0]]
 
 
 def _jucys(max_n, tau, tau2, deep):
+    # both sides, n factors t + m_k and powers t^k with k <= n, are polynomials
+    # of degree at most n in t, so the identity holds once it does at n + 1 points
     for n in range(1, max_n + 1):
-        lhs = jm_product_unitary(n, TAU)
-        rhs = AlgebraElement(n, {s: TAU**s.num_cycles() for s in permutations_of(n)})
-        yield f"jucys identity n={n}", lhs == rhs
+        perms = permutations_of(n)
+        cycles = [s.num_cycles() for s in perms]
+        ok = True
+        for t in integer_points(n, n):
+            powers = tau_powers(t, n)
+            rhs = AlgebraElement(n, {s: powers[k] for s, k in zip(perms, cycles)})
+            ok = ok and jm_product_unitary(n, t) == rhs
+        yield f"jucys identity n={n}", ok
 
 
 def _oid(max_n, tau, tau2, deep):
     # the odd JM product is the sum of the coset representatives, each weighted
-    # by t^(loops against the adjacent pairing), one term per pairing
+    # by t^(loops against the adjacent pairing), one term per pairing; both
+    # sides have degree at most n in t, as in `_jucys`
     for n in range(1, max_n + 1):
         t, label = _parameter(n, 4, tau)
-        lhs = jm_product_orthogonal(n, t)
-        pairings, weights = _gram_row(n, t)
-        rhs = {coset_representative(pi): w for pi, w in zip(pairings, weights)}
+        pairings, loops = _gram_row(n)
+        reps = [coset_representative(pi) for pi in pairings]
         expected = double_factorial_odd(n)
-        ok = len(lhs) == expected and len(rhs) == expected and lhs == AlgebraElement(2 * n, rhs)
+        ok = len(set(reps)) == expected
+        for t in integer_points(n, n) if t is TAU else [t]:
+            powers = tau_powers(t, n)
+            lhs = jm_product_orthogonal(n, t)
+            rhs = AlgebraElement(2 * n, {r: powers[k] for r, k in zip(reps, loops)})
+            ok = ok and len(lhs) == expected and lhs == rhs
         yield f"odd JM expansion n={n} ({label})", ok
 
 
@@ -230,21 +242,24 @@ def _stability(max_n, tau, tau2, deep):
     # The matrix of G on the pairing basis has entry (i, j) = a(r_i^-1 pi_j r_i);
     # once r_i pi_0 r_i^-1 = pi_i, loops(pi_i, pi_j) = loops(pi_0, r_i^-1 pi_j r_i),
     # and x -> r_i^-1 x r_i permutes the pairings, so that matrix is the Gram
-    # matrix exactly when a equals Gram row 0 at every pairing
+    # matrix exactly when a equals Gram row 0 at every pairing.  Each check
+    # compares sums of G's coefficients, of degree at most n in t, as in `_jucys`
     for n in range(1, max_n + 1):
         t, label = _parameter(n, 3, tau)
-        g = jm_product_orthogonal(n, t)
-        a, b = coset_sums(n, g), coset_sums(n, g.antipode())
-        ok = all(
-            {pi.conjugate_by(h): c for pi, c in f.items()} == f
-            for f in (a, b)
-            for h in hyperoctahedral_generators(n)
-        )
-        pairings, weights = _gram_row(n, t)
+        pairings, loops = _gram_row(n)
         reps = [coset_representative(pi) for pi in pairings]
-        ok = ok and all(coset_label(r.inverse()) == pi for pi, r in zip(pairings, reps))
-        ok = ok and all(a.get(coset_label(r)) == b.get(coset_label(r.inverse())) for r in reps)
-        ok = ok and all(a.get(pi, 0) == w for pi, w in zip(pairings, weights))
+        ok = all(coset_label(r.inverse()) == pi for pi, r in zip(pairings, reps))
+        for t in integer_points(n, n) if t is TAU else [t]:
+            g = jm_product_orthogonal(n, t)
+            a, b = coset_sums(n, g), coset_sums(n, g.antipode())
+            ok = ok and all(
+                {pi.conjugate_by(h): c for pi, c in f.items()} == f
+                for f in (a, b)
+                for h in hyperoctahedral_generators(n)
+            )
+            ok = ok and all(a.get(coset_label(r)) == b.get(coset_label(r.inverse())) for r in reps)
+            powers = tau_powers(t, n)
+            ok = ok and all(a.get(pi, 0) == powers[k] for pi, k in zip(pairings, loops))
         yield f"stability lemma n={n} ({label})", ok
 
 

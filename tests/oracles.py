@@ -5,8 +5,12 @@ so a test can compare the two: centralizer orders (against class sizes and
 character orthogonality), a table's JSON dict and CSV text with every
 entry rendered on its own (against the row-by-row stream rendered once per
 type), the regular representation of C[S_n] (against the Gram and
-Weingarten matrices), the dense matrix product and
-pseudo-inverse check (against the type-algebra checks), loop types by
+Weingarten matrices), C[S_n] products term pair by term pair over any
+coefficient ring (against the integer kernel, and for symbolic
+coefficients, which the kernel refuses), the dense matrix product and
+pseudo-inverse check (against the type-algebra checks), the type-algebra
+report over reduced TauRational sums (against the proof at integer
+points), loop types by
 permutation product and the cycle walk of every basis pair (against the
 type matrix carried from row 0), symbolic spectral sums as running sums of
 reduced TauRationals (against the sums over one shared denominator), orthogonal values and
@@ -32,9 +36,17 @@ from math import factorial
 
 import numpy as np
 
-from weingarten.coeffring import invert, is_symbolic, render
-from weingarten.exactmat import PseudoInverseReport, WeingartenTable, content_product, spectral_sum
-from weingarten.groupalg import AlgebraElement, average_projector, hyperoctahedral_elements
+from weingarten.coeffring import TAU, TauRational, is_symbolic, render
+from weingarten.exactmat import (
+    PseudoInverseReport,
+    WeingartenTable,
+    _at,
+    _product,
+    _table_algebra,
+    content_product,
+    spectral_sum,
+)
+from weingarten.groupalg import AlgebraElement, average_projector, hyperoctahedral_elements, jm_element
 from weingarten.haarmc import _BATCH, _basis, _ginibre, _haar_batch, _tied_sum, _ties
 from weingarten.orthogonal import adjacent_pairing, coset_representative
 from weingarten.symcore import (
@@ -47,6 +59,54 @@ from weingarten.symcore import (
     partitions_of,
 )
 from weingarten.young import central_idempotent, character
+
+
+def inverse(x):
+    """1/x for a nonzero Fraction or TauRational, the TauRational one reduced by its constructor."""
+    if isinstance(x, TauRational):
+        if not x:
+            raise ZeroDivisionError("inverse of zero")
+        return TauRational(x.den, x.num)
+    return 1 / Fraction(x)
+
+
+def loop_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """a * b in C[S_n], one term pair at a time, over any coefficient ring.
+
+    The product of symbolic coefficients, and the oracle of the integer kernel.
+    """
+    out: dict = {}
+    rhs = list(b.terms.items())
+    get = out.get
+    for p, ca in a.terms.items():
+        for q, cb in rhs:
+            r = Permutation(p[j - 1] for j in q)
+            c = ca * cb
+            prev = get(r)
+            out[r] = c if prev is None else prev + c
+    return AlgebraElement(a.n, out)
+
+
+def jm_product_at_tau(size: int, ks) -> AlgebraElement:
+    """The product of TAU + m_k over ks in C[S_size], by `loop_product`.
+
+    groupalg's Jucys-Murphy products at the indeterminate, which its kernel
+    refuses: ks = 1..n in C[S_n] for U(t), ks = 1, 3, ..., 2n - 1 in C[S_2n]
+    for O(t).  The factors commute, so their order does not matter.
+    """
+    acc = AlgebraElement.unit(size)
+    for k in ks:
+        acc = loop_product(acc, jm_element(k, size) + AlgebraElement.unit(size, TAU))
+    return acc
+
+
+def evaluated(x: AlgebraElement, t) -> AlgebraElement:
+    """x with each coefficient, a Fraction or a TauRational, evaluated at the rational t."""
+    def value(c):
+        if isinstance(c, TauRational):
+            return Fraction(_at(c.num.coeffs, t)) / _at(c.den.coeffs, t)
+        return Fraction(c)
+    return AlgebraElement(x.n, {p: value(c) for p, c in x.terms.items()})
 
 
 def mat_mul(a, b):
@@ -91,6 +151,23 @@ def pseudo_inverse_check(gram, wg) -> PseudoInverseReport:
         gwg_equals_g=mat_mul(gw, gram) == gram,
         wgw_equals_w=mat_mul(wg, gw) == wg,
         w_symmetric=mat_is_symmetric(wg),
+    )
+
+
+def running_sum_report(table: WeingartenTable) -> PseudoInverseReport:
+    """The table's type-algebra report with GWG and WGW formed from its own values,
+    every partial sum of a symbolic table a reduced TauRational (against the
+    integer-point proof)."""
+    algebra = _table_algebra(table)
+    if algebra is None:
+        return PseudoInverseReport(False, False, False, invariant=False)
+    constants = algebra.constants
+    g, w = table.gram_by_type, table.weingarten_by_type
+    gw = _product(constants, g, w)
+    return PseudoInverseReport(
+        gwg_equals_g=_product(constants, gw, g) == g,
+        wgw_equals_w=_product(constants, w, gw) == w,
+        w_symmetric=algebra.transposes == list(range(len(g))),
     )
 
 
@@ -200,7 +277,7 @@ def running_sum_spectral_sum(n: int, tau, alpha: int, weight):
         w = weight(lam)
         if not w:
             continue
-        term = invert(c) * w
+        term = inverse(c) * w
         total = term if total is None else total + term
     return total if total is not None else Fraction(0)
 
@@ -353,7 +430,7 @@ def materialized_pairing_basis_matrix(n: int, projected: AlgebraElement):
 def weingarten_matrix_from_central_idempotents(n: int, tau):
     """Independent route to the Weingarten matrix through C[S_2n] itself.
 
-    Builds W = sum invert(c_lam) * P_2lam as a group-algebra element, with
+    Builds W = sum P_2lam / c_lam as a group-algebra element, with
     P_2lam from the young module, and reads off its matrix on the pairing
     basis from the materialized product P_H * W.  Arbitrates the entrywise
     formula at desk scale.
@@ -364,9 +441,9 @@ def weingarten_matrix_from_central_idempotents(n: int, tau):
         if not c:
             continue
         w_alg = w_alg + central_idempotent(double_shape(lam), route="character").map_coefficients(
-            lambda x, inv=invert(c): x * inv
+            lambda x, inv=inverse(c): x * inv
         )
-    return materialized_pairing_basis_matrix(n, average_projector(n) * w_alg)
+    return materialized_pairing_basis_matrix(n, loop_product(average_projector(n), w_alg))
 
 
 def tensor_power_flat(q: np.ndarray, n: int) -> np.ndarray:

@@ -83,6 +83,7 @@ def test_criterion_07_pseudo_inverse_contract():
     ok = ok and weingarten_orthogonal(5, Fraction(7)).pseudo_inverse_report().ok
     ok = ok and weingarten_orthogonal(5, TAU).pseudo_inverse_report().ok
     ok = ok and weingarten_orthogonal(6, Fraction(7)).pseudo_inverse_report().ok
+    ok = ok and weingarten_orthogonal(6, TAU).pseudo_inverse_report().ok
     ok = ok and weingarten_unitary(6, TAU).pseudo_inverse_report().ok
     # degenerate parameters with nonempty excluded sets
     table = weingarten_unitary(3, Fraction(1))
@@ -92,8 +93,8 @@ def test_criterion_07_pseudo_inverse_contract():
     ok = ok and [tuple(p) for p in table.excluded] == [(1, 1)]
     ok = ok and table.pseudo_inverse_report().ok
     _conclude(
-        7, "GWG=G, WGW=W, W symmetric in the type algebra, symbolic U n<=6 and O n<=5, "
-        "O n=5 and n=6 at tau=7 (incl. degenerate tau)", ok, started,
+        7, "GWG=G, WGW=W, W symmetric in the type algebra, symbolic U n<=6 and O n<=6 "
+        "(proved at integer points), O n=5 and n=6 at tau=7 (incl. degenerate tau)", ok, started,
     )
 
 

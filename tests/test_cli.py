@@ -280,13 +280,13 @@ def _type_numbering_reversed(gram):
     return corrupted
 
 
-def _non_base_weight_raised(gram_row):
-    """Gram row 0 with the weight of pairing 1, not the base pairing, raised by 1."""
-    def corrupted(n, tau):
-        pairings, weights = gram_row(n, tau)
-        if len(weights) > 1:
-            weights = [weights[0], weights[1] + 1, *weights[2:]]
-        return pairings, weights
+def _non_base_loops_raised(gram_row):
+    """Gram row 0 with the loop count of pairing 1, not the base pairing, raised by 1."""
+    def corrupted(n):
+        pairings, loops = gram_row(n)
+        if len(loops) > 1:
+            loops = [loops[0], loops[1] + 1, *loops[2:]]
+        return pairings, loops
     return corrupted
 
 
@@ -297,7 +297,7 @@ INJECTED = {
     "central": (1, "central_idempotent", _identity_coefficient_shifted),
     "doubling": (2, "_extend_idempotent", _size4_coefficient_shifted),
     "keyid": (1, "jm_element", _jm_doubled),
-    "stability": (2, "_gram_row", _non_base_weight_raised),
+    "stability": (2, "_gram_row", _non_base_loops_raised),
     "pseudoinverse": (2, "weingarten_orthogonal", _table_gram_value_raised),
     "commute": (2, "gram_orthogonal", _type_numbering_reversed),
 }
@@ -394,7 +394,7 @@ def test_stability_catches_what_a_dropped_generator_misses(capsys, monkeypatch, 
     monkeypatch.setattr(verify, "hyperoctahedral_generators", lambda n: generators(n)[1:])
     corrupted = STABILITY_FAULTS[fault](verify.jm_product_orthogonal)
     monkeypatch.setattr(verify, "jm_product_orthogonal", corrupted)
-    g = corrupted(2, TAU)
+    g = corrupted(2, Fraction(2))
     sums = [orthogonal.coset_sums(2, g), orthogonal.coset_sums(2, g.antipode())]
 
     def invariant(h):

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weingarten import verify
+from weingarten import coeffring, verify
 from weingarten.coeffring import (
     TAU,
     TauPolynomial,
     TauRational,
-    invert,
     is_symbolic,
     parse,
     poly_gcd,
@@ -30,7 +29,7 @@ def poly_st(max_degree=6):
 
 def rational_st(max_degree=3):
     return st.tuples(poly_st(max_degree), poly_st(max_degree)).map(
-        lambda nd: nd[0] / nd[1] if nd[1] else nd[0]
+        lambda nd: TauRational(nd[0].num, nd[1].num) if nd[1] else nd[0]
     )
 
 
@@ -41,22 +40,34 @@ def test_fraction_arithmetic_is_exact():
 def test_tau_is_the_one_symbolic_type():
     assert type(TAU) is TauRational
     assert type(parse("t")) is TauRational
-    assert type(TAU * TAU - 1) is TauRational
-    assert (TAU * TAU - 1).den == TauPolynomial([1])
-    for name in ("__radd__", "__rsub__", "__truediv__", "__rtruediv__", "__pow__", "evaluate"):
+    assert type(TAU * TAU + -1) is TauRational
+    assert (TAU * TAU + -1).den == TauPolynomial([1])
+    for name in ("__radd__", "__neg__", "__sub__", "__rsub__", "__truediv__", "__rtruediv__",
+                 "__pow__", "evaluate"):
         assert not hasattr(TauPolynomial, name)
 
 
+def test_rational_functions_have_no_minus_division_or_inverse():
+    # symbolic values are formed over a known denominator and checked at integer points
+    for name in ("__neg__", "__sub__", "__rsub__", "__truediv__", "__rtruediv__", "inverse"):
+        assert not hasattr(TauRational, name)
+    assert not hasattr(coeffring, "invert")
+    for op in (lambda: TAU - 1, lambda: 1 - TAU, lambda: -TAU, lambda: 1 / TAU, lambda: TAU / TAU):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(ValueError, match="k >= 0"):
+        TAU ** -1
+
+
 def test_rational_function_cancellation():
-    num = TAU * TAU - 1
-    den = TAU * (TAU * TAU - 1)
+    num = TAU * TAU + -1
+    den = TAU * (TAU * TAU + -1)
     assert TauRational(num.num, den.num) == TauRational(TauPolynomial([1]), TAU.num)
-    assert num / den == 1 / TAU
-    assert render(num / den) == "1/t"
+    assert render(TauRational(num.num, den.num)) == "1/t"
 
 
 def test_polynomial_product():
-    assert (TAU + 1) * (TAU - 1) == TAU * TAU - 1
+    assert (TAU + 1) * (TAU + -1) == TAU * TAU + -1
 
 
 def test_canonical_forms_unique():
@@ -75,72 +86,55 @@ def test_denominator_is_monic():
     assert x == TauRational(TauPolynomial([Fraction(-1, 2)]), TAU.num)
 
 
-def test_zero_has_no_inverse():
+def test_zero_denominator_raises():
     with pytest.raises(ZeroDivisionError):
-        invert(TAU - TAU)
-    with pytest.raises(ZeroDivisionError):
-        invert(Fraction(0))
-
-
-def test_invert():
-    assert invert(Fraction(2, 3)) == Fraction(3, 2)
-    assert invert(TAU) * TAU == 1
-    w = -1 / (TAU * (TAU * TAU - 1))
-    assert invert(w) * w == 1
+        TauRational(TAU.num, TauPolynomial([]))
 
 
 def test_render_examples():
-    assert render(-1 / (TAU * TAU * TAU - TAU)) == "(-1)/(t^3 - t)"
+    assert render(TauRational(-1, TauPolynomial([0, -1, 0, 1]))) == "(-1)/(t^3 - t)"
     assert render(Fraction(5)) == "5"
     assert render(Fraction(-3, 7)) == "-3/7"
-    assert render(TAU * TAU + TAU - 2 * TAU) == "t^2 - t"
-    assert render(TAU - TAU) == "0"
+    assert render(TAU * TAU + TAU + -2 * TAU) == "t^2 - t"
+    assert render(TAU + -1 * TAU) == "0"
     assert render(TauRational(TauPolynomial([Fraction(1, 2), 0, 1]))) == "t^2 + 1/2"
     assert render(TauRational(TauPolynomial([0, Fraction(5, 6)]))) == "5/6*t"
 
 
 def test_is_symbolic():
     assert is_symbolic(TAU)
-    assert is_symbolic(1 / TAU)
+    assert is_symbolic(TauRational(1, TAU.num))
     assert not is_symbolic(Fraction(3))
     assert not is_symbolic(TauRational(Fraction(3)))
-    assert not is_symbolic(TAU - TAU + 3)
+    assert not is_symbolic(TAU * 0 + 3)
 
 
 def test_mixed_coercions():
     assert Fraction(1, 2) + TAU == TAU + Fraction(1, 2)
     assert 2 * TAU == TAU + TAU
-    assert TAU - TAU == TauRational(TauPolynomial([]))
-    assert TAU - TAU == 0 and 0 == TAU - TAU
-    assert 3 - TAU == -(TAU - 3)
-    r = 1 / (TAU - 1)
+    assert TAU * 0 == TauRational(TauPolynomial([]))
+    assert TAU + -1 * TAU == 0 and 0 == TAU * 0
+    r = TauRational(1, TauPolynomial([-1, 1]))  # 1/(t - 1)
     assert isinstance(r, TauRational)
-    assert r * (TAU - 1) == 1
-    assert (TAU - 1 / TAU) == (TAU * TAU - 1) / TAU
+    assert r * (TAU + -1) == 1
+    assert TAU + TauRational(-1, TAU.num) == TauRational((TAU * TAU + -1).num, TAU.num)
     for other in ("t", 1.5):
         with pytest.raises(TypeError):
-            other / TAU
-
-
-@pytest.mark.parametrize("other", [None, "a", 1.5])
-def test_reflected_subtraction_error_names_minus(other):
-    with pytest.raises(TypeError, match="for -:"):
-        other - TAU
+            other * TAU
+        with pytest.raises(TypeError):
+            other + TAU
 
 
 def test_powers():
     assert TAU ** 0 == 1
     assert TAU ** 3 == TAU * TAU * TAU
-    r = (TAU + 1) / (2 * TAU - 4)
+    r = TauRational(TauPolynomial([1, 1]), TauPolynomial([-4, 2]))  # (t + 1)/(2t - 4)
     assert r ** 2 == r * r
-    assert r ** -2 == 1 / (r * r)
-    with pytest.raises(ZeroDivisionError):
-        (TAU - TAU) ** -1
 
 
 def test_poly_gcd():
-    g = poly_gcd(((TAU - 1) * (TAU + 2)).num, ((TAU - 1) * TAU).num)
-    assert g == (TAU - 1).num
+    g = poly_gcd(((TAU + -1) * (TAU + 2)).num, ((TAU + -1) * TAU).num)
+    assert g == (TAU + -1).num
     assert poly_gcd(TAU.num, (TAU * TAU).num).degree == 1
 
 
@@ -174,10 +168,10 @@ def test_multiplication_distributes(a, b, c):
 
 
 @settings(max_examples=60)
-@given(rational_st(), rational_st())
-def test_division_undoes_multiplication(a, b):
-    assume(b)
-    assert (a / b) * b == a
+@given(poly_st(max_degree=3), poly_st(max_degree=3), poly_st(max_degree=3))
+def test_a_common_factor_cancels(p, q, r):
+    assume(q and r)
+    assert TauRational(p.num * q.num, q.num * r.num) == TauRational(p.num, r.num)
 
 
 @settings(max_examples=100)
@@ -187,12 +181,12 @@ def test_scalar_product_is_canonical(r, x):
     expected = TauRational(r.num * x, r.den)
     assert r * x == expected and x * r == expected
     assert r * 3 == 3 * r == TauRational(r.num * Fraction(3), r.den)
-    assert r / (TAU + 100) * 0 == 0 and 0 * (r / (TAU + 100)) == 0
+    s = TauRational(r.num, r.den * (TAU + 100).num)
+    assert s * 0 == 0 and 0 * s == 0
 
 
 def test_jucys_suite_polynomial_products(monkeypatch):
-    # constant denominators and scalar operands take no polynomial product;
-    # 3 949 is the count of the coefficient types before TauRational was the only one
+    # the suite proves the symbolic identity in Fractions at integer points
     calls = []
     product = TauPolynomial.__mul__
 
@@ -203,7 +197,7 @@ def test_jucys_suite_polynomial_products(monkeypatch):
 
     monkeypatch.setattr(TauPolynomial, "__mul__", counting)
     assert all(ok for _, ok in verify.run("jucys", 6))
-    assert len(calls) <= 3949
+    assert not calls
 
 
 @settings(max_examples=100)
@@ -223,11 +217,11 @@ def test_round_trip_polynomial(p):
 def test_round_trip_rational(num, den):
     if not den:
         den = TAU
-    x = num / den
+    x = TauRational(num.num, den.num)
     assert parse(render(x)) == x
 
 
 def test_parse_cli_style_inputs():
-    assert parse("(t + 1)/(t^3 + t^2 - 2*t)") == (TAU + 1) / (TAU**3 + TAU**2 - 2 * TAU)
+    assert parse("(t + 1)/(t^3 + t^2 - 2*t)") == TauRational((TAU + 1).num, (TAU**3 + TAU**2 + -2 * TAU).num)
     assert parse("-7/3") == Fraction(-7, 3)
     assert parse("t") == TAU

@@ -13,14 +13,16 @@ from oracles import (
     loop_type,
     mat_mul,
     pseudo_inverse_check,
+    running_sum_report,
     running_sum_spectral_sum,
     table_json_dict,
     table_with,
 )
 
-from weingarten import exactmat, symcore
-from weingarten.coeffring import TAU, TauRational, render
+from weingarten import cli, coeffring, exactmat, symcore
+from weingarten.coeffring import TAU, TauPolynomial, TauRational, render
 from weingarten.exactmat import (
+    PseudoInverseReport,
     _product,
     _type_algebra,
     spectral_sum,
@@ -159,7 +161,7 @@ def test_action_with_two_orbits_fails_the_structure_check(monkeypatch):
     with pytest.raises(ValueError, match="structure proof"):
         weingarten_unitary(2, Fraction(3))
     with pytest.raises(ValueError, match="structure proof"):
-        type_idempotents("unitary", 2, 1)
+        type_idempotents("unitary", 2)
 
 
 @pytest.mark.parametrize("group", ["unitary", "orthogonal"])
@@ -299,7 +301,7 @@ def test_one_constant_walk_per_group_and_n(monkeypatch, group):
             assert "".join(table.json_chunks()) and "".join(table.csv_chunks())
         g2, g3 = (weingarten_table(group, n, Fraction(t)).gram for t in (2, 3))
         assert type_commutation_check(g2, g3)
-        type_idempotents(group, n, 1 if group == "unitary" else 2)
+        type_idempotents(group, n)
         size, p = len(table.basis), len(partitions_of(n))
         assert calls == {"maps": 1, (1, size): 1, (size, p): 1}
 
@@ -379,7 +381,7 @@ def test_two_merged_types_fail_the_report(monkeypatch, group, tau, keep, drop):
     value = dict(zip(true.types, true.weingarten_by_type))
     monkeypatch.setattr(exactmat, "cross_type_matrix", _merged_walk(Partition(keep), Partition(drop)))
     _type_algebra.cache_clear()
-    table = weingarten_table(group, 3, tau, lambda mu, t: value[mu], 1 if group == "unitary" else 2)
+    table = weingarten_table(group, 3, tau, lambda mu, t: value[mu])
     assert len(table.types) == 2
     assert not table.pseudo_inverse_report().ok
     if group == "orthogonal":
@@ -405,7 +407,7 @@ def test_one_constant_off_by_one_fails(monkeypatch, group, n, tau):
 def test_class_algebra_idempotents_are_the_central_idempotents(n):
     # on S_n with alpha = 1 the E_lam are dim(lam) chi_lam / n!, a known
     # answer that owes nothing to the orthogonal route
-    types, idempotents = type_idempotents("unitary", n, 1)
+    types, idempotents = type_idempotents("unitary", n)
     assert list(idempotents) == partitions_of(n)
     for lam, e in idempotents.items():
         assert e == [Fraction(hook_dimension(lam) * character(lam, mu), factorial(n)) for mu in types]
@@ -417,9 +419,10 @@ def test_class_algebra_idempotents_are_the_central_idempotents(n):
 
 @pytest.mark.parametrize("n", range(2, 5))
 @pytest.mark.parametrize("group, alpha", [("orthogonal", 1), ("unitary", 2)])
-def test_the_other_groups_alpha_raises(n, group, alpha):
+def test_the_other_groups_alpha_raises(monkeypatch, n, group, alpha):
+    monkeypatch.setitem(exactmat.ALPHA, group, alpha)
     with pytest.raises(ValueError, match="G E_lam != c_lam E_lam"):
-        type_idempotents(group, n, alpha)
+        type_idempotents(group, n)
 
 
 # -- symbolic values over one shared denominator --------------------------------
@@ -462,7 +465,7 @@ def test_a_cofactor_missing_one_linear_factor_trips_the_guard(monkeypatch, alpha
     lam = Partition((n,))
     contents = Counter(alpha * (j - 1) - (i - 1) for i, j in lam.cells())
     k = next(iter(top - contents))
-    short, rest = exactmat._synthetic_division(cofactors[lam], -k)
+    short, rest = coeffring._synthetic_division(cofactors[lam], -k)
     assert rest == 0
     bad = {**cofactors, lam: short}
     monkeypatch.setattr(exactmat, "_cofactors", lambda *args: (top, bad))
@@ -498,3 +501,104 @@ def test_the_index_is_built_only_when_rendered():
     first = next(chunks)
     assert vars(table)["index"] == dense_type_matrix(table.basis)[1]
     assert first + "".join(chunks) == json.dumps(table_json_dict(table)) + "\n"
+
+
+# -- symbolic identities at integer points ----------------------------------------
+
+
+def test_the_report_is_a_named_tuple_with_the_old_repr():
+    report = PseudoInverseReport(True, False, True)
+    assert report.invariant and not report.ok and PseudoInverseReport(True, True, True).ok
+    assert not PseudoInverseReport(True, True, True, invariant=False).ok
+    assert report == PseudoInverseReport(gwg_equals_g=True, wgw_equals_w=False, w_symmetric=True, invariant=True)
+    assert repr(report) == (
+        "PseudoInverseReport(gwg_equals_g=True, wgw_equals_w=False, w_symmetric=True, invariant=True)"
+    )
+
+
+def _vanishing_at(points, over):
+    """prod (t - p) over the points, divided by the polynomial `over` (ascending integer coefficients)."""
+    num = TauPolynomial([1])
+    for p in points:
+        num = num * TauPolynomial([-p, 1])
+    return TauRational(num, TauPolynomial(over))
+
+
+@pytest.mark.parametrize("group, n", [("unitary", 3), ("unitary", 4), ("orthogonal", 3)])
+def test_one_point_short_lets_a_perturbation_vanishing_there_through(monkeypatch, group, n):
+    # W_0 + prod (t - p) / D equals W_0 at every point but the last of the
+    # honest table's; its denominator still divides D.  A perturbation that
+    # vanishes at that many points raises the degree of D W past the honest
+    # bound, so the cut is to the honest table's points.
+    table = BUILDERS[group](n, TAU)
+    count = len(exactmat._points(group, n, table.gram_by_type, table.weingarten_by_type))
+    cut = range(n, n + count - 1)
+    top, _ = exactmat._cofactors(n, exactmat.ALPHA[group])
+    w = list(table.weingarten_by_type)
+    w[0] = w[0] + _vanishing_at(cut, exactmat._linear_product(top))
+    perturbed = table_with(table, weingarten_by_type=w)
+    assert perturbed.pseudo_inverse_report() == PseudoInverseReport(False, False, True)
+    monkeypatch.setattr(exactmat, "integer_points", lambda n, degree: cut)
+    assert perturbed.pseudo_inverse_report().ok
+
+
+@pytest.mark.parametrize("group, n", [("unitary", 3), ("unitary", 4), ("orthogonal", 3)])
+@pytest.mark.parametrize("numerator", [[1], [0, 1, 0, 0, -5]], ids=["constant", "degree-4"])
+def test_the_degree_bound_covers_the_symbolic_errors(group, n, numerator):
+    # D (GWG - G) and D^2 (WGW - W), formed over reduced TauRationals for a
+    # perturbed W, are polynomials of degree below the number of points
+    table = BUILDERS[group](n, TAU)
+    top, _ = exactmat._cofactors(n, exactmat.ALPHA[group])
+    d = TauRational(TauPolynomial(exactmat._linear_product(top)))
+    g, w = table.gram_by_type, list(table.weingarten_by_type)
+    w[-1] = w[-1] + TauRational(TauPolynomial(numerator), d.num)
+    count = len(exactmat._points(group, n, g, w))
+    constants = _type_algebra(group, n).constants
+    gw = _product(constants, g, w)
+    errors = [(x + -1 * y) * d for x, y in zip(_product(constants, gw, g), g)]
+    errors += [(x + -1 * y) * d * d for x, y in zip(_product(constants, w, gw), w)]
+    assert any(errors)
+    assert all(e.is_polynomial() and e.num.degree < count for e in errors if e)
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+@pytest.mark.parametrize("matrix", ["gram_by_type", "weingarten_by_type"])
+@pytest.mark.parametrize("root", [3, 100], ids=["root-at-the-first-point", "root-far-off"])
+def test_a_denominator_outside_d_fails_without_raising(group, matrix, root):
+    # a Gram value must be a polynomial and a Weingarten denominator divide D;
+    # t - 3 vanishes at the first point, where evaluating would divide by zero
+    table = BUILDERS[group](3, TAU)
+    values = list(getattr(table, matrix))
+    values[1] = values[1] + _vanishing_at([], [-root, 1])
+    report = table_with(table, **{matrix: values}).pseudo_inverse_report()
+    assert report == PseudoInverseReport(False, False, True)
+
+
+@pytest.mark.parametrize(
+    "group, n", [("unitary", n) for n in range(1, 7)] + [("orthogonal", n) for n in range(1, 6)]
+)
+def test_the_report_agrees_with_the_running_sum_oracle(group, n):
+    table = BUILDERS[group](n, TAU)
+    assert table.pseudo_inverse_report() == running_sum_report(table) == PseudoInverseReport(True, True, True)
+
+
+@pytest.mark.parametrize("group, n", [(group, n) for group in BUILDERS for n in range(1, 5)])
+def test_the_report_agrees_with_the_running_sum_oracle_on_a_doubled_value(group, n):
+    table = BUILDERS[group](n, TAU)
+    w = list(table.weingarten_by_type)
+    w[-1] = w[-1] * 2
+    doubled = table_with(table, weingarten_by_type=w)
+    assert doubled.pseudo_inverse_report() == running_sum_report(doubled) == PseudoInverseReport(False, False, True)
+
+
+def test_the_symbolic_checks_take_no_polynomial_gcd_or_division(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a polynomial gcd or division on the check path")
+
+    monkeypatch.setattr(coeffring, "poly_gcd", refuse)
+    monkeypatch.setattr(TauPolynomial, "divmod", refuse)
+    assert cli.main(["verify", "--suite", "all", "--n", "4"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    for n in range(1, 7):
+        assert weingarten_unitary(n, TAU).pseudo_inverse_report().ok
+        assert weingarten_orthogonal(n, TAU).pseudo_inverse_report().ok

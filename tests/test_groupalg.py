@@ -4,14 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import complete_orthogonal, mat_identity, regular_matrix
+from oracles import (
+    complete_orthogonal,
+    evaluated,
+    jm_product_at_tau,
+    loop_product,
+    mat_identity,
+    regular_matrix,
+)
 
 from weingarten import cli, verify, young
 from weingarten.coeffring import TAU, TauPolynomial
+from weingarten.exactmat import integer_points
 from weingarten.groupalg import (
     AlgebraElement,
     _mul_fractions,
-    _mul_terms,
     average_projector,
     hyperoctahedral_elements,
     hyperoctahedral_generators,
@@ -75,23 +82,46 @@ def test_jm_elements():
 
 
 def test_jm_product_unitary_small():
+    # one factor takes no product; past it the kernel refuses the indeterminate
     assert jm_product_unitary(1, TAU) == AlgebraElement.unit(1, TAU)
-    n2 = jm_product_unitary(2, TAU)
+    with pytest.raises(TypeError, match="Fraction coefficients"):
+        jm_product_unitary(2, TAU)
+    t = Fraction(5, 3)
+    n2 = jm_product_unitary(2, t)
     assert n2 == AlgebraElement(2, {
-        Permutation.identity(2): TAU * TAU,
-        Permutation.from_images([2, 1]): TAU,
+        Permutation.identity(2): t * t,
+        Permutation.from_images([2, 1]): t,
     })
-    n3 = jm_product_unitary(3, TAU)
-    assert n3.coefficient(Permutation.from_images([2, 3, 1])) == TAU
+    n3 = jm_product_unitary(3, t)
+    assert n3.coefficient(Permutation.from_images([2, 3, 1])) == t
 
 
 def test_jucys_identity_term_exact_up_to_4():
+    # at the indeterminate by the term-pair oracle, and at rational points,
+    # integer or not, by the kernel
     for n in range(1, 5):
-        got = jm_product_unitary(n, TAU)
-        expected = AlgebraElement(
-            n, {s: TAU ** s.num_cycles() for s in permutations_of(n)}
-        )
-        assert got == expected
+        perms = permutations_of(n)
+        symbolic = jm_product_at_tau(n, range(1, n + 1))
+        assert symbolic == AlgebraElement(n, {s: TAU ** s.num_cycles() for s in perms})
+        for t in (Fraction(-2), Fraction(1, 3), Fraction(7)):
+            expected = AlgebraElement(n, {s: t ** s.num_cycles() for s in perms})
+            assert jm_product_unitary(n, t) == expected == evaluated(symbolic, t)
+
+
+def test_jucys_one_point_short_lets_a_degree_n_perturbation_through(monkeypatch):
+    # at n = 3, (1 2) with coefficient (t - 3)(t - 4)(t - 5) keeps every
+    # coefficient of degree at most n and vanishes at the first n points
+    real_product, real_points = verify.jm_product_unitary, verify.integer_points
+    swap = Permutation.transposition(1, 2, 3)
+
+    def perturbed(n, t):
+        out = real_product(n, t)
+        return out if n != 3 else out + AlgebraElement.basis(swap, Fraction((t - 3) * (t - 4) * (t - 5)))
+
+    monkeypatch.setattr(verify, "jm_product_unitary", perturbed)
+    assert [ok for _, ok in verify.run("jucys", 4)] == [True, True, False, True]
+    monkeypatch.setattr(verify, "integer_points", lambda n, degree: real_points(n, degree - 1))
+    assert [ok for _, ok in verify.run("jucys", 4)] == [True, True, True, True]
 
 
 def test_jm_elements_commute_up_to_6():
@@ -119,23 +149,26 @@ def test_jm_commutes_with_smaller_group_algebra():
 
 def test_jm_product_orthogonal_small():
     assert jm_product_orthogonal(1, TAU) == AlgebraElement.unit(2, TAU)
-    n2 = jm_product_orthogonal(2, TAU)
+    t = Fraction(-7, 2)
+    n2 = jm_product_orthogonal(2, t)
     assert n2 == AlgebraElement(4, {
-        Permutation.identity(4): TAU * TAU,
-        Permutation.from_images([3, 2, 1, 4]): TAU,  # (1 3)
-        Permutation.from_images([1, 3, 2, 4]): TAU,  # (2 3)
+        Permutation.identity(4): t * t,
+        Permutation.from_images([3, 2, 1, 4]): t,  # (1 3)
+        Permutation.from_images([1, 3, 2, 4]): t,  # (2 3)
     })
 
 
 def test_jm_product_orthogonal_term_counts():
     for n, expected in ((1, 1), (2, 3), (3, 15), (4, 105)):
-        element = jm_product_orthogonal(n, TAU)
+        element = jm_product_at_tau(2 * n, range(1, 2 * n, 2))
         assert len(element) == expected
         # every coefficient a single tau power
         for coeff in element.terms.values():
             assert coeff.den == TauPolynomial([1])
             nonzero = [c for c in coeff.num.coeffs if c]
             assert len(nonzero) == 1 and nonzero[0] == 1
+        for t in (Fraction(2), Fraction(-1, 5)):
+            assert jm_product_orthogonal(n, t) == evaluated(element, t)
 
 
 def test_antipode_examples():
@@ -210,10 +243,12 @@ def test_average_projector_idempotent_and_antipode_invariant():
 
 
 def test_projector_commutes_with_odd_jm_product():
+    # both products have coefficients of degree at most n in t
     for n in (1, 2, 3):
-        g = jm_product_orthogonal(n, TAU)
         proj = average_projector(n)
-        assert g * proj == proj * g
+        for t in integer_points(n, n):
+            g = jm_product_orthogonal(n, t)
+            assert g * proj == proj * g
 
 
 def test_regular_matrix_of_unit_is_identity():
@@ -234,14 +269,13 @@ def test_regular_matrix_of_delta_is_permutation_matrix():
 def test_regular_matrix_of_jm_product_is_gram():
     from weingarten.unitary import gram_unitary
 
-    for n in (1, 2, 3):
-        g = jm_product_unitary(n, TAU)
-        expected = list(gram_unitary(n, TAU))
-        for side in ("left", "right"):
-            assert regular_matrix(g, permutations_of(n), side) == expected
-    for n in (4, 5):
-        g = jm_product_unitary(n, TAU)
-        assert regular_matrix(g, permutations_of(n), "left") == list(gram_unitary(n, TAU))
+    # every entry of both has degree at most n in t
+    for n in (1, 2, 3, 4, 5):
+        for t in integer_points(n, n):
+            g = jm_product_unitary(n, t)
+            expected = list(gram_unitary(n, Fraction(t)))
+            for side in ("left", "right") if n <= 3 else ("left",):
+                assert regular_matrix(g, permutations_of(n), side) == expected
 
 
 def test_regular_matrix_rejects_bad_side():
@@ -266,10 +300,6 @@ def test_scalar_multiplication_and_zero_pruning():
 
 
 # -- integer product kernel against the term-by-term loop ---------------------
-
-
-def loop_product(a, b):
-    return AlgebraElement(a.n, _mul_terms(a.terms, b.terms))
 
 
 @st.composite
@@ -337,19 +367,18 @@ def test_kernel_exact_at_and_past_int64():
         assert a * b == loop_product(a, b)
 
 
-def test_non_fraction_coefficients_take_the_loop():
+def test_non_fraction_coefficients_and_wide_images_raise():
     sym = AlgebraElement.unit(3, TAU) + delta([2, 1, 3])
     rat = delta([1, 3, 2]).scale(Fraction(1, 2))
-    assert _mul_fractions(3, sym.terms, rat.terms) is None
-    assert sym * rat == loop_product(sym, rat)
     ints = AlgebraElement(3, {Permutation.from_images([2, 3, 1]): 2})
-    assert _mul_fractions(3, ints.terms, rat.terms) is None
-    assert ints * rat == loop_product(ints, rat)
+    for a, b in ((sym, rat), (rat, sym), (ints, rat), (rat, ints)):
+        with pytest.raises(TypeError, match="Fraction coefficients"):
+            a * b
     assert not AlgebraElement.zero(3) * rat and not rat * AlgebraElement.zero(3)
     # one-line images past one byte
     wide = AlgebraElement(256, {Permutation.transposition(1, 256, 256): Fraction(1, 2)})
-    assert _mul_fractions(256, wide.terms, wide.terms) is None
-    assert wide * wide == AlgebraElement.unit(256, Fraction(1, 4))
+    with pytest.raises(ValueError, match="n <= 255"):
+        wide * wide
 
 
 @pytest.mark.parametrize("suite", ["idempotents", "central"])
