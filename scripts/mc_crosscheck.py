@@ -9,6 +9,7 @@ has a moment past the threshold, 2 on a usage error.
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -16,11 +17,22 @@ from weingarten.cli import _int_at_least
 from weingarten.haarmc import grid_crosscheck
 
 
+def _finite_positive(text: str) -> float:
+    """argparse type for a finite float > 0; anything else is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=_int_at_least(100), default=200_000)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--threshold", type=float, default=4.0)
+    parser.add_argument("--seeds", type=_int_at_least(0), nargs="+", default=[1, 2, 3])
+    parser.add_argument("--threshold", type=_finite_positive, default=4.0)
     parser.add_argument("--json", action="store_true", help="emit one JSON line per run")
     args = parser.parse_args()
 

@@ -7,8 +7,10 @@ Two coefficient types circulate in this package:
   parameter, denominator normalized monic.  A polynomial in t is a
   TauRational with denominator 1.
 
-:class:`TauPolynomial`, a dense polynomial over Fraction coefficients, is only
-the type of a TauRational's numerator and denominator.  TauRational reads
+A polynomial has one form here: its coefficients ascending, with no
+trailing zeros.  A TauRational's ``num`` and ``den`` are tuples of
+Fractions in that form (:func:`_poly`); the helpers for values over the
+shared denominator read the same order in integer lists.  TauRational reads
 ``int`` and ``Fraction`` operands as constants under ``+ *`` and ``==``,
 and a constant TauRational equals and hashes like the same Fraction.  It
 has no ``-``, ``/`` or inverse: the package forms symbolic values as one
@@ -24,163 +26,116 @@ descending degree, e.g. ``(-1)/(t^3 - t)``.  Exact integers render bare.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 
 
-class TauPolynomial:
-    """Polynomial in one variable, coefficients ascending, no trailing zeros."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def monic(self) -> "TauPolynomial":
-        lead = self.leading()
-        if lead == 1:
-            return self
-        return TauPolynomial(c / lead for c in self.coeffs)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, TauPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "TauPolynomial") -> "TauPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return TauPolynomial(out)
-
-    def __mul__(self, other):
-        """Product with a polynomial, or with a Fraction scalar."""
-        if isinstance(other, Fraction):
-            return TauPolynomial(c * other for c in self.coeffs)
-        if not self.coeffs or not other.coeffs:
-            return TauPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return TauPolynomial(out)
-
-    def divmod(self, other: "TauPolynomial"):
-        """Exact polynomial division with remainder."""
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db, lead = other.degree, other.leading()
-        if self.degree < db:
-            return TauPolynomial(), self
-        quot = [Fraction(0)] * (self.degree - db + 1)
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + db] / lead
-            quot[i] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        return TauPolynomial(quot), TauPolynomial(rem[:db])
-
-    def __repr__(self):
-        return f"TauPolynomial({_render_poly(self)!r})"
+# -- polynomials as coefficient tuples, ascending ----------------------------
 
 
-_ONE = TauPolynomial((1,))
+def _poly(coeffs) -> tuple:
+    """The normal form of a polynomial: Fraction coefficients, ascending, no trailing zeros."""
+    cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
 
 
-def poly_gcd(a: TauPolynomial, b: TauPolynomial) -> TauPolynomial:
+_ONE = _poly((1,))
+
+
+def _poly_add(a: tuple, b: tuple) -> tuple:
+    return _poly(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def _poly_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two polynomials; the leading coefficients' product is nonzero."""
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _poly_divmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """Quotient and remainder of exact polynomial division."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    if len(a) <= db:
+        return (), a
+    rem, quot = list(a), [Fraction(0)] * (len(a) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        c = quot[i] = rem[i + db] / b[-1]
+        if c:
+            for j, y in enumerate(b):
+                rem[i + j] -= c * y
+    return tuple(quot), _poly(rem[:db])
+
+
+def _scaled(p: tuple, x) -> tuple:
+    return _poly(c * x for c in p)
+
+
+def _monic(p: tuple) -> tuple:
+    return _scaled(p, 1 / p[-1]) if p else p
+
+
+def poly_gcd(a: tuple, b: tuple) -> tuple:
     """Monic gcd over the rationals (Euclid, remainder normalized each step)."""
     while b:
-        _, r = a.divmod(b)
-        a, b = b, (r.monic() if r else r)
-    return a.monic() if a else a
+        a, b = b, _monic(_poly_divmod(a, b)[1])
+    return _monic(a)
 
 
 class TauRational:
     """Reduced ratio of polynomials; denominator monic, gcd(num, den) = 1.
 
-    ``num`` and ``den`` may be TauPolynomials, ints or Fractions.
+    ``num`` and ``den`` may be coefficient tuples (ascending), ints or Fractions.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=_ONE):
-        if not isinstance(num, TauPolynomial):
-            num = TauPolynomial((num,))
-        if not isinstance(den, TauPolynomial):
-            den = TauPolynomial((den,))
+        num = _poly(num if isinstance(num, tuple) else (num,))
+        den = _poly(den if isinstance(den, tuple) else (den,))
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            self.num = num
-            self.den = _ONE
-            return
-        # a constant denominator shares no factor of positive degree
-        if den.degree > 0:
+            den = _ONE
+        elif len(den) > 1:  # a constant denominator shares no factor of positive degree
             g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
-        lead = den.leading()
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den * (1 / lead)
-        self.num = num
-        self.den = den
+            if len(g) > 1:
+                num, den = _poly_divmod(num, g)[0], _poly_divmod(den, g)[0]
+        if den[-1] != 1:
+            num, den = _scaled(num, 1 / den[-1]), _scaled(den, 1 / den[-1])
+        self.num, self.den = num, den
 
     @classmethod
-    def _raw(cls, num: TauPolynomial, den: TauPolynomial) -> "TauRational":
+    def _raw(cls, num: tuple, den: tuple) -> "TauRational":
         """Bypass reduction for inputs already in canonical form."""
         obj = object.__new__(cls)
-        obj.num = num
-        obj.den = den
+        obj.num, obj.den = num, den
         return obj
 
     def is_polynomial(self) -> bool:
-        return self.den.degree == 0
+        return len(self.den) == 1
 
     def _constant(self):
         """The Fraction this value equals, or None when it carries t."""
-        if self.den.degree or self.num.degree > 0:
+        if len(self.den) > 1 or len(self.num) > 1:
             return None
-        return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
+        return self.num[0] if self.num else Fraction(0)
 
     def __bool__(self):
         return bool(self.num)
 
     def __hash__(self):
         c = self._constant()
-        if c is not None:
-            return hash(c)
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den) if c is None else c)
 
     def __eq__(self, other):
         if isinstance(other, TauRational):
@@ -195,21 +150,22 @@ class TauRational:
         elif not isinstance(other, TauRational):
             return NotImplemented
         if self.den == other.den:
-            return TauRational(self.num + other.num, self.den)
-        return TauRational(self.num * other.den + other.num * self.den, self.den * other.den)
+            return TauRational(_poly_add(self.num, other.num), self.den)
+        return TauRational(_poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den)),
+                           _poly_mul(self.den, other.den))
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            num = self.num * Fraction(other)
+            num = _scaled(self.num, other)
             return TauRational._raw(num, self.den if num else _ONE)
         if not isinstance(other, TauRational):
             return NotImplemented
         # a monic denominator of degree 0 is 1, and a product of polynomials is reduced
-        if not (self.den.degree or other.den.degree):
-            return TauRational._raw(self.num * other.num, _ONE)
-        return TauRational(self.num * other.num, self.den * other.den)
+        if len(self.den) == len(other.den) == 1:
+            return TauRational._raw(_poly_mul(self.num, other.num), _ONE)
+        return TauRational(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -219,16 +175,16 @@ class TauRational:
             raise ValueError(f"TauRational powers need k >= 0, got {k}")
         num = den = _ONE
         for _ in range(k):
-            num = num * self.num
-            if self.den.degree:
-                den = den * self.den
+            num = _poly_mul(num, self.num)
+            if len(self.den) > 1:
+                den = _poly_mul(den, self.den)
         return TauRational._raw(num, den)
 
     def __repr__(self):
         return f"TauRational({render(self)!r})"
 
 
-TAU = TauRational(TauPolynomial((0, 1)))
+TAU = TauRational((0, 1))
 """The indeterminate itself; pass as the dimension to go symbolic."""
 
 
@@ -237,7 +193,7 @@ def is_symbolic(x) -> bool:
     return isinstance(x, TauRational) and x._constant() is None
 
 
-# -- polynomials as plain coefficient lists, ascending ------------------------
+# -- integer coefficient lists, ascending ----------------------------------
 
 
 def _linear_product(factors) -> list[int]:
@@ -289,12 +245,12 @@ def _numerators(values: list) -> tuple[int, list[int]]:
 # -- text form -------------------------------------------------------------
 
 
-def _render_poly(p: TauPolynomial) -> str:
+def _render_poly(p: tuple) -> str:
     if not p:
         return "0"
     chunks = []
-    for deg in range(p.degree, -1, -1):
-        c = p.coeffs[deg]
+    for deg in range(len(p) - 1, -1, -1):
+        c = p[deg]
         if not c:
             continue
         sign = "-" if c < 0 else "+"
@@ -351,7 +307,7 @@ def _split_rational(text: str):
     return None
 
 
-def _parse_poly(text: str) -> TauPolynomial:
+def _parse_poly(text: str) -> tuple:
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         inner, depth = body[1:-1], 0
@@ -366,9 +322,7 @@ def _parse_poly(text: str) -> TauPolynomial:
     # split into signed terms at top level (no parentheses occur inside terms)
     terms = []
     current, sign = "", 1
-    i = 0
-    while i < len(body):
-        ch = body[i]
+    for ch in body:
         if ch in "+-" and current.strip():
             terms.append((sign, current.strip()))
             sign = 1 if ch == "+" else -1
@@ -379,7 +333,6 @@ def _parse_poly(text: str) -> TauPolynomial:
             pass
         else:
             current += ch
-        i += 1
     if not current.strip():
         raise ValueError(f"malformed polynomial {text!r}")
     terms.append((sign, current.strip()))
@@ -400,10 +353,7 @@ def _parse_poly(text: str) -> TauPolynomial:
             else:
                 raise ValueError(f"malformed term {term!r}")
         coeffs[deg] = coeffs.get(deg, Fraction(0)) + sign * coef
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for deg, c in coeffs.items():
-        out[deg] = c
-    return TauPolynomial(out)
+    return _poly(coeffs.get(deg, 0) for deg in range(max(coeffs) + 1))
 
 
 def parse(text: str):

@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .coeffring import TAU, TauPolynomial, TauRational, _at, _divide_out, _linear_product, _numerators
+from .coeffring import TAU, TauRational, _at, _divide_out, _linear_product, _numerators, _poly
 from .coeffring import is_symbolic, render
 from .symcore import (
     Partition,
@@ -275,7 +275,7 @@ def _symbolic_sum(n: int, alpha: int, weight):
     direct = sum((w / content_product(lam, n, alpha) for lam, w in weights.items()), Fraction(0))
     if Fraction(_at(num, n), scale * _at(den, n)) != direct:
         raise ValueError(f"spectral sum: the reduced value differs from the direct sum at t = {n}")
-    return TauRational._raw(TauPolynomial(Fraction(c, scale) for c in num), TauPolynomial(den))
+    return TauRational._raw(_poly(Fraction(c, scale) for c in num), _poly(den))
 
 
 def integer_points(n: int, degree: int) -> range:
@@ -300,16 +300,14 @@ def _points(group: str, n: int, gram: list, weingarten: list):
     top, _ = _cofactors(n, ALPHA[group])
     values = [x if isinstance(x, TauRational) else TauRational(x) for x in gram + weingarten]
     gram, weingarten = values[:len(gram)], values[len(gram):]
-    if any(x.den.degree for x in gram) or any(
-            len(_divide_out(x.den.coeffs, top)[0]) > 1 for x in weingarten):
+    if any(len(x.den) > 1 for x in gram) or any(len(_divide_out(x.den, top)[0]) > 1 for x in weingarten):
         return None
     d = sum(top.values())
-    n_g = max(x.num.degree for x in gram)
-    m = max((x.num.degree - x.den.degree + d for x in weingarten if x), default=0)
+    n_g = max(len(x.num) - 1 for x in gram)
+    m = max((len(x.num) - len(x.den) + d for x in weingarten if x), default=0)
     degree = max(2 * n_g + m, n_g + d, n_g + 2 * m, m + d)
     return [
-        ([_at(x.num.coeffs, t) for x in gram],
-         [_at(x.num.coeffs, t) / _at(x.den.coeffs, t) for x in weingarten])
+        ([_at(x.num, t) for x in gram], [_at(x.num, t) / _at(x.den, t) for x in weingarten])
         for t in integer_points(n, degree)
     ]
 

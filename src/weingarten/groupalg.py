@@ -118,9 +118,6 @@ class AlgebraElement:
         tail = tuple(range(self.n + 1, m + 1))
         return AlgebraElement(m, {Permutation(p + tail): c for p, c in self.terms.items()})
 
-    def map_coefficients(self, fn) -> "AlgebraElement":
-        return AlgebraElement(self.n, {p: fn(c) for p, c in self.terms.items()})
-
     def to_json_dict(self) -> dict[str, str]:
         return {p.to_text(): render(c) for p, c in self.sorted_terms()}
 

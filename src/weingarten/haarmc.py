@@ -41,7 +41,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -151,15 +151,6 @@ def _orthonormalize(z: np.ndarray) -> np.ndarray:
             v = v - np.einsum("bik,bk->bi", prev, np.einsum("bik,bi->bk", prev.conj(), v))
         q[:, :, j] = v / np.sqrt(np.einsum("bi,bi->b", v.conj(), v).real)[:, None]
     return q
-
-
-def sample_haar(group: str, tau: int, seed: int) -> np.ndarray:
-    """One Haar-distributed matrix (unitary or real orthogonal)."""
-    if group not in ("unitary", "orthogonal"):
-        raise ValueError(f"unknown group {group!r}")
-    if tau < 1:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return _haar_batch(group, tau, 1, np.random.default_rng(seed))[0]
 
 
 def _basis(group: str, n: int) -> list[Pairing]:
@@ -391,6 +382,8 @@ def grid_crosscheck(
         raise ValueError(f"unknown group {group!r}")
     if samples < 100 or n < 1 or tau < 1:
         raise ValueError(f"need samples >= 100, n >= 1 and tau >= 1, got {samples}, {n}, {tau}")
+    if not 0 < threshold < inf:  # no |z| exceeds NaN, and every |z| exceeds a negative one
+        raise ValueError(f"need a finite positive threshold, got {threshold}")
     fac, cmap = _factor_columns(n, tau)
     z = _class_z(group, n, tau, samples, _grid_sums(group, tau, samples, seed, fac), fac)
     return GridReport(

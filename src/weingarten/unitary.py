@@ -25,11 +25,6 @@ from .symcore import Partition, hook_dimension
 from .young import character
 
 
-def gram_unitary(n: int, tau):
-    """n! x n! Gram matrix over the canonical S_n basis, rows read through the type index."""
-    return weingarten_table("unitary", n, tau).gram
-
-
 def wg_function_unitary(mu: Partition, tau):
     """The Weingarten class function on the cycle type mu."""
     mu = Partition(mu)

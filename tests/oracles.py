@@ -24,7 +24,9 @@ off the materialized product P_H * X (against the stability suite's checks
 on coset sums and Gram row 0), and
 complete orthogonality by every pairwise product (against the Jucys-Murphy
 eigenvalue and class-representative checks of the ``idempotents`` and
-``central`` suites).
+``central`` suites).  It also holds the helpers that only tests call:
+``map_coefficients`` on a group-algebra element, ``gram_unitary`` and
+``sample_haar``.
 """
 
 import csv
@@ -45,6 +47,7 @@ from weingarten.exactmat import (
     _table_algebra,
     content_product,
     spectral_sum,
+    weingarten_table,
 )
 from weingarten.groupalg import AlgebraElement, average_projector, hyperoctahedral_elements, jm_element
 from weingarten.haarmc import _BATCH, _basis, _ginibre, _haar_batch, _tied_sum, _ties
@@ -100,13 +103,23 @@ def jm_product_at_tau(size: int, ks) -> AlgebraElement:
     return acc
 
 
+def map_coefficients(x: AlgebraElement, fn) -> AlgebraElement:
+    """x with fn applied to each coefficient."""
+    return AlgebraElement(x.n, {p: fn(c) for p, c in x.terms.items()})
+
+
 def evaluated(x: AlgebraElement, t) -> AlgebraElement:
     """x with each coefficient, a Fraction or a TauRational, evaluated at the rational t."""
     def value(c):
         if isinstance(c, TauRational):
-            return Fraction(_at(c.num.coeffs, t)) / _at(c.den.coeffs, t)
+            return Fraction(_at(c.num, t)) / _at(c.den, t)
         return Fraction(c)
-    return AlgebraElement(x.n, {p: value(c) for p, c in x.terms.items()})
+    return map_coefficients(x, value)
+
+
+def gram_unitary(n: int, tau):
+    """n! x n! Gram matrix of U(tau) over the canonical S_n basis, rows read through the type index."""
+    return weingarten_table("unitary", n, tau).gram
 
 
 def mat_mul(a, b):
@@ -440,9 +453,8 @@ def weingarten_matrix_from_central_idempotents(n: int, tau):
         c = content_product(lam, tau, 2)
         if not c:
             continue
-        w_alg = w_alg + central_idempotent(double_shape(lam), route="character").map_coefficients(
-            lambda x, inv=inverse(c): x * inv
-        )
+        w_alg = w_alg + map_coefficients(central_idempotent(double_shape(lam), route="character"),
+                                         lambda x, inv=inverse(c): x * inv)
     return materialized_pairing_basis_matrix(n, loop_product(average_projector(n), w_alg))
 
 
@@ -472,6 +484,15 @@ def dense_grid_sums(group: str, n: int, tau: int, samples: int, seed: int):
         sum_sq += (re * re).T @ (re * re) + 2.0 * (re * im).T @ (re * im) + (im * im).T @ (im * im)
         remaining -= count
     return sum_re, sum_sq
+
+
+def sample_haar(group: str, tau: int, seed: int) -> np.ndarray:
+    """One Haar-distributed matrix (unitary or real orthogonal)."""
+    if group not in ("unitary", "orthogonal"):
+        raise ValueError(f"unknown group {group!r}")
+    if tau < 1:
+        raise ValueError(f"tau must be positive, got {tau}")
+    return _haar_batch(group, tau, 1, np.random.default_rng(seed))[0]
 
 
 def qr_haar_batch(group: str, tau: int, count: int, rng: np.random.Generator) -> np.ndarray:

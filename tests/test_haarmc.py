@@ -7,7 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import dense_grid_sums, full_grid_prediction, full_grid_score, loop_type, qr_haar_batch
+from oracles import (
+    dense_grid_sums,
+    full_grid_prediction,
+    full_grid_score,
+    loop_type,
+    qr_haar_batch,
+    sample_haar,
+)
 from weingarten import haarmc
 from weingarten.haarmc import (
     _BATCH,
@@ -25,7 +32,6 @@ from weingarten.haarmc import (
     estimate_moment,
     grid_crosscheck,
     predict_moment,
-    sample_haar,
 )
 from weingarten.orthogonal import wg_value_orthogonal
 from weingarten.symcore import Partition, enumerate_pairings, partitions_of
@@ -266,11 +272,18 @@ def test_grid_lists_its_worst_failures_first():
 def test_grid_failures_sort_by_abs_z_then_index(group, tau):
     # every moment fails at threshold -1; moments equal under a factor swap
     # tie exactly in |z|, and ties list in index order
-    grid = grid_crosscheck(group, 2, tau, 20_000, seed=1, threshold=-1)
-    keys = [(-abs(f["z"]), f["index"]) for f in grid.failures]
+    keys = [(-abs(f["z"]), f["index"]) for f in _every_moment_listed(group, 2, tau, 20_000, 1)]
     assert len(keys) == 64
     assert keys == sorted(keys)
     assert len({k[0] for k in keys}) < len(keys)
+
+
+def _every_moment_listed(group: str, n: int, tau: int, samples: int, seed: int) -> list[dict]:
+    """The worst 64 moments of a grid, as `grid_crosscheck` lists its failures
+    from the same z, at threshold -1, which it refuses: every moment fails."""
+    fac, cmap = _factor_columns(n, tau)
+    z = _class_z(group, n, tau, samples, _grid_sums(group, tau, samples, seed, fac), fac)
+    return _worst_failures(group, n, tau, z, cmap, -1)
 
 
 def _swap_factors(index: list[int], group: str, tau: int) -> list[int]:
@@ -358,12 +371,13 @@ def test_grid_report_matches_the_full_grid_oracle(group, n, tau):
     samples, seed = 2_000, 3
     fac, cmap = _factor_columns(n, tau)
     sums = [s[np.ix_(cmap, cmap)] for s in _grid_sums(group, tau, samples, seed, fac)]
-    for threshold in (-1, 2.0):
-        report = grid_crosscheck(group, n, tau, samples, seed, threshold)
-        _, moments, max_abs_z, failures = full_grid_score(group, n, tau, samples, *sums, threshold)
-        assert report.moments == moments
-        assert report.max_abs_z == max_abs_z
-        assert report.failures == failures
+    report = grid_crosscheck(group, n, tau, samples, seed, 2.0)
+    _, moments, max_abs_z, failures = full_grid_score(group, n, tau, samples, *sums, 2.0)
+    assert report.moments == moments
+    assert report.max_abs_z == max_abs_z
+    assert report.failures == failures
+    listed = _every_moment_listed(group, n, tau, samples, seed)
+    assert listed == full_grid_score(group, n, tau, samples, *sums, -1)[3]
 
 
 @pytest.mark.parametrize("group, tau", [("unitary", 2), ("orthogonal", 3)])
@@ -418,6 +432,14 @@ def test_grid_crosscheck_validates_its_input():
             grid_crosscheck(*args, seed=0)
 
 
+@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_grid_crosscheck_needs_a_finite_positive_threshold(threshold):
+    # at NaN no |z| is past the threshold and every grid passes; at a negative
+    # one every moment fails
+    with pytest.raises(ValueError, match="finite positive threshold"):
+        grid_crosscheck("unitary", 1, 2, 1000, seed=0, threshold=threshold)
+
+
 def _grid_spec(
     group: str, n: int, tau: int, index: list[int], samples: int, seed: int
 ) -> MomentSpec:
@@ -434,11 +456,13 @@ def test_grid_matches_single_moment_path(group, n):
     # the vectorized grid and the scalar path must agree on the same seed,
     # moment by moment; threshold -1 reports every moment, up to 64
     samples, seed, tau = 30_000, 12, 2
-    grid = grid_crosscheck(group, n, tau, samples, seed=seed, threshold=-1)
+    grid = grid_crosscheck(group, n, tau, samples, seed=seed)
     assert isinstance(grid, GridReport)
     assert grid.moments == tau ** (4 * n)
-    assert len(grid.failures) == min(64, grid.moments)
-    for failure in grid.failures:
+    listed = _every_moment_listed(group, n, tau, samples, seed)
+    assert len(listed) == min(64, grid.moments)
+    assert abs(listed[0]["z"]) == grid.max_abs_z
+    for failure in listed:
         single = estimate_moment(_grid_spec(group, n, tau, failure["index"], samples, seed))
         assert abs(single.z - failure["z"]) <= 1e-9, failure
 

@@ -6,13 +6,22 @@ dataclasses, and the table commands load neither the verification suites
 nor the group algebra.  A ``table`` command loads only its own group's
 module, ``gram`` neither group module, and ``characters`` neither those nor
 the table layer.
+
+No function or method of the package is dead: each one is named somewhere
+in ``src/`` or ``scripts/`` outside its own body, or allowed below with its
+reason.  Helpers that only tests call live in ``tests/oracles.py``.
 """
 
+import ast
 import json
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
+
+import weingarten
 
 
 WATCHED = ("weingarten", "numpy", "dataclasses")
@@ -162,3 +171,64 @@ def test_all_fraction_product_still_takes_the_kernel(python_env):
         "    sys.exit(f'product {product!r}')"
     )
     assert not _has_numpy(_loaded_after(statement, python_env))
+
+
+# -- dead helpers -------------------------------------------------------------
+
+PACKAGE = Path(weingarten.__file__).resolve().parent
+SCRIPTS = PACKAGE.parents[1] / "scripts"
+
+# functions and methods no src or script code names, each kept for its reason
+UNCALLED_BY_DESIGN = {
+    "groupalg.AlgebraElement.coefficient": "public read of one term of an element, 0 where it has none",
+}
+
+
+def _names(node) -> Counter:
+    """How often each name is read as a Name or an Attribute under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _helpers(module: str, tree: ast.Module):
+    """(qualified name, def node) of each module-level function and class method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
+def _uncalled(package: Path, scripts: Path) -> list[str]:
+    """Helpers of `package` named nowhere in it or in `scripts` but in their own def; dunders exempt."""
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in [*package.glob("*.py"), *scripts.glob("*.py")]}
+    named = sum((_names(tree) for tree in trees.values()), Counter())
+    return sorted(
+        qualname
+        for path, tree in trees.items() if path.parent == package
+        for qualname, node in _helpers(path.stem, tree)
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and named[node.name] == _names(node)[node.name]
+    )
+
+
+def test_every_package_helper_is_named_outside_its_own_def():
+    assert _uncalled(PACKAGE, SCRIPTS) == sorted(UNCALLED_BY_DESIGN)
+
+
+def test_the_dead_helper_scan_sees_a_helper_only_its_own_body_names(tmp_path):
+    package, scripts = tmp_path / "pkg", tmp_path / "scripts"
+    package.mkdir()
+    scripts.mkdir()
+    (package / "mod.py").write_text(
+        "def recursive(k):\n    return recursive(k - 1) if k else 0\n\n"
+        "def called():\n    return 1\n\n"
+        "class Box:\n    def __len__(self):\n        return 0\n\n"
+        "    def read(self):\n        return self.read\n\n"
+        "    def used(self):\n        return 2\n"
+    )
+    (scripts / "run.py").write_text("from pkg.mod import called\nprint(called(), Box().used())\n")
+    assert _uncalled(package, scripts) == ["mod.Box.read", "mod.recursive"]

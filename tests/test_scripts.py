@@ -66,3 +66,14 @@ def test_mc_crosscheck_rejects_too_few_samples(python_env):
         assert proc.returncode == 2
         assert "--samples" in proc.stderr and "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def test_mc_crosscheck_rejects_a_negative_seed_or_a_threshold_nothing_can_pass(python_env):
+    # a negative seed ended in numpy's traceback with exit 1, the failed-grid
+    # code; at a NaN threshold every grid passed
+    for option, value in (("--seeds", "-1"), ("--threshold", "nan"), ("--threshold", "inf"),
+                          ("--threshold", "0"), ("--threshold", "-4"), ("--threshold", "four")):
+        proc = run_script("mc_crosscheck.py", "--samples", "2000", option, value, env=python_env)
+        assert proc.returncode == 2, (option, value)
+        assert option in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
