@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from weingarten.cli import _int_at_least, _parse_rational
 from weingarten.coeffring import TAU
 from weingarten.orthogonal import weingarten_orthogonal
 from weingarten.unitary import weingarten_unitary
@@ -20,10 +21,10 @@ from weingarten.unitary import weingarten_unitary
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("tables"))
-    parser.add_argument("--tau", type=Fraction, default=Fraction(7),
+    parser.add_argument("--tau", type=_parse_rational, default=Fraction(7),
                         help="parameter for the numeric tables (default 7)")
-    parser.add_argument("--max-unitary", type=int, default=4)
-    parser.add_argument("--max-orthogonal", type=int, default=4)
+    parser.add_argument("--max-unitary", type=_int_at_least(0), default=4)
+    parser.add_argument("--max-orthogonal", type=_int_at_least(0), default=4)
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 

@@ -132,8 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True, choices=(*VERIFY_SUITES, "all"))
     p_verify.add_argument("--n", required=True, type=_positive_int)
     p_verify.add_argument("--tau", type=_parse_rational, default=None,
-                          help="rational parameter for the sizes past the symbolic range "
-                               "(default 7), and the first commute parameter (default 3)")
+                          help="rational parameter of the oid, stability and pseudoinverse "
+                               "sizes n>=4, which are otherwise proved symbolically, and the "
+                               "first commute parameter (default 3)")
     p_verify.add_argument("--tau2", type=_parse_rational, default=None,
                           help="second parameter for the commute suite (default 7)")
     p_verify.add_argument("--deep", action="store_true",

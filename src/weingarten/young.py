@@ -98,11 +98,6 @@ class CharacterTable:
         )
         return cls(n, parts, values)
 
-    def value(self, lam: Partition, mu: Partition) -> int:
-        i = self.partitions.index(Partition(lam))
-        j = self.partitions.index(Partition(mu))
-        return self.values[i][j]
-
     def to_json_dict(self) -> dict:
         return {
             "schema": CHARACTER_SCHEMA,

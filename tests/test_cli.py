@@ -220,6 +220,41 @@ def test_verify_exit_code_reflects_injected_failure(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def _pseudoinverse_lines(max_n, label_of):
+    return [f"ok   pseudo-inverse {group} n={n} ({label_of(n)})"
+            for group in ("unitary", "orthogonal") for n in range(1, max_n + 1)]
+
+
+def test_verify_pseudoinverse_proves_both_groups_symbolically_by_default(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "pseudoinverse", "--n", "5")
+    assert code == 0
+    assert out.splitlines() == _pseudoinverse_lines(5, lambda n: "symbolic")
+
+
+def test_verify_pseudoinverse_checks_excluded_shapes_at_an_explicit_tau(capsys):
+    # at tau = 2 both groups exclude the shapes with three or more rows at
+    # n = 4, so the check there is the pseudo-inverse prescription, not W G = 1
+    for build in (weingarten_unitary, weingarten_orthogonal):
+        assert [tuple(p) for p in build(4, Fraction(2)).excluded] == [(2, 1, 1), (1, 1, 1, 1)]
+    code, out, _ = run_cli(capsys, "verify", "--suite", "pseudoinverse", "--n", "4", "--tau", "2")
+    assert code == 0
+    assert out.splitlines() == _pseudoinverse_lines(4, lambda n: "tau=2" if n >= 4 else "symbolic")
+
+
+@pytest.mark.parametrize("suite", ["oid", "stability", "pseudoinverse"])
+def test_an_explicit_tau_replaces_the_symbolic_proof_from_n_4_on(suite):
+    default = list(verify.run(suite, 4))
+    assert all(ok and label.endswith("(symbolic)") for label, ok in default)
+    explicit = list(verify.run(suite, 4, Fraction(5, 2)))
+    assert all(ok for _, ok in explicit)
+    assert [label.replace("(tau=5/2)", "(symbolic)") for label, _ in explicit] == [
+        label for label, _ in default
+    ]
+    assert [label.endswith("(tau=5/2)") for label, _ in explicit] == [
+        " n=4 " in label for label, _ in explicit
+    ]
+
+
 def _plus_transposition(product, i=1, j=2):
     """The product with one more term, 1 * (i j), wherever S_m has (i j)."""
     def corrupted(n, tau):

@@ -6,9 +6,12 @@ were moved onto one assembly path, for U n = 1..5 and O n = 1..4 at tau =
 symbolic, 7 and 1.  golden_verify.json maps each ``verify`` command line (every
 suite at its cap, ``all`` below and above the caps, non-default taus) to the
 sha256 of its stdout and its exit code, recorded before the suites moved out of
-the CLI into ``weingarten.verify``.  golden_characters.json maps ``characters
---n 1..10`` to the sha256 of its stdout, recorded while ``table`` still read
-character files back.  Any byte drift fails.
+the CLI into ``weingarten.verify``.  Six of them were re-recorded, and
+``pseudoinverse --n 6 --force`` added, when ``oid``, ``stability`` and
+``pseudoinverse`` began to prove every size symbolically unless --tau is
+given.  golden_characters.json maps ``characters --n 1..10`` to the sha256 of
+its stdout, recorded while ``table`` still read character files back.  Any
+byte drift fails.
 """
 
 import hashlib

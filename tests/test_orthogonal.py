@@ -328,7 +328,7 @@ def test_verify_oid_small():
 
 
 def test_verify_oid_numeric_tau():
-    # past its symbolic range (n <= 4) the suite checks the expansion at tau
+    # an explicit tau replaces the symbolic proof from n = 4 on
     checks = list(verify.run("oid", 5, Fraction(7)))
     assert checks[-1] == ("odd JM expansion n=5 (tau=7)", True)
     assert all(ok for _, ok in checks)

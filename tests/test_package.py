@@ -7,9 +7,11 @@ nor the group algebra.  A ``table`` command loads only its own group's
 module, ``gram`` neither group module, and ``characters`` neither those nor
 the table layer.
 
-No function or method of the package is dead: each one is named somewhere
-in ``src/`` or ``scripts/`` outside its own body, or allowed below with its
-reason.  Helpers that only tests call live in ``tests/oracles.py``.
+No function or method of the package is dead: each one is named in
+``src/``, ``scripts/`` or ``wgbench/`` outside its own body, or allowed below
+with its reason.  A module-level function is named by its own module, by an
+import from its module or by ``module.name``; a method by an attribute read.
+Helpers that only tests call live in ``tests/oracles.py``.
 """
 
 import ast
@@ -177,58 +179,125 @@ def test_all_fraction_product_still_takes_the_kernel(python_env):
 
 PACKAGE = Path(weingarten.__file__).resolve().parent
 SCRIPTS = PACKAGE.parents[1] / "scripts"
+WGBENCH = PACKAGE.parents[1] / "wgbench"
 
-# functions and methods no src or script code names, each kept for its reason
+# functions and methods nothing outside the tests names, each kept for its reason
 UNCALLED_BY_DESIGN = {
     "groupalg.AlgebraElement.coefficient": "public read of one term of an element, 0 where it has none",
 }
 
 
-def _names(node) -> Counter:
-    """How often each name is read as a Name or an Attribute under node."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+def _reads(node, kind) -> Counter:
+    """How often each identifier is read under node as a `kind`, ast.Name or ast.Attribute."""
+    field = "id" if kind is ast.Name else "attr"
+    return Counter(getattr(n, field) for n in ast.walk(node)
+                   if isinstance(n, kind) and isinstance(n.ctx, ast.Load))
+
+
+def _imports(tree: ast.Module, package: str, in_package: bool) -> Counter:
+    """(module, name) pairs that a file takes from a module of `package`.
+
+    ``from .module import name`` inside the package, ``from package.module
+    import name`` anywhere, and ``module.name`` reads.
+    """
+    taken = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            if node.level and in_package:
+                module = node.module
+            elif not node.level and node.module.startswith(f"{package}."):
+                module = node.module.removeprefix(f"{package}.")
+            else:
+                continue
+            taken.update((module, alias.name) for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name)):
+            taken[(node.value.id, node.attr)] += 1
+    return taken
 
 
 def _helpers(module: str, tree: ast.Module):
-    """(qualified name, def node) of each module-level function and class method."""
+    """(qualified name, def node, is method) of each module-level function and class method."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield f"{module}.{node.name}", node
+            yield f"{module}.{node.name}", node, False
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    yield f"{module}.{node.name}.{item.name}", item
+                    yield f"{module}.{node.name}.{item.name}", item, True
 
 
-def _uncalled(package: Path, scripts: Path) -> list[str]:
-    """Helpers of `package` named nowhere in it or in `scripts` but in their own def; dunders exempt."""
-    trees = {path: ast.parse(path.read_text(), str(path))
-             for path in [*package.glob("*.py"), *scripts.glob("*.py")]}
-    named = sum((_names(tree) for tree in trees.values()), Counter())
-    return sorted(
-        qualname
-        for path, tree in trees.items() if path.parent == package
-        for qualname, node in _helpers(path.stem, tree)
-        if not (node.name.startswith("__") and node.name.endswith("__"))
-        and named[node.name] == _names(node)[node.name]
-    )
+def _uncalled(package: Path, *callers: Path) -> list[str]:
+    """Helpers of `package` that nothing names outside their own def; dunders exempt.
+
+    A module-level function is named when its own module reads it, or when a
+    file imports it from that module or reads ``module.name``.  A method is
+    named only by an attribute read.  The files of `callers` are scanned as
+    callers only.
+    """
+    paths = [*package.glob("*.py"), *(path for d in callers for path in d.glob("*.py"))]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    attributes = sum((_reads(tree, ast.Attribute) for tree in trees.values()), Counter())
+    imported = sum((_imports(tree, package.name, path.parent == package)
+                    for path, tree in trees.items()), Counter())
+    dead = []
+    for path, tree in trees.items():
+        if path.parent != package:
+            continue
+        names = _reads(tree, ast.Name)
+        for qualname, node, is_method in _helpers(path.stem, tree):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if is_method:
+                named = attributes[node.name] > _reads(node, ast.Attribute)[node.name]
+            else:
+                named = (names[node.name] > _reads(node, ast.Name)[node.name]
+                         or imported[(path.stem, node.name)] > 0)
+            if not named:
+                dead.append(qualname)
+    return sorted(dead)
 
 
 def test_every_package_helper_is_named_outside_its_own_def():
-    assert _uncalled(PACKAGE, SCRIPTS) == sorted(UNCALLED_BY_DESIGN)
+    # coeffring.parse is named by wgbench/gate.py alone
+    assert _uncalled(PACKAGE, SCRIPTS, WGBENCH) == sorted(UNCALLED_BY_DESIGN)
 
 
-def test_the_dead_helper_scan_sees_a_helper_only_its_own_body_names(tmp_path):
+def _made_up_package(tmp_path, modules: dict, script: str):
     package, scripts = tmp_path / "pkg", tmp_path / "scripts"
     package.mkdir()
     scripts.mkdir()
-    (package / "mod.py").write_text(
-        "def recursive(k):\n    return recursive(k - 1) if k else 0\n\n"
-        "def called():\n    return 1\n\n"
-        "class Box:\n    def __len__(self):\n        return 0\n\n"
-        "    def read(self):\n        return self.read\n\n"
-        "    def used(self):\n        return 2\n"
+    for name, text in modules.items():
+        (package / f"{name}.py").write_text(text)
+    (scripts / "run.py").write_text(script)
+    return package, scripts
+
+
+def test_the_dead_helper_scan_sees_a_helper_only_its_own_body_names(tmp_path):
+    package, scripts = _made_up_package(
+        tmp_path,
+        {"mod": "def recursive(k):\n    return recursive(k - 1) if k else 0\n\n"
+                "def called():\n    return 1\n\n"
+                "class Box:\n    def __len__(self):\n        return 0\n\n"
+                "    def read(self):\n        return self.read\n\n"
+                "    def used(self):\n        return 2\n"},
+        "from pkg.mod import called\nprint(called(), Box().used())\n",
     )
-    (scripts / "run.py").write_text("from pkg.mod import called\nprint(called(), Box().used())\n")
     assert _uncalled(package, scripts) == ["mod.Box.read", "mod.recursive"]
+
+
+def test_a_same_named_local_keeps_no_helper_alive(tmp_path):
+    # `other` defines a local parse and a local value, as cli._int_at_least
+    # defines a local parse; neither names mod.parse or the method Table.value
+    package, scripts = _made_up_package(
+        tmp_path,
+        {"mod": "def parse(text):\n    return text\n\n"
+                "def kept():\n    return 1\n\n"
+                "def read():\n    return 2\n\n"
+                "class Table:\n    def value(self):\n        return 3\n",
+         "other": "def factory():\n    def parse(text):\n        return text\n\n"
+                  "    value = parse\n    return value\n"},
+        "import pkg.mod as mod\nfrom pkg.mod import kept\nfrom pkg.other import factory\n\n"
+        "print(factory()('x'), kept(), mod.read())\n",
+    )
+    assert _uncalled(package, scripts) == ["mod.Table.value", "mod.parse"]

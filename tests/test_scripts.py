@@ -77,3 +77,17 @@ def test_mc_crosscheck_rejects_a_negative_seed_or_a_threshold_nothing_can_pass(p
         assert proc.returncode == 2, (option, value)
         assert option in proc.stderr and "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def test_build_tables_rejects_a_bad_tau_or_a_negative_size(tmp_path, python_env):
+    # --tau 1/0 ended in a ZeroDivisionError traceback with exit 1, and
+    # negative sizes wrote no file and exited 0
+    outdir = tmp_path / "tables"
+    for argv, option in ((["--tau", "1/0"], "--tau"),
+                         (["--max-unitary", "-3", "--max-orthogonal", "-1"], "--max-unitary"),
+                         (["--max-orthogonal", "-1"], "--max-orthogonal")):
+        proc = run_script("build_tables.py", "--outdir", str(outdir), *argv, env=python_env)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("usage: ") and option in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == "" and not outdir.exists()
