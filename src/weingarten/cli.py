@@ -101,10 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, tau_default="symbolic"):
+    def add_common(p):
         p.add_argument("--group", required=True, choices=("unitary", "orthogonal"))
         p.add_argument("--n", required=True, type=_positive_int)
-        p.add_argument("--tau", type=_parse_tau, default=_parse_tau(tau_default))
+        p.add_argument("--tau", type=_parse_tau, default=TAU)
         p.add_argument("--force", action="store_true", help="lift the desk-scale size caps")
 
     p_table = sub.add_parser("table", help="emit Gram + Weingarten matrices")

@@ -183,7 +183,7 @@ def type_idempotents(group: str, n: int):
 
 
 def tau_powers(tau, n: int) -> list:
-    """[1, tau, tau^2, ..., tau^n], each power one shared object."""
+    """[1, tau, tau^2, ..., tau^n]."""
     powers = [Fraction(1)]
     for _ in range(n):
         powers.append(powers[-1] * tau)

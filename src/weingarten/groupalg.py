@@ -10,8 +10,8 @@ so no product loads numpy.
 
 This module owns the Jucys-Murphy elements, the two product expansions that
 reproduce Gram matrices (all permutations weighted by cycle count for the
-unitary case, odd-indexed factors for the orthogonal case), and the
-hyperoctahedral averaging projector.
+unitary case, odd-indexed factors for the orthogonal case), and the elements
+and generators of the hyperoctahedral subgroup H_n of S_2n.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ class AlgebraElement:
     @classmethod
     def zero(cls, n: int) -> "AlgebraElement":
         return cls(n)
-
-    @classmethod
-    def basis(cls, sigma: Permutation, coeff=Fraction(1)) -> "AlgebraElement":
-        return cls(len(sigma), {sigma: coeff})
 
     def coefficient(self, sigma: Permutation):
         return self.terms.get(sigma, Fraction(0))
@@ -117,9 +113,6 @@ class AlgebraElement:
             return self
         tail = tuple(range(self.n + 1, m + 1))
         return AlgebraElement(m, {Permutation(p + tail): c for p, c in self.terms.items()})
-
-    def to_json_dict(self) -> dict[str, str]:
-        return {p.to_text(): render(c) for p, c in self.sorted_terms()}
 
     def __repr__(self):
         if not self.terms:
@@ -236,9 +229,3 @@ def hyperoctahedral_generators(n: int) -> list[Permutation]:
         gens.append(Permutation(images))
     return gens
 
-
-def average_projector(n: int) -> AlgebraElement:
-    """Uniform average over the hyperoctahedral subgroup of S_2n (idempotent)."""
-    elements = hyperoctahedral_elements(n)
-    w = Fraction(1, len(elements))
-    return AlgebraElement(2 * n, {h: w for h in elements})

@@ -1,10 +1,11 @@
 """Orthogonal-group Weingarten calculus on the pair-partition basis.
 
 The invariants are indexed by pairings of {1,...,2n}; the Gram matrix is
-tau^(number of loops obtained by pasting two pairings).  Everything happens
-inside C[S_2n]: the span of the pairings is realized as the image of right
-multiplication by the hyperoctahedral averaging projector, with standard
-basis sigma_pi * P_H where sigma_pi conjugates the adjacent pairing to pi.
+tau^(number of loops obtained by pasting two pairings).  Inside C[S_2n] the
+span of the pairings is the image of right multiplication by P_H, the
+average over the hyperoctahedral subgroup H_n, with standard basis
+sigma_pi * P_H where sigma_pi conjugates the adjacent pairing to pi.  No
+element P_H is built: it enters only through the coset sums below.
 
 The Weingarten matrix comes out of the Collins-Matsumoto formula
 
@@ -60,16 +61,6 @@ def double_factorial_odd(n: int) -> int:
     return out
 
 
-def adjacent_pairing(n: int) -> Pairing:
-    """The base point (1 2)(3 4)...(2n-1 2n) of the conjugation action."""
-    if n < 1:
-        raise ValueError(f"adjacent_pairing requires n >= 1, got {n}")
-    images = []
-    for k in range(1, n + 1):
-        images.extend((2 * k, 2 * k - 1))
-    return Pairing(images)
-
-
 def coset_representative(pi: Pairing) -> Permutation:
     """Deterministic coset representative, by recursion on the last point.
 
@@ -87,11 +78,6 @@ def coset_representative(pi: Pairing) -> Permutation:
         return Permutation(tuple(inner) + (size - 1, size))
     swap = Permutation.transposition(pi[size - 1], size - 1, size)
     return swap * coset_representative(pi.conjugate_by(swap))
-
-
-def gram_orthogonal(n: int, tau):
-    """(2n-1)!! square Gram matrix over the canonical pairing basis, rows read through the type index."""
-    return weingarten_table("orthogonal", n, tau).gram
 
 
 _HISTOGRAM_CACHE: dict = {}  # always empty; only wgbench/tracer.py still reads it

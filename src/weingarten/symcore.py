@@ -61,7 +61,7 @@ class Permutation(tuple):
 
     Tuple subclass so that instances hash and compare like plain tuples;
     arithmetic-heavy callers construct results directly without revalidation.
-    Use :meth:`from_images` / :meth:`from_text` at trust boundaries.
+    Use :meth:`from_images` at trust boundaries.
     """
 
     @classmethod
@@ -98,36 +98,8 @@ class Permutation(tuple):
             inv[j - 1] = i
         return Permutation(inv)
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * len(self)
-        out = []
-        for start in range(1, len(self) + 1):
-            if seen[start - 1]:
-                continue
-            cyc = []
-            i = start
-            while not seen[i - 1]:
-                seen[i - 1] = True
-                cyc.append(i)
-                i = self[i - 1]
-            out.append(tuple(cyc))
-        return out
-
-    def cycle_type(self) -> Partition:
-        return Partition(sorted((len(c) for c in self.cycles()), reverse=True))
-
-    def num_cycles(self) -> int:
-        return len(self.cycles())
-
     def to_text(self) -> str:
         return "[" + ",".join(str(i) for i in self) + "]"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Permutation":
-        body = text.strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError(f"malformed permutation {text!r}")
-        return cls.from_images(int(p) for p in body[1:-1].split(","))
 
     def __repr__(self):
         return f"Permutation({tuple(self)})"
@@ -161,17 +133,6 @@ class Pairing(Permutation):
 
     def to_text(self) -> str:
         return "".join(f"({a},{b})" for a, b in self.pairs())
-
-    @classmethod
-    def from_text(cls, text: str) -> "Pairing":
-        body = text.strip().replace(" ", "")
-        if not (body.startswith("(") and body.endswith(")")):
-            raise ValueError(f"malformed pairing {text!r}")
-        pairs = []
-        for chunk in body[1:-1].split(")("):
-            a, b = chunk.split(",")
-            pairs.append((int(a), int(b)))
-        return cls.from_pairs(pairs)
 
     def conjugate_by(self, sigma: Permutation) -> "Pairing":
         """sigma . self . sigma^{-1}, relabelling points by sigma."""
@@ -238,16 +199,6 @@ class StandardTableau:
 
     def reading_word(self) -> tuple[int, ...]:
         return tuple(itertools.chain.from_iterable(self.rows))
-
-    def to_text(self) -> str:
-        return "[" + ",".join("[" + ",".join(str(v) for v in r) + "]" for r in self.rows) + "]"
-
-    @classmethod
-    def from_text(cls, text: str) -> "StandardTableau":
-        import json
-
-        rows = json.loads(text)
-        return cls(rows)
 
     def __eq__(self, other):
         return isinstance(other, StandardTableau) and self.rows == other.rows

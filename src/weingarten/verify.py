@@ -16,7 +16,8 @@ projectors (``idempotents``, ``central``), the doubling proposition
 
 No suite multiplies two idempotents or projectors: orthogonality follows
 from Jucys-Murphy eigenvalues, or from centrality plus one coefficient per
-class, and P_H enters only through coset sums.
+class, and P_H enters only through sums over the cosets of H_n.  Cycle and
+loop types come from one row of ``symcore.cross_type_matrix`` (`_type_row`).
 """
 
 from __future__ import annotations
@@ -25,33 +26,23 @@ from fractions import Fraction
 from math import lcm
 
 from .coeffring import TAU
-from .exactmat import integer_points, tau_powers, type_commutation_check
+from .exactmat import BASES, integer_points, tau_powers, type_commutation_check, weingarten_table
 from .groupalg import (
     AlgebraElement,
-    average_projector,
+    hyperoctahedral_elements,
     hyperoctahedral_generators,
     jm_element,
     jm_product_orthogonal,
     jm_product_unitary,
 )
 from .orthogonal import (
-    adjacent_pairing,
     coset_label,
     coset_representative,
     coset_sums,
     double_factorial_odd,
-    gram_orthogonal,
     weingarten_orthogonal,
 )
-from .symcore import (
-    Permutation,
-    cross_type_matrix,
-    double_tableau,
-    enumerate_pairings,
-    partitions_of,
-    permutations_of,
-    standard_tableaux,
-)
+from .symcore import Permutation, cross_type_matrix, double_tableau, partitions_of, standard_tableaux
 from .unitary import weingarten_unitary
 from .young import _extend_idempotent, central_idempotent, young_idempotent
 
@@ -69,7 +60,7 @@ CAPS = {
 }
 # largest doubling n run without deep=True; 2n = 8 takes minutes
 DOUBLING_TOP = 3
-# largest 2n at which doubling also reads P * e(T) off the coset sums of e(T)
+# largest 2n at which doubling also reads P_H e(T) off the coset sums of e(T)
 DIRECT_PRODUCT_TOP = 6
 # first size checked at an explicit tau: the benchmark's stored outputs of
 # `pseudoinverse --n 3 --tau T` and `stability --n 4 --tau T` keep n <= 3 symbolic
@@ -83,6 +74,17 @@ def _parameter(n: int, tau):
     return tau, f"tau={tau}"
 
 
+def _type_row(group: str, n: int):
+    """The group's basis at n, and the double-coset type of each element against basis[0].
+
+    basis[0] is the identity of S_n or the adjacent pairing pi_0, so a type
+    has one part per cycle of a permutation, or per loop of a pairing with pi_0.
+    """
+    basis = BASES[group](n)
+    types, (row,) = cross_type_matrix(basis[:1], basis)
+    return basis, [types[k] for k in row]
+
+
 def _is_central(z: AlgebraElement) -> bool:
     """z is fixed by conjugation with each s_k = (k k+1), which generate S_n."""
     swaps = (Permutation.transposition(k, k + 1, z.n) for k in range(1, z.n))
@@ -90,11 +92,18 @@ def _is_central(z: AlgebraElement) -> bool:
 
 
 def _central_products_orthogonal(projs, n: int) -> bool:
-    """(z_i z_j)(sigma) = δ_ij z_i(sigma) at one sigma per class, in numerators over D."""
-    perms = permutations_of(n)
+    """(z_i z_j)(sigma) = δ_ij z_i(sigma) at one sigma per class, in numerators over D.
+
+    Each z_i must also take one value per cycle type of the type row, as a
+    central element does, which checks the row against the z_i.
+    """
+    perms, types = _type_row("unitary", n)
     den = lcm(*(c.denominator for z in projs for c in z.terms.values()))
     nums = [{p: c.numerator * (den // c.denominator) for p, c in z.terms.items()} for z in projs]
-    for sigma in {p.cycle_type(): p for p in perms}.values():
+    classes = {mu: p for p, mu in zip(perms, types)}
+    if any(a.get(p, 0) != a.get(classes[mu], 0) for a in nums for p, mu in zip(perms, types)):
+        return False
+    for sigma in classes.values():
         pairs = [(p, p.inverse() * sigma) for p in perms]
         for a in nums:
             for b in nums:
@@ -104,40 +113,15 @@ def _central_products_orthogonal(projs, n: int) -> bool:
     return True
 
 
-def _projector_pairing_trace(proj: AlgebraElement, e: AlgebraElement) -> Fraction:
-    """Identity coefficient of proj * e, i.e. the normalized regular trace.
-
-    Both factors are self-adjoint idempotents (antipode-invariant, rational),
-    so the full product vanishes exactly when this single coefficient does:
-    tr((Pe)(Pe)^*) = tr(PeP) = tr(Pe) by idempotence and cyclicity, and the
-    regular trace is faithful on positive elements.
-    """
-    total = Fraction(0)
-    terms = e.terms
-    for h, w in proj.terms.items():
-        c = terms.get(h)
-        if c is not None:
-            total += w * c
-    return total
-
-
-def _gram_row(n: int):
-    """The pairings, and the loops of each against the adjacent pairing: Gram row 0 is t^loops."""
-    pairings = enumerate_pairings(n)
-    types, index = cross_type_matrix([adjacent_pairing(n)], pairings)
-    return pairings, [len(types[k]) for k in index[0]]
-
-
 def _jucys(max_n, tau, tau2, deep):
     # both sides, n factors t + m_k and powers t^k with k <= n, are polynomials
     # of degree at most n in t, so the identity holds once it does at n + 1 points
     for n in range(1, max_n + 1):
-        perms = permutations_of(n)
-        cycles = [s.num_cycles() for s in perms]
+        perms, types = _type_row("unitary", n)
         ok = True
         for t in integer_points(n, n):
             powers = tau_powers(t, n)
-            rhs = AlgebraElement(n, {s: powers[k] for s, k in zip(perms, cycles)})
+            rhs = AlgebraElement(n, {s: powers[len(mu)] for s, mu in zip(perms, types)})
             ok = ok and jm_product_unitary(n, t) == rhs
         yield f"jucys identity n={n}", ok
 
@@ -148,14 +132,14 @@ def _oid(max_n, tau, tau2, deep):
     # sides have degree at most n in t, as in `_jucys`
     for n in range(1, max_n + 1):
         t, label = _parameter(n, tau)
-        pairings, loops = _gram_row(n)
+        pairings, types = _type_row("orthogonal", n)
         reps = [coset_representative(pi) for pi in pairings]
         expected = double_factorial_odd(n)
         ok = len(set(reps)) == expected
         for t in integer_points(n, n) if t is TAU else [t]:
             powers = tau_powers(t, n)
             lhs = jm_product_orthogonal(n, t)
-            rhs = AlgebraElement(2 * n, {r: powers[k] for r, k in zip(reps, loops)})
+            rhs = AlgebraElement(2 * n, {r: powers[len(mu)] for r, mu in zip(reps, types)})
             ok = ok and len(lhs) == expected and lhs == rhs
         yield f"odd JM expansion n={n} ({label})", ok
 
@@ -199,16 +183,20 @@ def _pseudoinverse(max_n, tau, tau2, deep):
 
 def _doubling(max_n, tau, tau2, deep):
     # the size-2n idempotents that survive left averaging over H_n are exactly
-    # those of the doubled tableaux; up to DIRECT_PRODUCT_TOP the trace
-    # criterion must also agree with P * e(T) != 0, read off the coset sums
+    # those of the doubled tableaux.  e(T) survives when its sum over H_n, the
+    # identity coset, is nonzero: that sum is |H_n| tr(P_H e(T)), tr the
+    # normalized regular trace, and P_H and e(T) are self-adjoint idempotents,
+    # so tr((P_H e)(P_H e)^*) = tr(P_H e P_H) = tr(P_H e), and tr is faithful
+    # on positive elements.  Up to DIRECT_PRODUCT_TOP this criterion must also
+    # agree with P_H e(T) != 0, read off all the coset sums of e(T)
     for n in range(1, (max_n if deep else min(max_n, DOUBLING_TOP)) + 1):
         size = 2 * n
-        proj = average_projector(n)
+        elements = hyperoctahedral_elements(n)
         survivors, agree = set(), True
         for lam in partitions_of(size):
             for t in standard_tableaux(lam):
                 e = _extend_idempotent(t)
-                alive = bool(_projector_pairing_trace(proj, e))
+                alive = bool(sum(e.terms.get(h, 0) for h in elements))
                 if size <= DIRECT_PRODUCT_TOP:
                     agree = agree and bool(coset_sums(n, e)) == alive
                 if alive:
@@ -244,7 +232,7 @@ def _stability(max_n, tau, tau2, deep):
     # compares sums of G's coefficients, of degree at most n in t, as in `_jucys`
     for n in range(1, max_n + 1):
         t, label = _parameter(n, tau)
-        pairings, loops = _gram_row(n)
+        pairings, types = _type_row("orthogonal", n)
         reps = [coset_representative(pi) for pi in pairings]
         ok = all(coset_label(r.inverse()) == pi for pi, r in zip(pairings, reps))
         for t in integer_points(n, n) if t is TAU else [t]:
@@ -257,7 +245,7 @@ def _stability(max_n, tau, tau2, deep):
             )
             ok = ok and all(a.get(coset_label(r)) == b.get(coset_label(r.inverse())) for r in reps)
             powers = tau_powers(t, n)
-            ok = ok and all(a.get(pi, 0) == powers[k] for pi, k in zip(pairings, loops))
+            ok = ok and all(a.get(pi, 0) == powers[len(mu)] for pi, mu in zip(pairings, types))
         yield f"stability lemma n={n} ({label})", ok
 
 
@@ -275,8 +263,8 @@ def _commute(max_n, tau, tau2, deep):
     # the pairings' loop type, so the products are compared in the type algebra
     t1, t2 = commute_parameters(tau, tau2)
     for n in range(1, max_n + 1):
-        g1 = gram_orthogonal(n, Fraction(t1))
-        g2 = gram_orthogonal(n, Fraction(t2))
+        g1 = weingarten_table("orthogonal", n, Fraction(t1)).gram
+        g2 = weingarten_table("orthogonal", n, Fraction(t2)).gram
         ok = type_commutation_check(g1, g2)
         yield f"Gram commutation n={n} (tau={t1},{t2})", ok
 

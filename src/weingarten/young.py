@@ -27,6 +27,7 @@ from pathlib import Path
 from .symcore import (
     Partition,
     StandardTableau,
+    cross_type_matrix,
     hook_dimension,
     partitions_of,
     permutations_of,
@@ -180,12 +181,10 @@ def central_idempotent(lam: Partition, route: str = "tableau-sum") -> AlgebraEle
             out = out + young_idempotent(t)
         return out
     if route == "character":
+        # the types against the identity are the cycle types
         scale = Fraction(hook_dimension(lam), factorial(n))
-        chi_by_type = {mu: character(lam, mu) for mu in partitions_of(n)}
-        terms = {}
-        for sigma in permutations_of(n):
-            chi = chi_by_type[sigma.cycle_type()]
-            if chi:
-                terms[sigma] = scale * chi
-        return AlgebraElement(n, terms)
+        perms = permutations_of(n)
+        types, (row,) = cross_type_matrix(perms[:1], perms)
+        values = [scale * character(lam, mu) for mu in types]
+        return AlgebraElement(n, {sigma: values[k] for sigma, k in zip(perms, row)})
     raise ValueError(f"unknown route {route!r}")

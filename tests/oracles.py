@@ -25,13 +25,18 @@ on coset sums and Gram row 0), and
 complete orthogonality by every pairwise product (against the Jucys-Murphy
 eigenvalue and class-representative checks of the ``idempotents`` and
 ``central`` suites).  It also holds the helpers that only tests call:
-``map_coefficients`` on a group-algebra element, ``gram_unitary`` and
-``sample_haar``.
+cycles and cycle types of one permutation (against
+``symcore.cross_type_matrix``, the package's one cycle walk), text parsers
+for permutations, pairings and tableaux, ``basis_element`` and
+``element_json_dict`` for group-algebra elements, ``map_coefficients``,
+``adjacent_pairing``, ``average_projector`` (the element P_H, which the
+package never builds), ``gram_unitary`` and ``sample_haar``.
 """
 
 import csv
 import io
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -49,13 +54,14 @@ from weingarten.exactmat import (
     spectral_sum,
     weingarten_table,
 )
-from weingarten.groupalg import AlgebraElement, average_projector, hyperoctahedral_elements, jm_element
+from weingarten.groupalg import AlgebraElement, hyperoctahedral_elements, jm_element
 from weingarten.haarmc import _BATCH, _basis, _ginibre, _haar_batch, _tied_sum, _ties
-from weingarten.orthogonal import adjacent_pairing, coset_representative
+from weingarten.orthogonal import coset_representative
 from weingarten.symcore import (
     Pairing,
     Partition,
     Permutation,
+    StandardTableau,
     double_shape,
     enumerate_pairings,
     hook_dimension,
@@ -71,6 +77,86 @@ def inverse(x):
             raise ZeroDivisionError("inverse of zero")
         return TauRational(x.den, x.num)
     return 1 / Fraction(x)
+
+
+def cycles(sigma: Permutation) -> list[tuple[int, ...]]:
+    """The cycles of a permutation, each from its smallest point, ordered by those points."""
+    seen = [False] * len(sigma)
+    out = []
+    for start in range(1, len(sigma) + 1):
+        if seen[start - 1]:
+            continue
+        cyc = []
+        i = start
+        while not seen[i - 1]:
+            seen[i - 1] = True
+            cyc.append(i)
+            i = sigma[i - 1]
+        out.append(tuple(cyc))
+    return out
+
+
+def cycle_type(sigma: Permutation) -> Partition:
+    return Partition(sorted((len(c) for c in cycles(sigma)), reverse=True))
+
+
+def num_cycles(sigma: Permutation) -> int:
+    return len(cycles(sigma))
+
+
+def permutation_from_text(text: str) -> Permutation:
+    """The permutation whose ``to_text`` is text, e.g. "[2,1,3]"."""
+    body = text.strip()
+    if not (body.startswith("[") and body.endswith("]")):
+        raise ValueError(f"malformed permutation {text!r}")
+    return Permutation.from_images(int(p) for p in body[1:-1].split(","))
+
+
+def pairing_from_text(text: str) -> Pairing:
+    """The pairing whose ``to_text`` is text, e.g. "(1,3)(2,4)"."""
+    body = text.strip().replace(" ", "")
+    if not (body.startswith("(") and body.endswith(")")):
+        raise ValueError(f"malformed pairing {text!r}")
+    pairs = []
+    for chunk in body[1:-1].split(")("):
+        a, b = chunk.split(",")
+        pairs.append((int(a), int(b)))
+    return Pairing.from_pairs(pairs)
+
+
+def tableau_to_text(t: StandardTableau) -> str:
+    return "[" + ",".join("[" + ",".join(str(v) for v in r) + "]" for r in t.rows) + "]"
+
+
+def tableau_from_text(text: str) -> StandardTableau:
+    return StandardTableau(json.loads(text))
+
+
+def basis_element(sigma: Permutation, coeff=Fraction(1)) -> AlgebraElement:
+    """coeff * sigma in C[S_n]."""
+    return AlgebraElement(len(sigma), {sigma: coeff})
+
+
+def element_json_dict(x: AlgebraElement) -> dict[str, str]:
+    """Each term's permutation text mapped to its rendered coefficient, in basis order."""
+    return {p.to_text(): render(c) for p, c in x.sorted_terms()}
+
+
+def adjacent_pairing(n: int) -> Pairing:
+    """The base point (1 2)(3 4)...(2n-1 2n) of the conjugation action."""
+    if n < 1:
+        raise ValueError(f"adjacent_pairing requires n >= 1, got {n}")
+    images = []
+    for k in range(1, n + 1):
+        images.extend((2 * k, 2 * k - 1))
+    return Pairing(images)
+
+
+def average_projector(n: int) -> AlgebraElement:
+    """P_H, the uniform average over the hyperoctahedral subgroup H_n of S_2n (idempotent)."""
+    elements = hyperoctahedral_elements(n)
+    w = Fraction(1, len(elements))
+    return AlgebraElement(2 * n, {h: w for h in elements})
 
 
 def loop_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -232,7 +318,7 @@ def loop_type(pi: Pairing, rho: Pairing) -> Partition:
     The permutation product splits every loop through 2m points into two
     m-cycles, so halving the cycle-type multiplicities recovers the loops.
     """
-    counts = Counter(len(c) for c in (pi * rho).cycles())
+    counts = Counter(len(c) for c in cycles(pi * rho))
     sizes = []
     for length, count in counts.items():
         sizes.extend([length] * (count // 2))
@@ -330,7 +416,7 @@ def coset_cycle_type_histogram(mu: Partition) -> Counter:
     """
     mu = Partition(mu)
     sigma0 = conjugating_permutation(adjacent_pairing(mu.weight), loop_type_representative(mu))
-    return Counter((sigma0 * h).cycle_type() for h in hyperoctahedral_elements(mu.weight))
+    return Counter(cycle_type(sigma0 * h) for h in hyperoctahedral_elements(mu.weight))
 
 
 def coset_character_sum(lam: Partition, hist: Counter) -> Fraction:
@@ -423,7 +509,7 @@ def projector_entry(lam: Partition, pi: Pairing, rho: Pairing, sigma0=None) -> F
     else:
         if not rho.conjugate_by(sigma0) == pi:
             raise ValueError("sigma0 does not conjugate rho to pi")
-        hist = Counter((sigma0 * c).cycle_type() for c in pairing_centralizer(rho))
+        hist = Counter(cycle_type(sigma0 * c) for c in pairing_centralizer(rho))
     return coset_character_sum(lam, hist)
 
 

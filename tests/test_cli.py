@@ -8,13 +8,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from oracles import csv_writer_text, table_json_dict, table_with
+from oracles import basis_element, csv_writer_text, table_json_dict, table_with
 
 from weingarten import cli, exactmat, orthogonal, verify, young
 from weingarten.coeffring import TAU, parse, render
 from weingarten.groupalg import AlgebraElement
 from weingarten.orthogonal import weingarten_orthogonal
-from weingarten.symcore import Permutation, StandardTableau
+from weingarten.symcore import Permutation, cross_type_matrix
 from weingarten.unitary import weingarten_unitary
 
 
@@ -261,7 +261,7 @@ def _plus_transposition(product, i=1, j=2):
         out = product(n, tau)
         if out.n < max(i, j):
             return out
-        return out + AlgebraElement.basis(Permutation.transposition(i, j, out.n))
+        return out + basis_element(Permutation.transposition(i, j, out.n))
     return corrupted
 
 
@@ -283,7 +283,7 @@ def _size4_coefficient_shifted(extend):
         e = extend(t)
         if e.n != 4:
             return e
-        return e + AlgebraElement.basis(Permutation.transposition(2, 3, 4))
+        return e + basis_element(Permutation.transposition(2, 3, 4))
     return corrupted
 
 
@@ -302,26 +302,24 @@ def _table_gram_value_raised(make):
     return corrupted
 
 
-def _type_numbering_reversed(gram):
-    """Gram matrices whose table numbers the types in reverse, values and all.
+def _type_numbering_reversed(table):
+    """Tables that number the types in reverse, values and all.
 
-    The matrix is the same, but not numbered as the type algebra's row 0, so
-    no product of it is proved.  A changed value could not fail the check:
+    The Gram matrix is the same, but not numbered as the type algebra's row 0,
+    so no product of it is proved.  A changed value could not fail the check:
     the type algebra of the pairings is commutative.
     """
-    def corrupted(n, tau):
-        g = gram(n, tau)
-        return table_with(g.table, types=g.table.types[::-1], gram_by_type=g.values[::-1]).gram
+    def corrupted(group, n, tau):
+        t = table(group, n, tau)
+        return table_with(t, types=t.types[::-1], gram_by_type=t.gram_by_type[::-1])
     return corrupted
 
 
-def _non_base_loops_raised(gram_row):
-    """Gram row 0 with the loop count of pairing 1, not the base pairing, raised by 1."""
-    def corrupted(n):
-        pairings, loops = gram_row(n)
-        if len(loops) > 1:
-            loops = [loops[0], loops[1] + 1, *loops[2:]]
-        return pairings, loops
+def _non_base_type_as_base(type_row):
+    """Type rows in which element 1, not the base, has the base's type: one loop too many."""
+    def corrupted(group, n):
+        basis, types = type_row(group, n)
+        return basis, [types[0], types[0], *types[2:]] if len(types) > 1 else types
     return corrupted
 
 
@@ -332,9 +330,9 @@ INJECTED = {
     "central": (1, "central_idempotent", _identity_coefficient_shifted),
     "doubling": (2, "_extend_idempotent", _size4_coefficient_shifted),
     "keyid": (1, "jm_element", _jm_doubled),
-    "stability": (2, "_gram_row", _non_base_loops_raised),
+    "stability": (2, "_type_row", _non_base_type_as_base),
     "pseudoinverse": (2, "weingarten_orthogonal", _table_gram_value_raised),
-    "commute": (2, "gram_orthogonal", _type_numbering_reversed),
+    "commute": (2, "weingarten_table", _type_numbering_reversed),
 }
 
 
@@ -343,6 +341,49 @@ def test_verify_suite_fails_on_injected_fault(capsys, monkeypatch, suite):
     # one corrupted input, read by the suite through weingarten.verify, must
     # turn a line into FAIL and the exit code into 1
     n, name, corrupt = INJECTED[suite]
+    monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--n", str(n))
+    assert code == 1
+    assert "FAIL" in out
+
+
+def _two_types_swapped(type_row):
+    """Type rows with the types of elements 0 and 1 swapped."""
+    def corrupted(group, n):
+        basis, types = type_row(group, n)
+        return basis, [types[1], types[0], *types[2:]] if len(types) > 1 else types
+    return corrupted
+
+
+def _typed_against_basis_1(type_row):
+    """Type rows walked against basis[1], not the base basis[0]."""
+    def corrupted(group, n):
+        basis, types = type_row(group, n)
+        if len(basis) < 2:
+            return basis, types
+        walked, (row,) = cross_type_matrix(basis[1:2], basis)
+        return basis, [walked[k] for k in row]
+    return corrupted
+
+
+def _last_element_missing(elements):
+    """H_n lists without their last element."""
+    return lambda n: elements(n)[:-1]
+
+
+# faults in the two paths that types and P_H now take: the type row, and H_n
+SHARED_PATH_FAULTS = {
+    "doubling": (2, "hyperoctahedral_elements", _last_element_missing),
+    "jucys": (3, "_type_row", _two_types_swapped),
+    "central": (3, "_type_row", _two_types_swapped),
+    "oid": (2, "_type_row", _typed_against_basis_1),
+    "stability": (2, "_type_row", _typed_against_basis_1),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SHARED_PATH_FAULTS))
+def test_verify_suite_fails_on_a_fault_in_its_type_row_or_h_n(capsys, monkeypatch, suite):
+    n, name, corrupt = SHARED_PATH_FAULTS[suite]
     monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
     code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--n", str(n))
     assert code == 1
@@ -361,7 +402,7 @@ def _plus_coset_difference(product):
             return out
         swap = Permutation.transposition(2, 3, out.n)
         flip = Permutation.transposition(1, 2, out.n)
-        return out + AlgebraElement.basis(swap) - AlgebraElement.basis(flip * swap)
+        return out + basis_element(swap) - basis_element(flip * swap)
     return corrupted
 
 
@@ -406,7 +447,7 @@ def test_stability_fails_on_a_representative_outside_its_coset(capsys, monkeypat
     # the representative of the last pairing times (2 3), which lies outside H,
     # no longer conjugates the adjacent pairing to that pairing
     representative = verify.coset_representative
-    last = verify.enumerate_pairings(2)[-1]
+    last = exactmat.BASES["orthogonal"](2)[-1]
 
     def moved(pi):
         r = representative(pi)
@@ -494,11 +535,14 @@ def test_an_unproven_type_index_writes_nothing(capsys, monkeypatch, tmp_path, fm
 
 
 def test_verify_doubling_disagreement_is_a_fail_not_a_traceback(capsys, monkeypatch):
-    # the trace criterion says [[1, 2]] dies while its direct product survives
-    target = young.young_idempotent(StandardTableau([[1, 2]]))
-    trace = verify._projector_pairing_trace
-    monkeypatch.setattr(verify, "_projector_pairing_trace",
-                        lambda proj, e: Fraction(0) if e == target else trace(proj, e))
+    # over H_1 without its identity, e([[1], [2]]) = (1 - (1 2))/2 sums to
+    # -1/2, so the criterion keeps it, while its direct product vanishes
+    elements = verify.hyperoctahedral_elements
+
+    def without_identity(n):
+        return elements(n)[1:] if n == 1 else elements(n)
+
+    monkeypatch.setattr(verify, "hyperoctahedral_elements", without_identity)
     code, out, err = run_cli(capsys, "verify", "--suite", "doubling", "--n", "2")
     assert code == 1
     assert out.splitlines() == ["FAIL doubling survivors 2n=2", "ok   doubling survivors 2n=4"]

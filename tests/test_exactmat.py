@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    cycle_type,
     dense_type_matrix,
     loop_type,
     mat_mul,
@@ -30,7 +31,7 @@ from weingarten.exactmat import (
     type_idempotents,
     weingarten_table,
 )
-from weingarten.orthogonal import _idempotents_by_type, gram_orthogonal, weingarten_orthogonal
+from weingarten.orthogonal import _idempotents_by_type, weingarten_orthogonal
 from weingarten.symcore import (
     Partition,
     Permutation,
@@ -125,7 +126,7 @@ def test_a_perturbation_on_one_type_fails_the_identities(group, n, tau):
     table = BUILDERS[group](n, tau)
     basis = table.basis
     if group == "unitary":
-        target = (basis[0].inverse() * basis[-1]).cycle_type()
+        target = cycle_type(basis[0].inverse() * basis[-1])
     else:
         target = loop_type(basis[0], basis[-1])
     bad = table_with(table, weingarten_by_type=[
@@ -200,7 +201,7 @@ def test_generator_maps_of_s1_fix_the_single_element():
 
 def test_commutation_check_agrees_with_dense_products():
     for n in (1, 2, 3):
-        g1, g2 = gram_orthogonal(n, Fraction(3)), gram_orthogonal(n, Fraction(7))
+        g1, g2 = (weingarten_table("orthogonal", n, Fraction(t)).gram for t in (3, 7))
         assert type_commutation_check(g1, g2)
         assert mat_mul(list(g1), list(g2)) == mat_mul(list(g2), list(g1))
 
@@ -219,7 +220,8 @@ def test_commutation_check_rejects_constants_that_do_not_commute(monkeypatch, gr
 
 
 def test_commutation_check_rejects_matrices_on_two_bases():
-    g1, g2 = gram_orthogonal(3, Fraction(3)), gram_orthogonal(2, Fraction(7))
+    g1 = weingarten_table("orthogonal", 3, Fraction(3)).gram
+    g2 = weingarten_table("orthogonal", 2, Fraction(7)).gram
     assert not type_commutation_check(g1, g2)
     assert not type_commutation_check(g1, weingarten_table("unitary", 3, Fraction(7)).gram)
 

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    average_projector,
+    basis_element,
     complete_orthogonal,
+    element_json_dict,
     evaluated,
     gram_unitary,
     jm_product_at_tau,
     loop_product,
     mat_identity,
+    num_cycles,
     regular_matrix,
 )
 
@@ -20,7 +24,6 @@ from weingarten.exactmat import integer_points
 from weingarten.groupalg import (
     AlgebraElement,
     _mul_fractions,
-    average_projector,
     hyperoctahedral_elements,
     hyperoctahedral_generators,
     jm_element,
@@ -40,12 +43,12 @@ from weingarten.symcore import (
 
 
 def delta(images):
-    return AlgebraElement.basis(Permutation.from_images(images))
+    return basis_element(Permutation.from_images(images))
 
 
 def test_multiply_inverse_gives_unit():
     s = Permutation.from_images([3, 1, 2])
-    prod = AlgebraElement.basis(s) * AlgebraElement.basis(s.inverse())
+    prod = basis_element(s) * basis_element(s.inverse())
     assert prod == AlgebraElement.unit(3)
 
 
@@ -103,9 +106,9 @@ def test_jucys_identity_term_exact_up_to_4():
     for n in range(1, 5):
         perms = permutations_of(n)
         symbolic = jm_product_at_tau(n, range(1, n + 1))
-        assert symbolic == AlgebraElement(n, {s: TAU ** s.num_cycles() for s in perms})
+        assert symbolic == AlgebraElement(n, {s: TAU ** num_cycles(s) for s in perms})
         for t in (Fraction(-2), Fraction(1, 3), Fraction(7)):
-            expected = AlgebraElement(n, {s: t ** s.num_cycles() for s in perms})
+            expected = AlgebraElement(n, {s: t ** num_cycles(s) for s in perms})
             assert jm_product_unitary(n, t) == expected == evaluated(symbolic, t)
 
 
@@ -117,7 +120,7 @@ def test_jucys_one_point_short_lets_a_degree_n_perturbation_through(monkeypatch)
 
     def perturbed(n, t):
         out = real_product(n, t)
-        return out if n != 3 else out + AlgebraElement.basis(swap, Fraction((t - 3) * (t - 4) * (t - 5)))
+        return out if n != 3 else out + basis_element(swap, Fraction((t - 3) * (t - 4) * (t - 5)))
 
     monkeypatch.setattr(verify, "jm_product_unitary", perturbed)
     assert [ok for _, ok in verify.run("jucys", 4)] == [True, True, False, True]
@@ -260,7 +263,7 @@ def test_regular_matrix_of_unit_is_identity():
 def test_regular_matrix_of_delta_is_permutation_matrix():
     basis = permutations_of(3)
     rho = Permutation.from_images([2, 3, 1])
-    mat = regular_matrix(AlgebraElement.basis(rho), basis, side="left")
+    mat = regular_matrix(basis_element(rho), basis, side="left")
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
             assert mat[i][j] == (1 if bi == rho * bj else 0)
@@ -287,7 +290,7 @@ def test_embed_and_json_round_trip():
     b = a.embed(4)
     assert b.n == 4
     assert b.coefficient(Permutation.from_images([2, 1, 3, 4])) == 1
-    payload = a.to_json_dict()
+    payload = element_json_dict(a)
     assert payload == {"[1,2]": "1/3", "[2,1]": "1"}
 
 
@@ -415,7 +418,7 @@ def test_suite_verdicts_agree_on_a_perturbed_idempotent(monkeypatch, suite):
     t = StandardTableau([[1, 2], [3, 4]])
     e = young.young_idempotent(t)
     p = next(iter(e.terms))
-    bad = e + AlgebraElement.basis(p, Fraction(1, 96))
+    bad = e + basis_element(p, Fraction(1, 96))
     monkeypatch.setitem(young._IDEMPOTENT_CACHE, t.rows, bad)
     verdicts = [ok for _, ok in verify.run(suite, 4)]
     assert verdicts == [complete_orthogonal(_elements(suite, n), n) for n in range(1, 5)]
@@ -473,7 +476,7 @@ def _central_inputs(case):
     hook, trivial, sign = Partition((2, 1)), Partition((3,)), Partition((1, 1, 1))
     if case == "off-centre":
         # (1 2) moved from one projector to another: the sum stays the unit
-        bump = AlgebraElement.basis(Permutation.from_images([2, 1, 3]), Fraction(1, 7))
+        bump = basis_element(Permutation.from_images([2, 1, 3]), Fraction(1, 7))
         return {**z, hook: z[hook] + bump, trivial: z[trivial] - bump}
     if case == "not idempotent":
         return {**z, trivial: z[trivial].scale(Fraction(2)), sign: z[sign] - z[trivial]}

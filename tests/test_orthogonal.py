@@ -7,18 +7,24 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    adjacent_pairing,
+    average_projector,
+    basis_element,
     conjugating_permutation,
+    coset_cycle_type_histogram,
+    cycle_type,
+    histogram_wg_value_orthogonal,
     jm_product_at_tau,
     loop_product,
-    coset_cycle_type_histogram,
-    histogram_wg_value_orthogonal,
     loop_type,
     loop_type_representative,
     map_coefficients,
     mat_identity,
     mat_mul,
     materialized_pairing_basis_matrix,
+    num_cycles,
     pairing_centralizer,
+    pairing_from_text,
     projector_entry,
     pseudo_inverse_check,
     table_json_dict,
@@ -27,20 +33,19 @@ from oracles import (
 
 from weingarten import exactmat, haarmc, orthogonal, symcore, verify, young
 from weingarten.coeffring import TAU, TauRational, render
-from weingarten.exactmat import _type_algebra, content_product, spectral_sum, type_idempotents
-from weingarten.groupalg import (
-    AlgebraElement,
-    average_projector,
-    hyperoctahedral_elements,
-    jm_product_orthogonal,
+from weingarten.exactmat import (
+    _type_algebra,
+    content_product,
+    spectral_sum,
+    type_idempotents,
+    weingarten_table,
 )
+from weingarten.groupalg import AlgebraElement, hyperoctahedral_elements, jm_product_orthogonal
 from weingarten.orthogonal import (
-    adjacent_pairing,
     coset_label,
     coset_representative,
     coset_sums,
     double_factorial_odd,
-    gram_orthogonal,
     weingarten_orthogonal,
     wg_value_orthogonal,
 )
@@ -53,6 +58,7 @@ from weingarten.symcore import (
     hook_dimension,
     partitions_of,
     permutations_of,
+    standard_tableaux,
 )
 from weingarten.young import central_idempotent
 
@@ -77,9 +83,9 @@ def test_coset_representative_of_base_is_identity():
 
 def test_coset_representative_recursion_value():
     # pi(4)=2 < 3, so conjugate by (2 3) and recurse; the representative is (2 3)
-    rep = coset_representative(Pairing.from_text("(1,3)(2,4)"))
+    rep = coset_representative(pairing_from_text("(1,3)(2,4)"))
     assert rep == Permutation.from_images([1, 3, 2, 4])
-    rep2 = coset_representative(Pairing.from_text("(1,4)(2,3)"))
+    rep2 = coset_representative(pairing_from_text("(1,4)(2,3)"))
     assert rep2 == Permutation.from_images([3, 2, 1, 4])
 
 
@@ -95,22 +101,22 @@ def test_coset_representative_conjugation_exhaustive():
 
 
 def test_gram_orthogonal_figure_entry():
-    pi = Pairing.from_text("(1,2)(3,5)(4,6)")
-    rho = Pairing.from_text("(1,2)(3,6)(4,5)")
+    pi = pairing_from_text("(1,2)(3,5)(4,6)")
+    rho = pairing_from_text("(1,2)(3,6)(4,5)")
     basis = enumerate_pairings(3)
-    g = gram_orthogonal(3, TAU)
+    g = weingarten_table("orthogonal", 3, TAU).gram
     i, j = basis.index(pi), basis.index(rho)
     assert g[i][j] == TAU * TAU
 
 
 def test_gram_orthogonal_n2():
     t2, t = TAU * TAU, TAU
-    assert list(gram_orthogonal(2, TAU)) == [[t2, t, t], [t, t2, t], [t, t, t2]]
+    assert list(weingarten_table("orthogonal", 2, TAU).gram) == [[t2, t, t], [t, t2, t], [t, t, t2]]
 
 
 def test_gram_diagonal():
     for n in (1, 2, 3):
-        g = gram_orthogonal(n, TAU)
+        g = weingarten_table("orthogonal", n, TAU).gram
         for i in range(len(g)):
             assert g[i][i] == TAU**n
 
@@ -128,7 +134,7 @@ def test_loop_type_halves_cycles():
             for rho in ps:
                 mu = loop_type(pi, rho)
                 assert mu.weight == n
-                assert 2 * len(mu) == (pi * rho).num_cycles()
+                assert 2 * len(mu) == num_cycles(pi * rho)
 
 
 def test_pairing_centralizer_is_conjugation_stabilizer():
@@ -146,7 +152,7 @@ def test_projector_entry_n1():
 
 def test_projector_entries_n2_hand_values():
     b = adjacent_pairing(2)
-    o = Pairing.from_text("(1,3)(2,4)")
+    o = pairing_from_text("(1,3)(2,4)")
     assert projector_entry(Partition((2,)), b, b) == Fraction(1, 3)
     assert projector_entry(Partition((1, 1)), b, b) == Fraction(2, 3)
     assert projector_entry(Partition((2,)), b, o) == Fraction(1, 3)
@@ -171,7 +177,7 @@ def test_projector_entry_independent_of_conjugator():
     # recompute one entry with a second, different sigma0 (spec: any coset
     # representative gives the same value)
     b = adjacent_pairing(2)
-    o = Pairing.from_text("(1,3)(2,4)")
+    o = pairing_from_text("(1,3)(2,4)")
     s0 = conjugating_permutation(o, b)
     flip = Permutation.from_images([3, 1, 4, 2])  # another conjugator
     assert o.conjugate_by(flip) == b
@@ -195,7 +201,7 @@ def test_histogram_over_h_n_matches_centralizer_enumeration_up_to_5():
         for mu in partitions_of(n):
             target = loop_type_representative(mu)
             s0 = conjugating_permutation(base, target)
-            direct = Counter((s0 * c).cycle_type() for c in centralizer)
+            direct = Counter(cycle_type(s0 * c) for c in centralizer)
             assert coset_cycle_type_histogram(mu) == direct
             if n <= 4:
                 reference = spectral_sum(
@@ -338,25 +344,24 @@ def test_stability_lemma_small():
     assert _suite_passes("stability", 3)
 
 
-def test_stability_builds_the_adjacent_pairing_once_per_size(monkeypatch):
-    # coset_label reads pi_0 off the point pairing x <-> x ^ 1; only the Gram
-    # row of each size builds pi_0
+def test_stability_types_the_pairings_once_per_size(monkeypatch):
+    # coset_label reads pi_0 off the point pairing x <-> x ^ 1; only the type
+    # row of each size walks loops against pi_0
     built = Counter()
-    make = orthogonal.adjacent_pairing
+    type_row = verify._type_row
 
-    def counted(n):
-        built[n] += 1
-        return make(n)
+    def counted(group, n):
+        built[group, n] += 1
+        return type_row(group, n)
 
-    monkeypatch.setattr(orthogonal, "adjacent_pairing", counted)
-    monkeypatch.setattr(verify, "adjacent_pairing", counted)
+    monkeypatch.setattr(verify, "_type_row", counted)
     assert all(ok for _, ok in verify.run("stability", 5, Fraction(7)))
-    assert built == {n: 1 for n in range(1, 6)}
+    assert built == {("orthogonal", n): 1 for n in range(1, 6)}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_coset_label_is_the_conjugated_adjacent_pairing(m):
-    pi0 = orthogonal.adjacent_pairing(m)
+    pi0 = adjacent_pairing(m)
     for sigma in permutations_of(2 * m):
         assert orthogonal.coset_label(sigma) == pi0.conjugate_by(sigma.inverse())
 
@@ -373,7 +378,7 @@ def test_stability_builds_no_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the stability suite built a table")
 
-    for module, name in ((verify, "gram_orthogonal"), (symcore, "carried_index"),
+    for module, name in ((verify, "weingarten_table"), (symcore, "carried_index"),
                          (exactmat, "carried_index"), (exactmat, "_type_algebra"),
                          (exactmat, "weingarten_table"), (orthogonal, "weingarten_table")):
         monkeypatch.setattr(module, name, refuse)
@@ -406,7 +411,7 @@ def test_stability_suite_agrees_with_materialized_products(monkeypatch, extra):
             sigma = Permutation.identity(size)
             for pair in word:
                 sigma = sigma * Permutation.transposition(*pair, size)
-            g = g + AlgebraElement.basis(sigma, Fraction(coeff))
+            g = g + basis_element(sigma, Fraction(coeff))
         return g
 
     monkeypatch.setattr(verify, "jm_product_orthogonal", lambda n, t: corrupted(jm_product_orthogonal(n, t)))
@@ -416,7 +421,8 @@ def test_stability_suite_agrees_with_materialized_products(monkeypatch, extra):
         true = jm_product_at_tau(2 * n, range(1, 2 * n, 2)) if n <= 3 else jm_product_orthogonal(n, t)
         g, proj = corrupted(true), average_projector(n)
         pg = loop_product(proj, g)
-        oracle = loop_product(g, proj) == pg and materialized_pairing_basis_matrix(n, pg) == list(gram_orthogonal(n, t))
+        gram = list(weingarten_table("orthogonal", n, t).gram)
+        oracle = loop_product(g, proj) == pg and materialized_pairing_basis_matrix(n, pg) == gram
         assert ok == oracle == (g == true)
 
 
@@ -484,18 +490,32 @@ def test_doubling_small():
     assert _suite_passes("doubling", 2)
 
 
+def _sum_over_h(n: int, e: AlgebraElement):
+    """The doubling criterion: the sum of e over H_n, |H_n| tr(P_H e)."""
+    return sum(e.terms.get(h, 0) for h in hyperoctahedral_elements(n))
+
+
 def test_doubling_2n8_sample():
     # one doubled and one non-doubled size-8 tableau through the deep path
     from weingarten.symcore import StandardTableau, double_tableau
     from weingarten.young import _extend_idempotent
 
-    proj = average_projector(4)
     alive = double_tableau(StandardTableau([[1, 2], [3, 4]]))
-    e = _extend_idempotent(alive)
-    assert verify._projector_pairing_trace(proj, e) != 0
+    assert _sum_over_h(4, _extend_idempotent(alive)) != 0
     dead = StandardTableau([[1, 3, 5, 7], [2, 4, 6, 8]])
-    e = _extend_idempotent(dead)
-    assert verify._projector_pairing_trace(proj, e) == 0
+    assert _sum_over_h(4, _extend_idempotent(dead)) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_sum_over_h_is_the_trace_of_the_projected_idempotent(n):
+    # |H_n| times the identity coefficient of P_H e(T), for every tableau of size 2n
+    from weingarten.young import _extend_idempotent
+
+    proj, order = average_projector(n), len(hyperoctahedral_elements(n))
+    for lam in partitions_of(2 * n):
+        for t in standard_tableaux(lam):
+            e = _extend_idempotent(t)
+            assert _sum_over_h(n, e) == order * (proj * e).coefficient(Permutation.identity(2 * n))
 
 
 @pytest.mark.skipif("WG_DEEP" not in __import__("os").environ,

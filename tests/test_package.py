@@ -7,18 +7,16 @@ nor the group algebra.  A ``table`` command loads only its own group's
 module, ``gram`` neither group module, and ``characters`` neither those nor
 the table layer.
 
-No function or method of the package is dead: each one is named in
-``src/``, ``scripts/`` or ``wgbench/`` outside its own body, or allowed below
-with its reason.  A module-level function is named by its own module, by an
-import from its module or by ``module.name``; a method by an attribute read.
-Helpers that only tests call live in ``tests/oracles.py``.
+No function or method of the package is dead: each one is called when
+every entry point runs once (each subcommand, ``python -m weingarten``, both
+scripts and the benchmark gate's row check), or allowed below with its
+reason.  Helpers that only tests call live in ``tests/oracles.py``.
 """
 
 import ast
 import json
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -178,126 +176,142 @@ def test_all_fraction_product_still_takes_the_kernel(python_env):
 # -- dead helpers -------------------------------------------------------------
 
 PACKAGE = Path(weingarten.__file__).resolve().parent
-SCRIPTS = PACKAGE.parents[1] / "scripts"
-WGBENCH = PACKAGE.parents[1] / "wgbench"
+ROOT = PACKAGE.parents[1]
 
-# functions and methods nothing outside the tests names, each kept for its reason
+# functions and methods that no entry point calls, each kept for its reason
 UNCALLED_BY_DESIGN = {
+    "exactmat.WeingartenTable.weingarten": "wgbench/tracer.py reads it in _table_unitary_post",
     "groupalg.AlgebraElement.coefficient": "public read of one term of an element, 0 where it has none",
+    "groupalg.AlgebraElement.sorted_terms": "__repr__ lists the first terms in basis order with it",
 }
 
+# runs `script` with ARGS bound to the arguments after it, and writes the
+# module, name and first line of each function of `package` it called to `out`
+_PROFILED = """
+import json, sys
+from pathlib import Path
 
-def _reads(node, kind) -> Counter:
-    """How often each identifier is read under node as a `kind`, ast.Name or ast.Attribute."""
-    field = "id" if kind is ast.Name else "attr"
-    return Counter(getattr(n, field) for n in ast.walk(node)
-                   if isinstance(n, kind) and isinstance(n.ctx, ast.Load))
+package, out, script = Path(sys.argv[1]), sys.argv[2], sys.argv[3]
+called = set()
 
+def note(frame, event, arg):
+    if event == "call":
+        called.add(frame.f_code)
 
-def _imports(tree: ast.Module, package: str, in_package: bool) -> Counter:
-    """(module, name) pairs that a file takes from a module of `package`.
+sys.setprofile(note)
+try:
+    exec(compile(script, "<entry points>", "exec"), {"__name__": "__entry__", "ARGS": sys.argv[4:]})
+finally:
+    sys.setprofile(None)
+keys = {(Path(c.co_filename).stem, c.co_name, c.co_firstlineno) for c in called
+        if Path(c.co_filename).resolve().parent == package}
+Path(out).write_text(json.dumps(sorted(keys)))
+"""
 
-    ``from .module import name`` inside the package, ``from package.module
-    import name`` anywhere, and ``module.name`` reads.
-    """
-    taken = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module:
-            if node.level and in_package:
-                module = node.module
-            elif not node.level and node.module.startswith(f"{package}."):
-                module = node.module.removeprefix(f"{package}.")
-            else:
-                continue
-            taken.update((module, alias.name) for alias in node.names)
-        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-              and isinstance(node.value, ast.Name)):
-            taken[(node.value.id, node.attr)] += 1
-    return taken
+# every entry point of the package, each command once: ARGS is a scratch
+# directory, the scripts directory and the wgbench directory
+ENTRY_POINTS = """
+import contextlib, io, json, runpy, sys
+from pathlib import Path
+from weingarten import cli
+
+tmp, scripts, wgbench = map(Path, ARGS)
+
+def quietly(call, argv=None):
+    if argv is not None:
+        sys.argv = argv
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+        try:
+            call()
+        except SystemExit:
+            pass
+    return out.getvalue()
+
+def main(*argv):
+    return quietly(lambda: cli.main(list(argv)))
+
+for kind in ("table", "gram"):
+    for group in ("unitary", "orthogonal"):
+        for fmt in ("json", "csv"):
+            for tau in ("symbolic", "7", "1"):
+                main(kind, "--group", group, "--n", "3", "--tau", tau, "--format", fmt)
+main("table", "--group", "unitary", "--n", "2", "--out", str(tmp / "missing" / "table.json"))
+main("verify", "--suite", "all", "--n", "3")
+main("verify", "--suite", "pseudoinverse", "--n", "4", "--tau", "2")
+main("verify", "--suite", "oid", "--n", "4", "--tau", "5")
+main("wgfn", "--group", "unitary", "--cycle-type", "[2,1]")
+main("characters", "--n", "3")
+for group, indices in (("unitary", "1;1;1;1"), ("orthogonal", "1,1;1,1")):
+    main("mc", "--group", group, "--n", "1", "--tau", "2", "--samples", "100")
+    main("mc", "--group", group, "--n", "1", "--tau", "2", "--samples", "100", "--indices", indices)
+quietly(lambda: runpy.run_module("weingarten", run_name="__main__"),
+        ["weingarten", "wgfn", "--group", "unitary", "--cycle-type", "[1]"])
+quietly(lambda: runpy.run_path(str(scripts / "build_tables.py"), run_name="__main__"),
+        ["build_tables.py", "--outdir", str(tmp / "tables"), "--max-unitary", "1",
+         "--max-orthogonal", "1"])
+quietly(lambda: runpy.run_path(str(scripts / "mc_crosscheck.py"), run_name="__main__"),
+        ["mc_crosscheck.py", "--samples", "100", "--seeds", "1"])
+sys.path.insert(0, str(wgbench))
+import gate
+
+table = json.loads(main("table", "--group", "unitary", "--n", "3"))
+gate.check_row_identities(table["weingarten"], "unitary", 3, "symbolic", 0)
+"""
 
 
 def _helpers(module: str, tree: ast.Module):
-    """(qualified name, def node, is method) of each module-level function and class method."""
+    """Qualified name and def node of each module-level function and class method."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield f"{module}.{node.name}", node, False
+            yield f"{module}.{node.name}", node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    yield f"{module}.{node.name}.{item.name}", item, True
+                    yield f"{module}.{node.name}.{item.name}", item
 
 
-def _uncalled(package: Path, *callers: Path) -> list[str]:
-    """Helpers of `package` that nothing names outside their own def; dunders exempt.
+def _unreached(package: Path, script: str, args, env, tmp_path) -> list[str]:
+    """Functions and methods of `package` that `script` never calls; dunders exempt.
 
-    A module-level function is named when its own module reads it, or when a
-    file imports it from that module or reads ``module.name``.  A method is
-    named only by an attribute read.  The files of `callers` are scanned as
-    callers only.
+    The script runs in a fresh process under ``sys.setprofile``, which sees
+    every call of a Python function.  A call is matched to its def by module,
+    name and first line (a decorated def's starts at its first decorator), so
+    a method counts as called only when it ran itself, not another of its name.
     """
-    paths = [*package.glob("*.py"), *(path for d in callers for path in d.glob("*.py"))]
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
-    attributes = sum((_reads(tree, ast.Attribute) for tree in trees.values()), Counter())
-    imported = sum((_imports(tree, package.name, path.parent == package)
-                    for path, tree in trees.items()), Counter())
-    dead = []
-    for path, tree in trees.items():
-        if path.parent != package:
-            continue
-        names = _reads(tree, ast.Name)
-        for qualname, node, is_method in _helpers(path.stem, tree):
-            if node.name.startswith("__") and node.name.endswith("__"):
-                continue
-            if is_method:
-                named = attributes[node.name] > _reads(node, ast.Attribute)[node.name]
-            else:
-                named = (names[node.name] > _reads(node, ast.Name)[node.name]
-                         or imported[(path.stem, node.name)] > 0)
-            if not named:
-                dead.append(qualname)
-    return sorted(dead)
+    out = tmp_path / "called.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROFILED, str(package), str(out), script, *map(str, args)],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    called = {tuple(key) for key in json.loads(out.read_text())}
+    return sorted(
+        qualname
+        for path in package.glob("*.py")
+        for qualname, node in _helpers(path.stem, ast.parse(path.read_text(), str(path)))
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and (path.stem, node.name, min(d.lineno for d in [node, *node.decorator_list])) not in called
+    )
 
 
-def test_every_package_helper_is_named_outside_its_own_def():
-    # coeffring.parse is named by wgbench/gate.py alone
-    assert _uncalled(PACKAGE, SCRIPTS, WGBENCH) == sorted(UNCALLED_BY_DESIGN)
+def test_every_package_helper_is_called_by_an_entry_point(python_env, tmp_path):
+    # coeffring.parse is called by wgbench/gate.py alone
+    args = (tmp_path, ROOT / "scripts", ROOT / "wgbench")
+    assert _unreached(PACKAGE, ENTRY_POINTS, args, python_env, tmp_path) == sorted(UNCALLED_BY_DESIGN)
 
 
-def _made_up_package(tmp_path, modules: dict, script: str):
-    package, scripts = tmp_path / "pkg", tmp_path / "scripts"
+def test_the_reach_check_tells_methods_of_one_name_apart(python_env, tmp_path):
+    # Table.read is named (Box.read is called), but never runs itself; nor
+    # does recursive, which only its own body names
+    package = tmp_path / "pkg"
     package.mkdir()
-    scripts.mkdir()
-    for name, text in modules.items():
-        (package / f"{name}.py").write_text(text)
-    (scripts / "run.py").write_text(script)
-    return package, scripts
-
-
-def test_the_dead_helper_scan_sees_a_helper_only_its_own_body_names(tmp_path):
-    package, scripts = _made_up_package(
-        tmp_path,
-        {"mod": "def recursive(k):\n    return recursive(k - 1) if k else 0\n\n"
-                "def called():\n    return 1\n\n"
-                "class Box:\n    def __len__(self):\n        return 0\n\n"
-                "    def read(self):\n        return self.read\n\n"
-                "    def used(self):\n        return 2\n"},
-        "from pkg.mod import called\nprint(called(), Box().used())\n",
+    (package / "mod.py").write_text(
+        "def recursive(k):\n    return recursive(k - 1) if k else 0\n\n"
+        "def called():\n    return 1\n\n"
+        "class Box:\n    def __len__(self):\n        return 0\n\n"
+        "    def read(self):\n        return 2\n\n"
+        "class Table:\n    def read(self):\n        return 3\n"
     )
-    assert _uncalled(package, scripts) == ["mod.Box.read", "mod.recursive"]
-
-
-def test_a_same_named_local_keeps_no_helper_alive(tmp_path):
-    # `other` defines a local parse and a local value, as cli._int_at_least
-    # defines a local parse; neither names mod.parse or the method Table.value
-    package, scripts = _made_up_package(
-        tmp_path,
-        {"mod": "def parse(text):\n    return text\n\n"
-                "def kept():\n    return 1\n\n"
-                "def read():\n    return 2\n\n"
-                "class Table:\n    def value(self):\n        return 3\n",
-         "other": "def factory():\n    def parse(text):\n        return text\n\n"
-                  "    value = parse\n    return value\n"},
-        "import pkg.mod as mod\nfrom pkg.mod import kept\nfrom pkg.other import factory\n\n"
-        "print(factory()('x'), kept(), mod.read())\n",
-    )
-    assert _uncalled(package, scripts) == ["mod.Table.value", "mod.parse"]
+    env = {**python_env, "PYTHONPATH": str(tmp_path)}
+    script = "from pkg.mod import Box, called\nprint(called(), Box().read())\n"
+    assert _unreached(package, script, (), env, tmp_path) == ["mod.Table.read", "mod.recursive"]

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 import sympy
 from oracles import (
-    inverse,
     gram_unitary,
+    inverse,
     jm_product_at_tau,
     map_coefficients,
     mat_identity,
     mat_mul,
+    num_cycles,
     pseudo_inverse_check,
     regular_matrix,
     table_json_dict,
@@ -48,7 +49,7 @@ def _sympy_wg_matrix(n):
     gram = sympy.Matrix(
         len(basis),
         len(basis),
-        lambda i, j: t ** (basis[i].inverse() * basis[j]).num_cycles(),
+        lambda i, j: t ** num_cycles(basis[i].inverse() * basis[j]),
     )
     return gram.inv(), t, basis
 
