@@ -221,15 +221,22 @@ def _cmd_wgfn(args) -> int:
 
 
 def _cmd_characters(args) -> int:
-    from .young import CharacterTable
+    from .young import character_table
 
-    table = CharacterTable.build(args.n)
+    text = json.dumps(character_table(args.n))
     path = cache_dir() / f"characters-n{args.n}.json"
+    # write through a temporary file in the same directory, then rename
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        table.save(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(text + "\n")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
     except OSError as exc:
         return _write_failed(path, exc)
-    print(json.dumps(table.to_json_dict()))
+    print(text)
     return 0
 
 
@@ -237,9 +244,10 @@ def _cmd_verify(args) -> int:
     from . import verify
 
     if args.suite == "all":
-        chosen = [(name, min(args.n, verify.CAPS[name])) for name in verify.SUITES]
+        chosen = [(name, min(args.n, cap)) for name, (cap, _) in verify.SUITES.items()]
     else:
-        message = _check_cap(args.n, verify.CAPS[args.suite], args.force, f"'{args.suite}' suite")
+        cap = verify.SUITES[args.suite][0]
+        message = _check_cap(args.n, cap, args.force, f"'{args.suite}' suite")
         if message:
             print(message, file=sys.stderr)
             return 2

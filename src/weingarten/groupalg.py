@@ -45,13 +45,6 @@ class AlgebraElement:
     def zero(cls, n: int) -> "AlgebraElement":
         return cls(n)
 
-    def coefficient(self, sigma: Permutation):
-        return self.terms.get(sigma, Fraction(0))
-
-    def sorted_terms(self):
-        """Terms in the canonical (lexicographic one-line) permutation order."""
-        return [(p, self.terms[p]) for p in sorted(self.terms)]
-
     def __len__(self):
         return len(self.terms)
 
@@ -62,9 +55,6 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
@@ -117,7 +107,9 @@ class AlgebraElement:
     def __repr__(self):
         if not self.terms:
             return f"AlgebraElement(S_{self.n}, 0)"
-        body = " + ".join(f"({render(c)})*{p.to_text()}" for p, c in self.sorted_terms()[:6])
+        # the first terms in the canonical (lexicographic one-line) permutation order
+        first = sorted(self.terms.items())[:6]
+        body = " + ".join(f"({render(c)})*{p.to_text()}" for p, c in first)
         more = "" if len(self.terms) <= 6 else f" ... [{len(self.terms)} terms]"
         return f"AlgebraElement(S_{self.n}, {body}{more})"
 

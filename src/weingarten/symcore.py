@@ -83,9 +83,6 @@ class Permutation(tuple):
         images[i - 1], images[j - 1] = j, i
         return cls(images)
 
-    def __call__(self, i: int) -> int:
-        return self[i - 1]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         # (self * other)(i) = self(other(i))
         if len(self) != len(other):

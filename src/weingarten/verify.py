@@ -8,11 +8,11 @@ the type-algebra checks of ``exactmat``).  ``oid``, ``stability`` and
 as its degree needs, unless ``tau`` is given: then n >= NUMERIC_FROM use tau.
 
 The suites follow the compact proof: the unitary and odd Jucys-Murphy
-expansions (``jucys``, ``oid``), Young's idempotents and the central
-projectors (``idempotents``, ``central``), the doubling proposition
-(``doubling``), the projector key identity (``keyid``), the stability lemma
-(``stability``), and the two contracts of the finished tables
-(``pseudoinverse``, ``commute``).  Every comparison is exact.
+expansions (``jucys``, ``oid``), Young's idempotents (``idempotents``) and
+the central projectors against the character formula (``central``), the
+doubling proposition (``doubling``), the projector key identity (``keyid``),
+the stability lemma (``stability``), and the two contracts of the finished
+tables (``pseudoinverse``, ``commute``).  Every comparison is exact.
 
 No suite multiplies two idempotents or projectors: orthogonality follows
 from Jucys-Murphy eigenvalues, or from centrality plus one coefficient per
@@ -23,7 +23,7 @@ loop types come from one row of ``symcore.cross_type_matrix`` (`_type_row`).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 from .coeffring import TAU
 from .exactmat import BASES, integer_points, tau_powers, type_commutation_check, weingarten_table
@@ -42,22 +42,12 @@ from .orthogonal import (
     double_factorial_odd,
     weingarten_orthogonal,
 )
-from .symcore import Permutation, cross_type_matrix, double_tableau, partitions_of, standard_tableaux
+from .symcore import (
+    Permutation, cross_type_matrix, double_tableau, hook_dimension, partitions_of, standard_tableaux,
+)
 from .unitary import weingarten_unitary
-from .young import _extend_idempotent, central_idempotent, young_idempotent
+from .young import _extend_idempotent, central_idempotent, character, young_idempotent
 
-# default desk-scale cap on each suite's n; the CLI's --force lifts them
-CAPS = {
-    "jucys": 6,
-    "oid": 5,
-    "idempotents": 5,
-    "central": 5,
-    "pseudoinverse": 5,
-    "doubling": 4,
-    "keyid": 4,
-    "stability": 4,
-    "commute": 4,
-}
 # largest doubling n run without deep=True; 2n = 8 takes minutes
 DOUBLING_TOP = 3
 # largest 2n at which doubling also reads P_H e(T) off the coset sums of e(T)
@@ -91,13 +81,22 @@ def _is_central(z: AlgebraElement) -> bool:
     return all({s * p * s: c for p, c in z.terms.items()} == z.terms for s in swaps)
 
 
-def _central_products_orthogonal(projs, n: int) -> bool:
+def _is_character_expansion(z: AlgebraElement, lam, perms, types) -> bool:
+    """z = dim(lam)/n! sum_sigma chi_lam(sigma^-1) sigma, coefficient by coefficient.
+
+    sigma^-1 has the cycle type of sigma, so chi is read once per class of the type row.
+    """
+    scale = Fraction(hook_dimension(lam), factorial(z.n))
+    chi = {mu: scale * character(lam, mu) for mu in set(types)}
+    return z == AlgebraElement(z.n, {p: chi[mu] for p, mu in zip(perms, types)})
+
+
+def _central_products_orthogonal(projs, perms, types) -> bool:
     """(z_i z_j)(sigma) = δ_ij z_i(sigma) at one sigma per class, in numerators over D.
 
     Each z_i must also take one value per cycle type of the type row, as a
     central element does, which checks the row against the z_i.
     """
-    perms, types = _type_row("unitary", n)
     den = lcm(*(c.denominator for z in projs for c in z.terms.values()))
     nums = [{p: c.numerator * (den // c.denominator) for p, c in z.terms.items()} for z in projs]
     classes = {mu: p for p, mu in zip(perms, types)}
@@ -163,14 +162,16 @@ def _idempotents(max_n, tau, tau2, deep):
 
 
 def _central(max_n, tau, tau2, deep):
-    # products of central elements are central, so once each z_lam is proved
-    # central their products are checked at one permutation per class
+    # each z_lam, a sum of Young's idempotents, must equal its character
+    # expansion; products of central elements are central, so once each z_lam
+    # is proved central their products are checked at one permutation per class
     for n in range(1, max_n + 1):
+        perms, types = _type_row("unitary", n)
         shapes = partitions_of(n)
-        projs = [central_idempotent(lam, "tableau-sum") for lam in shapes]
-        ok = projs == [central_idempotent(lam, "character") for lam in shapes]
+        projs = [central_idempotent(lam) for lam in shapes]
+        ok = all(_is_character_expansion(z, lam, perms, types) for z, lam in zip(projs, shapes))
         ok = ok and sum(projs, AlgebraElement.zero(n)) == AlgebraElement.unit(n)
-        ok = ok and all(map(_is_central, projs)) and _central_products_orthogonal(projs, n)
+        ok = ok and all(map(_is_central, projs)) and _central_products_orthogonal(projs, perms, types)
         yield f"central idempotents, both routes n={n}", ok
 
 
@@ -269,19 +270,20 @@ def _commute(max_n, tau, tau2, deep):
         yield f"Gram commutation n={n} (tau={t1},{t2})", ok
 
 
+# each suite with its default desk-scale cap on n, which the CLI's --force lifts
 SUITES = {
-    "jucys": _jucys,
-    "oid": _oid,
-    "idempotents": _idempotents,
-    "central": _central,
-    "pseudoinverse": _pseudoinverse,
-    "doubling": _doubling,
-    "keyid": _keyid,
-    "stability": _stability,
-    "commute": _commute,
+    "jucys": (6, _jucys),
+    "oid": (5, _oid),
+    "idempotents": (5, _idempotents),
+    "central": (5, _central),
+    "pseudoinverse": (5, _pseudoinverse),
+    "doubling": (4, _doubling),
+    "keyid": (4, _keyid),
+    "stability": (4, _stability),
+    "commute": (4, _commute),
 }
 
 
 def run(suite: str, max_n: int, tau=None, tau2=None, deep: bool = False):
     """Yield ``(label, ok)`` for each check of `suite` at n = 1..max_n, as it runs."""
-    return SUITES[suite](max_n, tau, tau2, deep)
+    return SUITES[suite][1](max_n, tau, tau2, deep)

@@ -2,9 +2,8 @@
 
 Characters come from the Murnaghan-Nakayama rule, implemented on beta sets
 (first-column hook lengths) and memoized in a module-level table, so a
-computation pays only for the entries it asks for.  :class:`CharacterTable`
-holds a full table of S_n; ``save`` exports it as JSON, and nothing in the
-package reads such a file back.
+computation pays only for the entries it asks for.  `character_table` gives
+the full table of S_n as its JSON payload; the CLI writes it.
 
 The minimal idempotents e(T) are built by the Lagrange-interpolation style
 recursion on the last box: e(T) equals e of the restricted tableau times
@@ -18,21 +17,9 @@ without it.
 
 from __future__ import annotations
 
-import json
-import os
 from fractions import Fraction
-from math import factorial
-from pathlib import Path
 
-from .symcore import (
-    Partition,
-    StandardTableau,
-    cross_type_matrix,
-    hook_dimension,
-    partitions_of,
-    permutations_of,
-    standard_tableaux,
-)
+from .symcore import Partition, StandardTableau, partitions_of, standard_tableaux
 
 _CHAR_MEMO: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
@@ -83,39 +70,18 @@ def character(lam: Partition, mu: Partition) -> int:
     return _mn(tuple(lam), tuple(mu))
 
 
-class CharacterTable:
-    """Full character table of S_n on the canonical partition order."""
+def character_table(n: int) -> dict:
+    """The character table of S_n as its JSON payload.
 
-    def __init__(self, n: int, partitions: tuple[Partition, ...], values: tuple[tuple[int, ...], ...]):
-        self.n = n
-        self.partitions = partitions
-        self.values = values  # values[lam_index][mu_index]
-
-    @classmethod
-    def build(cls, n: int) -> "CharacterTable":
-        parts = tuple(partitions_of(n))
-        values = tuple(
-            tuple(character(lam, mu) for mu in parts) for lam in parts
-        )
-        return cls(n, parts, values)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": CHARACTER_SCHEMA,
-            "n": self.n,
-            "partitions": [p.to_text() for p in self.partitions],
-            "values": [list(row) for row in self.values],
-        }
-
-    def save(self, path: Path) -> None:
-        """Write through a temporary file in the same directory, then rename."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(self.to_json_dict()) + "\n")
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+    Rows are shapes and columns are classes, both in the canonical partition order.
+    """
+    parts = partitions_of(n)
+    return {
+        "schema": CHARACTER_SCHEMA,
+        "n": n,
+        "partitions": [p.to_text() for p in parts],
+        "values": [[character(lam, mu) for mu in parts] for lam in parts],
+    }
 
 
 def _addable_corner_contents(shape: Partition) -> list[int]:
@@ -162,29 +128,16 @@ def young_idempotent(t: StandardTableau) -> AlgebraElement:
     return cached
 
 
-def central_idempotent(lam: Partition, route: str = "tableau-sum") -> AlgebraElement:
+def central_idempotent(lam: Partition) -> AlgebraElement:
     """Central projector onto the lam-isotypic component of C[S_n].
 
-    route="tableau-sum" sums the minimal idempotents over SYT(lam);
-    route="character" expands dim(lam)/n! * sum_sigma chi_lam(sigma^-1) sigma.
-    The two must agree exactly (and tests enforce it).  chi on sigma^-1 equals
-    chi on sigma since the two are conjugate in S_n; that identification is
-    made here, once.
+    It is the sum of the minimal idempotents over SYT(lam); the ``central``
+    suite checks it against the character formula.
     """
     from .groupalg import AlgebraElement
 
     lam = Partition(lam)
-    n = lam.weight
-    if route == "tableau-sum":
-        out = AlgebraElement.zero(n)
-        for t in standard_tableaux(lam):
-            out = out + young_idempotent(t)
-        return out
-    if route == "character":
-        # the types against the identity are the cycle types
-        scale = Fraction(hook_dimension(lam), factorial(n))
-        perms = permutations_of(n)
-        types, (row,) = cross_type_matrix(perms[:1], perms)
-        values = [scale * character(lam, mu) for mu in types]
-        return AlgebraElement(n, {sigma: values[k] for sigma, k in zip(perms, row)})
-    raise ValueError(f"unknown route {route!r}")
+    out = AlgebraElement.zero(lam.weight)
+    for t in standard_tableaux(lam):
+        out = out + young_idempotent(t)
+    return out

@@ -27,8 +27,10 @@ eigenvalue and class-representative checks of the ``idempotents`` and
 ``central`` suites).  It also holds the helpers that only tests call:
 cycles and cycle types of one permutation (against
 ``symcore.cross_type_matrix``, the package's one cycle walk), text parsers
-for permutations, pairings and tableaux, ``basis_element`` and
-``element_json_dict`` for group-algebra elements, ``map_coefficients``,
+for permutations, pairings and tableaux, ``basis_element``,
+``element_json_dict`` and ``coefficient`` for group-algebra elements,
+``character_projector`` (the central projector by the character formula,
+which the ``central`` suite checks class by class), ``map_coefficients``,
 ``adjacent_pairing``, ``average_projector`` (the element P_H, which the
 package never builds), ``gram_unitary`` and ``sample_haar``.
 """
@@ -66,8 +68,9 @@ from weingarten.symcore import (
     enumerate_pairings,
     hook_dimension,
     partitions_of,
+    permutations_of,
 )
-from weingarten.young import central_idempotent, character
+from weingarten.young import character
 
 
 def inverse(x):
@@ -139,7 +142,24 @@ def basis_element(sigma: Permutation, coeff=Fraction(1)) -> AlgebraElement:
 
 def element_json_dict(x: AlgebraElement) -> dict[str, str]:
     """Each term's permutation text mapped to its rendered coefficient, in basis order."""
-    return {p.to_text(): render(c) for p, c in x.sorted_terms()}
+    return {p.to_text(): render(c) for p, c in sorted(x.terms.items())}
+
+
+def coefficient(x: AlgebraElement, sigma: Permutation):
+    """The coefficient of sigma in x, 0 where x has no term at sigma."""
+    return x.terms.get(sigma, Fraction(0))
+
+
+def character_projector(lam) -> AlgebraElement:
+    """The central projector z_lam = dim(lam)/n! sum_sigma chi_lam(sigma^-1) sigma, densely.
+
+    chi is read at each permutation's own cycle type, found by `cycle_type`.
+    """
+    lam = Partition(lam)
+    n = lam.weight
+    scale = Fraction(hook_dimension(lam), factorial(n))
+    values = {sigma: character(lam, cycle_type(sigma.inverse())) for sigma in permutations_of(n)}
+    return AlgebraElement(n, {sigma: scale * chi for sigma, chi in values.items()})
 
 
 def adjacent_pairing(n: int) -> Pairing:
@@ -468,10 +488,10 @@ def regular_matrix(a: AlgebraElement, basis: list[Permutation], side: str = "lef
     for bi in basis:
         if side == "left":
             # coefficient of bi in a*bj is a[bi * bj^-1]
-            rows.append([a.coefficient(bi * bj_inv) for bj_inv in inv])
+            rows.append([coefficient(a, bi * bj_inv) for bj_inv in inv])
         else:
             # coefficient of bi in bj*a is a[bj^-1 * bi]
-            rows.append([a.coefficient(bj_inv * bi) for bj_inv in inv])
+            rows.append([coefficient(a, bj_inv * bi) for bj_inv in inv])
     return rows
 
 
@@ -523,14 +543,14 @@ def materialized_pairing_basis_matrix(n: int, projected: AlgebraElement):
     reps = [coset_representative(pi) for pi in enumerate_pairings(n)]
     inverses = [r.inverse() for r in reps]
     order = len(hyperoctahedral_elements(n))
-    return [[order * projected.coefficient(rj_inv * ri) for rj_inv in inverses] for ri in reps]
+    return [[order * coefficient(projected, rj_inv * ri) for rj_inv in inverses] for ri in reps]
 
 
 def weingarten_matrix_from_central_idempotents(n: int, tau):
     """Independent route to the Weingarten matrix through C[S_2n] itself.
 
     Builds W = sum P_2lam / c_lam as a group-algebra element, with
-    P_2lam from the young module, and reads off its matrix on the pairing
+    P_2lam from the character formula, and reads off its matrix on the pairing
     basis from the materialized product P_H * W.  Arbitrates the entrywise
     formula at desk scale.
     """
@@ -539,7 +559,7 @@ def weingarten_matrix_from_central_idempotents(n: int, tau):
         c = content_product(lam, tau, 2)
         if not c:
             continue
-        w_alg = w_alg + map_coefficients(central_idempotent(double_shape(lam), route="character"),
+        w_alg = w_alg + map_coefficients(character_projector(double_shape(lam)),
                                          lambda x, inv=inverse(c): x * inv)
     return materialized_pairing_basis_matrix(n, loop_product(average_projector(n), w_alg))
 

@@ -273,6 +273,11 @@ def _identity_coefficient_shifted(make):
     return corrupted
 
 
+def _character_plus_one(character):
+    """Characters each one more than the true value."""
+    return lambda lam, mu: character(lam, mu) + 1
+
+
 def _size4_coefficient_shifted(extend):
     """Size-4 idempotents with the coefficient of (2 3), which lies outside H_2, raised by 1.
 
@@ -327,7 +332,7 @@ INJECTED = {
     "jucys": (2, "jm_product_unitary", _plus_transposition),
     "oid": (1, "jm_product_orthogonal", _plus_transposition),
     "idempotents": (1, "young_idempotent", _identity_coefficient_shifted),
-    "central": (1, "central_idempotent", _identity_coefficient_shifted),
+    "central": (1, "character", _character_plus_one),
     "doubling": (2, "_extend_idempotent", _size4_coefficient_shifted),
     "keyid": (1, "jm_element", _jm_doubled),
     "stability": (2, "_type_row", _non_base_type_as_base),
@@ -568,7 +573,7 @@ def test_verify_all_notes_each_lowered_cap(capsys):
     ]
     # stdout is exactly each suite's own output at the lowered size
     expected = ""
-    for suite, cap in verify.CAPS.items():
+    for suite, (cap, _) in verify.SUITES.items():
         expected += run_cli(capsys, "verify", "--suite", suite, "--n", str(min(5, cap)))[1]
     assert out == expected
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import (
     average_projector,
     basis_element,
+    coefficient,
     complete_orthogonal,
     element_json_dict,
     evaluated,
@@ -97,7 +98,7 @@ def test_jm_product_unitary_small():
         Permutation.from_images([2, 1]): t,
     })
     n3 = jm_product_unitary(3, t)
-    assert n3.coefficient(Permutation.from_images([2, 3, 1])) == t
+    assert coefficient(n3, Permutation.from_images([2, 3, 1])) == t
 
 
 def test_jucys_identity_term_exact_up_to_4():
@@ -289,7 +290,7 @@ def test_embed_and_json_round_trip():
     a = delta([2, 1]) + AlgebraElement.unit(2, Fraction(1, 3))
     b = a.embed(4)
     assert b.n == 4
-    assert b.coefficient(Permutation.from_images([2, 1, 3, 4])) == 1
+    assert coefficient(b, Permutation.from_images([2, 1, 3, 4])) == 1
     payload = element_json_dict(a)
     assert payload == {"[1,2]": "1/3", "[2,1]": "1"}
 
@@ -365,7 +366,7 @@ def test_kernel_exact_at_and_past_int64():
     for terms, at_identity in cases:
         a = AlgebraElement(3, terms)
         assert _mul_fractions(3, a.terms, b.terms) is not None
-        assert (a * b).coefficient(ident) == at_identity
+        assert coefficient(a * b, ident) == at_identity
         assert a * b == loop_product(a, b)
 
 
@@ -498,17 +499,45 @@ def _central_inputs(case):
     "case", ["off-centre", "not idempotent", "zero", 1, 2],
     ids=["off-centre", "not-idempotent", "zero", "s1", "s2"],
 )
-def test_flawed_central_projectors_fail_with_the_route_check_bypassed(monkeypatch, capsys, case):
+def test_flawed_central_projectors_fail_with_the_character_check_bypassed(monkeypatch, capsys, case):
     fake = _central_inputs(case)
     if case in (1, 2):
         assert complete_orthogonal(list(fake.values()), 3)
         assert all(_fixed_by(x, 3 - case) for x in fake.values())
         assert not all(_fixed_by(x, case) for x in fake.values())
     real = young.central_idempotent
+    monkeypatch.setattr(verify, "central_idempotent", lambda lam: fake.get(lam, real(lam)))
+    # every element passes the character check, so the sum, centrality and
+    # product checks must each catch their own flaw
+    monkeypatch.setattr(verify, "_is_character_expansion", lambda *args: True)
+    _fails_at(capsys, "central", 3)
 
-    def bypass(lam, route="tableau-sum"):
-        # both routes return the flawed element, so the route check passes
-        return fake.get(lam, real(lam, route))
 
-    monkeypatch.setattr(verify, "central_idempotent", bypass)
+def _class_faults(case):
+    """One z_lam of S_3 with one flaw that the character check alone must see.
+
+    chi_(2,1) is -1 on 3-cycles, 0 on transpositions and 2 at the identity.
+    """
+    hook = Partition((2, 1))
+    z = young.central_idempotent(hook)
+    cycle = Permutation.from_images([2, 3, 1])
+    if case == "one permutation":
+        bad = z + basis_element(cycle, Fraction(1, 6))
+    elif case == "whole class":
+        # still central: a class function scaled on one class
+        bad = AlgebraElement(3, {**z.terms, **{p: 2 * z.terms[p] for p in (cycle, cycle.inverse())}})
+    else:
+        # a term at the transposition (1 2), where chi_(2,1) and z_(2,1) are 0
+        assert Permutation.from_images([2, 1, 3]) not in z.terms
+        bad = z + basis_element(Permutation.from_images([2, 1, 3]), Fraction(1, 3))
+    return hook, bad
+
+
+@pytest.mark.parametrize("case", ["one permutation", "whole class", "zero character"])
+def test_the_character_check_compares_every_coefficient(monkeypatch, capsys, case):
+    hook, bad = _class_faults(case)
+    perms, types = verify._type_row("unitary", 3)
+    assert not verify._is_character_expansion(bad, hook, perms, types)
+    real = young.central_idempotent
+    monkeypatch.setattr(verify, "central_idempotent", lambda lam: bad if lam == hook else real(lam))
     _fails_at(capsys, "central", 3)

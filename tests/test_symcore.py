@@ -233,7 +233,7 @@ def test_pairing_order_lex_and_stable():
 def test_pairing_is_involution():
     for p in enumerate_pairings(3):
         assert p * p == Permutation.identity(6)
-        assert all(p(i) != i for i in range(1, 7))
+        assert all(p[i - 1] != i for i in range(1, 7))
 
 
 def test_loop_count_pasting_figure():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from oracles import (
+    character_projector,
     gram_unitary,
     inverse,
     jm_product_at_tau,
@@ -22,7 +23,6 @@ from weingarten.exactmat import content_product
 from weingarten.groupalg import AlgebraElement
 from weingarten.symcore import Partition, partitions_of, permutations_of
 from weingarten.unitary import weingarten_unitary, wg_function_unitary
-from weingarten.young import central_idempotent
 
 
 def test_c_unitary_examples():
@@ -123,7 +123,7 @@ def test_g_equals_sum_of_scaled_projectors_up_to_5():
         total = AlgebraElement.zero(n)
         for lam in partitions_of(n):
             c = content_product(lam, TAU, 1)
-            total = total + map_coefficients(central_idempotent(lam, "character"), lambda x, c=c: x * c)
+            total = total + map_coefficients(character_projector(lam), lambda x, c=c: x * c)
         assert g == total
 
 
@@ -134,7 +134,7 @@ def test_weingarten_matrix_is_regular_matrix_of_w_element():
         w_alg = AlgebraElement.zero(n)
         for lam in partitions_of(n):
             inv_c = inverse(content_product(lam, TAU, 1))
-            w_alg = w_alg + map_coefficients(central_idempotent(lam, "character"), lambda x, f=inv_c: f * x)
+            w_alg = w_alg + map_coefficients(character_projector(lam), lambda x, f=inv_c: f * x)
         for side in ("left", "right"):
             assert regular_matrix(w_alg, permutations_of(n), side) == list(table.weingarten)
 

@@ -2,7 +2,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from oracles import basis_element, centralizer_order, mat_is_symmetric, num_cycles, regular_matrix
+from oracles import (
+    basis_element,
+    centralizer_order,
+    character_projector,
+    mat_is_symmetric,
+    num_cycles,
+    regular_matrix,
+)
 
 from weingarten.groupalg import AlgebraElement, jm_element
 from weingarten.symcore import (
@@ -13,12 +20,7 @@ from weingarten.symcore import (
     permutations_of,
     standard_tableaux,
 )
-from weingarten.young import (
-    CharacterTable,
-    central_idempotent,
-    character,
-    young_idempotent,
-)
+from weingarten.young import central_idempotent, character, character_table, young_idempotent
 
 
 def test_trivial_and_sign_characters():
@@ -32,8 +34,7 @@ def test_trivial_and_sign_characters():
 def test_s3_table_exact():
     # rows are shapes, columns are classes, both in canonical order
     # [(3),(2,1),(1,1,1)]
-    table = CharacterTable.build(3)
-    assert [list(row) for row in table.values] == [
+    assert character_table(3)["values"] == [
         [1, 1, 1],
         [-1, 0, 2],
         [1, -1, 1],
@@ -50,18 +51,18 @@ def test_weight_mismatch_raises():
 def test_orthogonality_relations_up_to_8():
     for n in range(1, 9):
         parts = partitions_of(n)
-        tab = CharacterTable.build(n)
+        values = character_table(n)["values"]
         zs = [centralizer_order(mu) for mu in parts]
         # column orthogonality
         for j, mu in enumerate(parts):
             for k, nu in enumerate(parts):
-                s = sum(tab.values[i][j] * tab.values[i][k] for i in range(len(parts)))
+                s = sum(values[i][j] * values[i][k] for i in range(len(parts)))
                 assert s == (zs[j] if j == k else 0)
         # row orthogonality
         for i in range(len(parts)):
             for j in range(len(parts)):
                 s = sum(
-                    Fraction(tab.values[i][k] * tab.values[j][k], zs[k])
+                    Fraction(values[i][k] * values[j][k], zs[k])
                     for k in range(len(parts))
                 )
                 assert s == (1 if i == j else 0)
@@ -156,7 +157,7 @@ def test_symmetrizer_and_antisymmetrizer():
 def test_both_routes_agree_up_to_4():
     for n in range(1, 5):
         for lam in partitions_of(n):
-            assert central_idempotent(lam, "tableau-sum") == central_idempotent(lam, "character")
+            assert central_idempotent(lam) == character_projector(lam)
 
 
 def test_central_orthogonality_and_resolution():
@@ -189,8 +190,3 @@ def test_central_regular_matrix_symmetric_up_to_4():
         for lam in partitions_of(n):
             mat = regular_matrix(central_idempotent(lam), basis, side="left")
             assert mat_is_symmetric(mat)
-
-
-def test_unknown_route_raises():
-    with pytest.raises(ValueError):
-        central_idempotent(Partition((2,)), route="magic")
