@@ -83,6 +83,21 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
+def _index_lists(text: str) -> list[tuple[int, ...]]:
+    """--indices value: semicolon-separated lists of comma-separated integers.
+
+    A list may be empty; an entry that is empty or not an integer is a usage
+    error.  How many lists the group needs is checked later, as a domain error.
+    """
+    lists = []
+    for chunk in (c.strip() for c in text.split(";")):
+        try:
+            lists.append(tuple(int(v) for v in chunk.split(",")) if chunk else ())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {chunk!r}")
+    return lists
+
+
 def _cycle_type(text: str) -> Partition:
     """--cycle-type value: a partition of positive weight, e.g. "[2,1]"."""
     try:
@@ -150,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--seed", type=_int_at_least(0), default=1)
     p_mc.add_argument(
         "--indices",
+        type=_index_lists,
         default=None,
         help=(
             "explicit index tuples, semicolon-separated comma lists: "
@@ -269,19 +285,6 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
-def _parse_indices(text: str, group: str) -> list[tuple[int, ...]]:
-    groups = [chunk.strip() for chunk in text.split(";")]
-    expected = 4 if group == "unitary" else 2
-    if len(groups) != expected:
-        raise ValueError(
-            f"--indices for {group} needs {expected} semicolon-separated lists, got {len(groups)}"
-        )
-    return [
-        tuple(int(v) for v in chunk.split(",")) if chunk else ()
-        for chunk in groups
-    ]
-
-
 def _cmd_mc(args) -> int:
     # haarmc imports numpy at load, and no other command needs it
     from .haarmc import MomentSpec, estimate_moment, grid_crosscheck
@@ -299,7 +302,11 @@ def _cmd_mc(args) -> int:
         report = grid_crosscheck(args.group, args.n, args.tau, args.samples, args.seed)
         print(json.dumps(report.to_json_dict()))
         return 0 if report.ok else 1
-    parts = _parse_indices(args.indices, args.group)
+    parts = args.indices
+    expected = 4 if args.group == "unitary" else 2
+    if len(parts) != expected:
+        raise ValueError(f"--indices for {args.group} needs {expected} "
+                         f"semicolon-separated lists, got {len(parts)}")
     if args.group == "unitary":
         rows, cols, conj_rows, conj_cols = parts
     else:

@@ -88,9 +88,6 @@ class AlgebraElement:
         product.n, product.terms = self.n, _mul_fractions(self.n, self.terms, other.terms)
         return product
 
-    def __rmul__(self, coeff):
-        return self.scale(coeff)
-
     def antipode(self) -> "AlgebraElement":
         """Linear extension of sigma -> sigma^{-1}; reverses products."""
         return AlgebraElement(self.n, {p.inverse(): c for p, c in self.terms.items()})

@@ -20,10 +20,14 @@ A grid pairs every column of the n-fold tensor power of a sample with every
 other, but a column is a product of n entries in some order, so only the
 C(tau^2 + n - 1, n) distinct products are built, accumulated and scored: one
 mean, standard error, prediction and z per pair of distinct products, and
-grid indices only for the worst moments reported.  Each batch of Ginibre
-matrices is drawn whole, so the seeded stream does not depend on the rest, and
-then orthonormalized and accumulated a block of rows at a time; no stage holds
-the products of more than one block, or any array over the tau^(4n) grid.
+grid indices only for the worst moments reported.  Each batch is drawn whole
+through `_haar_batch`, so the seeded stream is the one `estimate_moment` reads.
+A block of samples at a time, the products are built by prefix extension:
+listed with factors ascending, in lexicographic order, the degree-k products
+that extend a degree-(k-1) product p are the contiguous run p * q_j, j >=
+last(p), so each degree takes one multiply per shorter product, associated
+left to right as a fold over the factors would be.  No stage holds the
+products of more than one block, or any array over the tau^(4n) grid.
 Seeded grids are deterministic.  Moments that differ only by the order of
 their first (U: plain) n factors, or of their last n, share one z, so equal
 |z| list in index order.
@@ -51,7 +55,7 @@ from .symcore import Pairing, cross_type_matrix, enumerate_pairings, permutation
 from .unitary import wg_function_unitary
 
 _BATCH = 4096  # fixed batch size keeps seeded runs bit-reproducible
-_BLOCK = 512  # grid rows orthonormalized and accumulated at once; bounds the temporaries
+_BLOCK = 512  # samples whose products are built and accumulated at once; bounds the temporaries
 _VALUES = {"unitary": wg_function_unitary, "orthogonal": wg_value_orthogonal}
 
 
@@ -263,34 +267,62 @@ def _factor_columns(n: int, tau: int) -> tuple[np.ndarray, np.ndarray]:
     return fac, cmap.reshape(-1)
 
 
+def _product_steps(fac: np.ndarray, entries: int) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """How to build the products of `fac` by prefix extension, degree by degree.
+
+    With factors ascending and products in lexicographic order, the degree-k
+    products that extend a degree-(k-1) product p are one contiguous run,
+    p * q_j for j >= last(p).  One step per degree k >= 2: the number of
+    degree-k products, and (r, j, offset) per degree-(k-1) product r, whose
+    run starts at degree-k row `offset`.  Raises ValueError unless the last
+    degree lists the columns of `fac` in their order.
+    """
+    prefixes = [(j,) for j in range(entries)]
+    steps = []
+    for _ in fac[1:]:
+        step, extended = [], []
+        for r, p in enumerate(prefixes):
+            step.append((r, p[-1], len(extended)))
+            extended.extend(p + (j,) for j in range(p[-1], entries))
+        steps.append((len(extended), step))
+        prefixes = extended
+    if not np.array_equal(np.array(prefixes).T, fac):
+        raise ValueError("prefix extension does not reproduce the factor products' order")
+    return steps
+
+
 def _grid_sums(group: str, tau: int, samples: int, seed: int, fac: np.ndarray):
     """Sample sums of Re(x_c conj(x_d)) and its square for every pair of
     distinct factor products c, d (the columns of `fac`).  Each batch is drawn
-    whole, so the seeded stream is that of `_haar_batch`, then orthonormalized
-    and accumulated _BLOCK rows at a time."""
+    through `_haar_batch`; then, _BLOCK samples at a time, the products are
+    built by prefix extension, one contiguous multiply per shorter product,
+    left to right as a fold over the factors would, and accumulated."""
+    steps = _product_steps(fac, tau * tau)
     rng = np.random.default_rng(seed)
     sum_re, sum_sq = np.zeros((2, fac.shape[1], fac.shape[1]))
     remaining = samples
     while remaining:
         count = min(_BATCH, remaining)
-        z = _ginibre(group, tau, count, rng)
+        batch = _haar_batch(group, tau, count, rng).reshape(count, -1).T  # entries by sample
         for start in range(0, count, _BLOCK):
-            q = _orthonormalize(z[start:start + _BLOCK]).reshape(-1, tau * tau)
-            cols = q[:, fac[0]]
-            for k in fac[1:]:  # one factor at a time, in tensor-power order
-                cols = cols * q[:, k]
+            qT = np.ascontiguousarray(batch[:, start:start + _BLOCK])
+            rows = qT
+            for size, step in steps:  # one degree at a time
+                prev, rows = rows, np.empty((size, qT.shape[1]), qT.dtype)
+                for r, j, off in step:
+                    np.multiply(prev[r], qT[j:], out=rows[off:off + len(qT) - j])
             if group == "unitary":
-                re, im = np.ascontiguousarray(cols.real), np.ascontiguousarray(cols.imag)
-                # one operand per product, so numpy takes its symmetric A.T @ A path
+                re, im = np.ascontiguousarray(rows.real), np.ascontiguousarray(rows.imag)
+                # one operand per product, so numpy takes its symmetric A @ A.T path
                 rr, ri, ii = re * re, re * im, im * im
-                sum_re += re.T @ re + im.T @ im
-                sum_sq += rr.T @ rr
-                sum_sq += 2.0 * (ri.T @ ri)
-                sum_sq += ii.T @ ii
+                sum_re += re @ re.T + im @ im.T
+                sum_sq += rr @ rr.T
+                sum_sq += 2.0 * (ri @ ri.T)
+                sum_sq += ii @ ii.T
             else:
-                sq = cols * cols
-                sum_re += cols.T @ cols
-                sum_sq += sq.T @ sq
+                sq = rows * rows
+                sum_re += rows @ rows.T
+                sum_sq += sq @ sq.T
         remaining -= count
     return sum_re, sum_sq
 

@@ -197,12 +197,6 @@ class StandardTableau:
     def reading_word(self) -> tuple[int, ...]:
         return tuple(itertools.chain.from_iterable(self.rows))
 
-    def __eq__(self, other):
-        return isinstance(other, StandardTableau) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
     def __repr__(self):
         return f"StandardTableau({[list(r) for r in self.rows]})"
 

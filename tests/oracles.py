@@ -16,7 +16,10 @@ type matrix carried from row 0), symbolic spectral sums as running sums of
 reduced TauRationals (against the sums over one shared denominator), orthogonal values and
 projector entries from S_2n characters summed over cycle-type histograms of
 H_n cosets (against the Hecke-algebra idempotents), Monte-Carlo grid sums over
-the full tensor power (against the sums over distinct factor products), grid
+the full tensor power and over distinct factor products gathered one factor
+at a time (against the products built by prefix extension), Haar moments at
+tau = 1, 2 by closed-form integrals over O(1), U(1), O(2) and U(2) (against
+both prediction paths, singular Gram matrices included), grid
 z-scores entry by entry over all tau^(4n) moments (against one z per pair of
 distinct factor products), Haar samples by LAPACK QR with the phase fix
 (against Gram-Schmidt run twice), matrices on the pairing basis read
@@ -57,7 +60,16 @@ from weingarten.exactmat import (
     weingarten_table,
 )
 from weingarten.groupalg import AlgebraElement, hyperoctahedral_elements, jm_element
-from weingarten.haarmc import _BATCH, _basis, _ginibre, _haar_batch, _tied_sum, _ties
+from weingarten.haarmc import (
+    _BATCH,
+    _BLOCK,
+    _basis,
+    _ginibre,
+    _haar_batch,
+    _orthonormalize,
+    _tied_sum,
+    _ties,
+)
 from weingarten.orthogonal import coset_representative
 from weingarten.symcore import (
     Pairing,
@@ -592,6 +604,38 @@ def dense_grid_sums(group: str, n: int, tau: int, samples: int, seed: int):
     return sum_re, sum_sq
 
 
+def gather_grid_sums(group: str, tau: int, samples: int, seed: int, fac: np.ndarray):
+    """Sample sums of Re(x_c conj(x_d)) and its square for every pair of
+    distinct factor products c, d (the columns of `fac`).  Each batch is drawn
+    whole, so the seeded stream is that of `_haar_batch`, then orthonormalized
+    and accumulated _BLOCK rows at a time."""
+    rng = np.random.default_rng(seed)
+    sum_re, sum_sq = np.zeros((2, fac.shape[1], fac.shape[1]))
+    remaining = samples
+    while remaining:
+        count = min(_BATCH, remaining)
+        z = _ginibre(group, tau, count, rng)
+        for start in range(0, count, _BLOCK):
+            q = _orthonormalize(z[start:start + _BLOCK]).reshape(-1, tau * tau)
+            cols = q[:, fac[0]]
+            for k in fac[1:]:  # one factor at a time, in tensor-power order
+                cols = cols * q[:, k]
+            if group == "unitary":
+                re, im = np.ascontiguousarray(cols.real), np.ascontiguousarray(cols.imag)
+                # one operand per product, so numpy takes its symmetric A.T @ A path
+                rr, ri, ii = re * re, re * im, im * im
+                sum_re += re.T @ re + im.T @ im
+                sum_sq += rr.T @ rr
+                sum_sq += 2.0 * (ri.T @ ri)
+                sum_sq += ii.T @ ii
+            else:
+                sq = cols * cols
+                sum_re += cols.T @ cols
+                sum_sq += sq.T @ sq
+        remaining -= count
+    return sum_re, sum_sq
+
+
 def sample_haar(group: str, tau: int, seed: int) -> np.ndarray:
     """One Haar-distributed matrix (unitary or real orthogonal)."""
     if group not in ("unitary", "orthogonal"):
@@ -653,3 +697,53 @@ def full_grid_score(group: str, n: int, tau: int, samples: int, sum_re, sum_sq, 
         for idx in zip(*np.unravel_index(worst, z.shape))
     ]
     return z, int(z.size), float(flat_abs.max()), failures
+
+
+def _double_factorial(k: int) -> int:
+    """k!! for k >= -1, with (-1)!! = 0!! = 1."""
+    return 1 if k <= 0 else k * _double_factorial(k - 2)
+
+
+def closed_form_haar_moment(group: str, tau: int, rows, cols) -> Fraction:
+    """Exact Haar moment E[prod_k g[rows_k, cols_k]] at tau = 1 or 2, from
+    closed forms of the integral, with no Weingarten function.
+
+    Indices are 0-based over the 2n factor positions; for U the first n
+    factors are plain and the last n conjugated.  O(1) = {+-1} and U(1) = the
+    phases, so every moment that survives parity (phase) is 1.  O(2) is half
+    rotations [[c, -s], [s, c]] and half reflections [[c, s], [s, -c]], theta
+    uniform, and E[c^a s^b] = (a-1)!! (b-1)!! / (a+b)!! for even a, b, else 0.
+    U(2) = e^(i phi) SU(2), SU(2) = [[al, -conj(be)], [be, conj(al)]] with
+    (al, be) uniform on S^3: a balanced moment loses the phase, and
+    E[al^a conj(al)^b be^c conj(be)^d] = [a = b][c = d] a! c! / (a + c + 1)!.
+    """
+    if tau not in (1, 2):
+        raise ValueError(f"closed forms exist here only for tau = 1, 2, got {tau}")
+    n, rem = divmod(len(rows), 2)
+    if group == "orthogonal":
+        if rem:
+            return Fraction(0)
+        if tau == 1:
+            return Fraction(1)
+        a = sum(r == c for r, c in zip(rows, cols))  # factors c; the others are s
+        b = len(rows) - a
+        if a % 2 or b % 2:
+            return Fraction(0)
+        rotation = (-1) ** sum((r, c) == (0, 1) for r, c in zip(rows, cols))
+        reflection = (-1) ** sum((r, c) == (1, 1) for r, c in zip(rows, cols))
+        mean = Fraction(_double_factorial(a - 1) * _double_factorial(b - 1), _double_factorial(a + b))
+        return Fraction(rotation + reflection, 2) * mean
+    if rem:  # an unbalanced unitary moment: the phase averages it to 0
+        return Fraction(0)
+    if tau == 1:
+        return Fraction(1)
+    # exponents of (al, conj al, be, conj be) contributed by entry (r, c),
+    # plain and conjugated; the minus sign sits on entry (0, 1) either way
+    plain = {(0, 0): (1, 0, 0, 0), (1, 1): (0, 1, 0, 0), (1, 0): (0, 0, 1, 0), (0, 1): (0, 0, 0, 1)}
+    conj = {(0, 0): (0, 1, 0, 0), (1, 1): (1, 0, 0, 0), (1, 0): (0, 0, 0, 1), (0, 1): (0, 0, 1, 0)}
+    factors = [plain[rc] for rc in zip(rows[:n], cols[:n])] + [conj[rc] for rc in zip(rows[n:], cols[n:])]
+    a, b, c, d = (sum(e) for e in zip(*factors))
+    if a != b or c != d:
+        return Fraction(0)
+    sign = (-1) ** sum(rc == (0, 1) for rc in zip(rows, cols))
+    return Fraction(sign * factorial(a) * factorial(c), factorial(a + c + 1))

@@ -767,6 +767,18 @@ def test_mc_bad_indices(capsys):
     assert "semicolon" in err
 
 
+@pytest.mark.parametrize("indices", ["x;1", "1,,2;1,1"])
+def test_mc_unparsable_indices_are_a_usage_error(capsys, indices):
+    # text that does not parse is a usage error; a wrong list count or an
+    # index outside 1..tau parses, and stays a domain error (above)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "mc", "--group", "orthogonal", "--n", "1", "--tau", "4",
+                "--samples", "1000", "--seed", "1", "--indices", indices)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--indices" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("samples", ["1", "0", "-5"])
 @pytest.mark.parametrize("indices", [[], ["--indices", "1;1;1;1"]])
 def test_mc_too_few_samples_is_a_usage_error(capsys, samples, indices):

@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 from oracles import (
+    closed_form_haar_moment,
     dense_grid_sums,
     full_grid_prediction,
     full_grid_score,
+    gather_grid_sums,
     loop_type,
     qr_haar_batch,
     sample_haar,
 )
-from weingarten import haarmc
+from weingarten import haarmc, orthogonal, unitary
 from weingarten.haarmc import (
     _BATCH,
     _BLOCK,
@@ -28,6 +30,7 @@ from weingarten.haarmc import (
     _grid_sums,
     _haar_batch,
     _orthonormalize,
+    _product_steps,
     _worst_failures,
     estimate_moment,
     grid_crosscheck,
@@ -340,13 +343,46 @@ def test_full_grid_z_is_bitwise_invariant_under_factor_permutations(group, n, ta
 @pytest.mark.parametrize("group", ["unitary", "orthogonal"])
 @pytest.mark.parametrize("tau", [1, 2, 3, 5])
 def test_blockwise_orthonormalize_is_bitwise_the_whole_batch(group, tau):
-    # the grid orthonormalizes _BLOCK rows of a batch at a time; its samples
-    # must be bit for bit those of `_haar_batch`, whole batches and tails alike
+    # the gather oracle orthonormalizes _BLOCK rows of a batch at a time and the
+    # grid whole batches through `_haar_batch`; the two agree bit for bit only
+    # because these samples are the same, whole batches and tails alike
     for count in (_BATCH, 4097 - _BATCH, 20_000 % _BATCH):
         whole = _haar_batch(group, tau, count, np.random.default_rng(tau))
         z = _ginibre(group, tau, count, np.random.default_rng(tau))
         blocks = [_orthonormalize(z[s:s + _BLOCK]) for s in range(0, count, _BLOCK)]
         assert np.array_equal(np.concatenate(blocks), whole)
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+def test_prefix_products_are_bitwise_the_gather_fold(group):
+    # the products are built by prefix extension in place of one gather per
+    # factor, with the same left-to-right association, so every sum is the
+    # oracle's bit for bit.  One exception: a block of one sample (4097 =
+    # 4096 + 1) makes numpy's complex multiply run a length-1 inner loop,
+    # whose scalar path rounds a*c - b*d without the fused multiply-add of
+    # the vector loop, so unitary sums may move there in their last bits
+    for n, tau in [(n, tau) for n in (1, 2) for tau in (1, 2, 3, 4)] + [(3, 1), (3, 2), (3, 3)]:
+        fac = _factor_columns(n, tau)[0]
+        for samples in (100, 4097, 9_000, 20_000):
+            got = _grid_sums(group, tau, samples, 5, fac)
+            want = gather_grid_sums(group, tau, samples, 5, fac)
+            one_sample_block = samples % _BATCH % _BLOCK == 1
+            for g, w in zip(got, want):
+                if group == "unitary" and one_sample_block:
+                    assert np.abs(g - w).max() <= 1e-15 * np.abs(w).max(), (n, tau, samples)
+                else:
+                    assert np.array_equal(g, w), (n, tau, samples)
+
+
+def test_a_product_plan_for_another_grid_is_refused():
+    # the plan is derived from the entry count and checked against `fac`'s order
+    fac = _factor_columns(2, 3)[0]
+    assert [size for size, _ in _product_steps(fac, 9)] == [fac.shape[1]]
+    for entries in (4, 16):  # a plan for tau = 2 or 4
+        with pytest.raises(ValueError, match="order"):
+            _product_steps(fac, entries)
+    with pytest.raises(ValueError, match="order"):  # the products in another order
+        _product_steps(fac[:, ::-1], 9)
 
 
 @pytest.mark.parametrize("samples", [100, 513, 4097, 20_000])
@@ -524,3 +560,57 @@ def test_report_json_fields():
     assert set(payload) == {"spec", "estimate", "stderr", "exact", "z", "samples", "seed"}
     assert payload["exact"] == "1/4"
     assert payload["samples"] == 1000
+
+
+def _closed_form_mismatches(group: str, tau: int, n: int) -> tuple[int, int]:
+    """How many of the tau^(4n) moments at (tau, n) differ from the closed-form
+    integral, through `predict_moment` and through the grid's
+    `_class_predictions`; a moment pairs tensor-power columns i = (rows of the
+    first n factors, their cols) and j = (the same for the last n)."""
+    fac, cmap = _factor_columns(n, tau)
+    grid = _class_predictions(group, n, tau, fac)
+    multi = list(itertools.product(range(tau), repeat=2 * n))
+    single = by_class = 0
+    for i, (ri, ci) in enumerate((m[:n], m[n:]) for m in multi):
+        for j, (rj, cj) in enumerate((m[:n], m[n:]) for m in multi):
+            rows, cols = ri + rj, ci + cj
+            exact = closed_form_haar_moment(group, tau, rows, cols)
+            spec = _moment_spec(group, tau, tuple(r + 1 for r in rows), tuple(c + 1 for c in cols))
+            single += predict_moment(spec) != exact
+            by_class += bool(grid[cmap[i], cmap[j]] != float(exact))
+    return single, by_class
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+def test_predictions_are_the_haar_integral_at_tau_1_and_2(group):
+    # below tau = n the Gram matrix is singular and the excluded shapes drop
+    # out; here the predictions meet the integral itself over O(1), U(1),
+    # O(2) and U(2).  What this cannot see: an excluded shape's component
+    # vanishes on every index tensor (Schur-Weyl duality), so any finite
+    # weight on it would pass too; that the weights are zero is proved by the
+    # pseudo-inverse report, not here
+    for tau in (1, 2):
+        for n in (1, 2, 3):
+            assert _closed_form_mismatches(group, tau, n) == (0, 0), (tau, n)
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+@pytest.mark.parametrize("fault", ["shape (2,1) dropped", "type (2,1) +2%", "type (3) negated"])
+def test_the_closed_forms_catch_a_wrong_kept_weight(monkeypatch, group, fault):
+    # at tau = 2, n = 3 shape (2,1) is kept and (1,1,1) excluded
+    if fault == "shape (2,1) dropped":
+        module = unitary if group == "unitary" else orthogonal
+        spectral_sum = module.spectral_sum
+        monkeypatch.setattr(module, "spectral_sum", lambda n, tau, alpha, weight: spectral_sum(
+            n, tau, alpha, lambda lam: 0 if lam == Partition((2, 1)) else weight(lam)))
+    else:
+        exact = haarmc._VALUES[group]
+        mu, scale = ((2, 1), Fraction(102, 100)) if "+2%" in fault else ((3,), Fraction(-1))
+
+        def wrong(nu, tau):
+            value = exact(nu, tau)
+            return value * scale if Partition(nu) == Partition(mu) else value
+
+        monkeypatch.setitem(haarmc._VALUES, group, wrong)
+    single, by_class = _closed_form_mismatches(group, 2, 3)
+    assert single > 0 and by_class > 0

@@ -184,9 +184,6 @@ UNCALLED_BY_DESIGN = {
     "exactmat.TypeRows.__getitem__": "wgbench/tracer.py reads the rows in _table_unitary_post",
     "exactmat.TypeRows.__len__": "wgbench/tracer.py reads the rows in _table_unitary_post",
     "exactmat.WeingartenTable.weingarten": "wgbench/tracer.py reads it in _table_unitary_post",
-    "groupalg.AlgebraElement.__rmul__": "a scalar on the left, which the tests multiply by",
-    "symcore.StandardTableau.__eq__": "tableaux compare by their rows, as the tests compare them",
-    "symcore.StandardTableau.__hash__": "tableaux hash by their rows, as the tests key dicts by them",
 }
 
 # runs `script` with ARGS bound to the arguments after it, and writes the

@@ -301,7 +301,7 @@ def test_text_round_trips():
     assert pairing_from_text(pi.to_text()) == pi
     t = StandardTableau([[1, 2], [3]])
     assert tableau_to_text(t) == "[[1,2],[3]]"
-    assert tableau_from_text(tableau_to_text(t)) == t
+    assert tableau_from_text(tableau_to_text(t)).rows == t.rows
 
 
 @settings(max_examples=40)
