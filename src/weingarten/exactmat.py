@@ -24,9 +24,9 @@ row 0 of it is given by p(n)-sized structure constants: the class algebra of
 S_n for U(t), the Hecke algebra of (S_2n, H_n) for O(t).  ``_type_algebra``
 proves transitivity from the generators' index maps and walks row 0, then
 builds the constants and the transpose of each type from N * p(n) cycle
-walks, once per group and n; tables, rendering, checks and idempotents share it.
-A symbolic table's identities are proved at integer points (`_points`),
-with no rational-function arithmetic.
+walks, once per group and n; tables, rendering, checks, idempotents and the
+``central`` suite of ``verify`` share it.  A symbolic table's identities are
+proved at integer points (`_points`), with no rational-function arithmetic.
 
 The same algebra gives the orthogonal Weingarten values.  The Gram element
 G(t), with value t^(parts) on each type, acts on the lam-component by

@@ -14,19 +14,23 @@ doubling proposition (``doubling``), the projector key identity (``keyid``),
 the stability lemma (``stability``), and the two contracts of the finished
 tables (``pseudoinverse``, ``commute``).  Every comparison is exact.
 
-No suite multiplies two idempotents or projectors: orthogonality follows
-from Jucys-Murphy eigenvalues, or from centrality plus one coefficient per
-class, and P_H enters only through sums over the cosets of H_n.  Cycle and
-loop types come from one row of ``symcore.cross_type_matrix`` (`_type_row`).
+No suite multiplies two idempotents or projectors in C[S_n]: orthogonality
+follows from Jucys-Murphy eigenvalues, or from central projectors' class values
+in the class algebra of ``exactmat._type_algebra``, whose row 0 also types
+``central``; P_H enters only through sums over the cosets of H_n.  The other
+suites type by one row of ``symcore.cross_type_matrix`` (`_type_row`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
-from .coeffring import TAU
-from .exactmat import BASES, integer_points, tau_powers, type_commutation_check, weingarten_table
+from .coeffring import TAU, _numerators
+from .exactmat import (
+    BASES, _product, _type_algebra, integer_points, tau_powers, type_commutation_check,
+    weingarten_table,
+)
 from .groupalg import (
     AlgebraElement,
     hyperoctahedral_elements,
@@ -91,27 +95,6 @@ def _is_character_expansion(z: AlgebraElement, lam, perms, types) -> bool:
     return z == AlgebraElement(z.n, {p: chi[mu] for p, mu in zip(perms, types)})
 
 
-def _central_products_orthogonal(projs, perms, types) -> bool:
-    """(z_i z_j)(sigma) = δ_ij z_i(sigma) at one sigma per class, in numerators over D.
-
-    Each z_i must also take one value per cycle type of the type row, as a
-    central element does, which checks the row against the z_i.
-    """
-    den = lcm(*(c.denominator for z in projs for c in z.terms.values()))
-    nums = [{p: c.numerator * (den // c.denominator) for p, c in z.terms.items()} for z in projs]
-    classes = {mu: p for p, mu in zip(perms, types)}
-    if any(a.get(p, 0) != a.get(classes[mu], 0) for a in nums for p, mu in zip(perms, types)):
-        return False
-    for sigma in classes.values():
-        pairs = [(p, p.inverse() * sigma) for p in perms]
-        for a in nums:
-            for b in nums:
-                total = sum(a.get(p, 0) * b.get(q, 0) for p, q in pairs)
-                if total != (den * a.get(sigma, 0) if a is b else 0):
-                    return False
-    return True
-
-
 def _jucys(max_n, tau, tau2, deep):
     # both sides, n factors t + m_k and powers t^k with k <= n, are polynomials
     # of degree at most n in t, so the identity holds once it does at n + 1 points
@@ -139,7 +122,7 @@ def _oid(max_n, tau, tau2, deep):
             powers = tau_powers(t, n)
             lhs = jm_product_orthogonal(n, t)
             rhs = AlgebraElement(2 * n, {r: powers[len(mu)] for r, mu in zip(reps, types)})
-            ok = ok and len(lhs) == expected and lhs == rhs
+            ok = ok and lhs == rhs
         yield f"odd JM expansion n={n} ({label})", ok
 
 
@@ -163,16 +146,29 @@ def _idempotents(max_n, tau, tau2, deep):
 
 def _central(max_n, tau, tau2, deep):
     # each z_lam, a sum of Young's idempotents, must equal its character
-    # expansion; products of central elements are central, so once each z_lam
-    # is proved central their products are checked at one permutation per class
+    # expansion, the z_lam must sum to 1, and each must be central before its
+    # class values are read: a central z is its values at the r_g of the class
+    # algebra, where z_lam z_mu = δ z_lam is proved in numerators over one D
     for n in range(1, max_n + 1):
-        perms, types = _type_row("unitary", n)
+        label = f"central idempotents, both routes n={n}"
+        algebra = _type_algebra("unitary", n)
+        if algebra is None:
+            yield label, False
+            continue
+        perms, row, constants = algebra.basis, algebra.row, algebra.constants
         shapes = partitions_of(n)
         projs = [central_idempotent(lam) for lam in shapes]
+        types = [algebra.types[g] for g in row]
         ok = all(_is_character_expansion(z, lam, perms, types) for z, lam in zip(projs, shapes))
         ok = ok and sum(projs, AlgebraElement.zero(n)) == AlgebraElement.unit(n)
-        ok = ok and all(map(_is_central, projs)) and _central_products_orthogonal(projs, perms, types)
-        yield f"central idempotents, both routes n={n}", ok
+        ok = ok and all(map(_is_central, projs))
+        if ok:
+            reps = [perms[row.index(g)] for g in range(len(algebra.types))]
+            den, nums = _numerators([z.terms.get(r, 0) for z in projs for r in reps])
+            values = [nums[k:k + len(reps)] for k in range(0, len(nums), len(reps))]
+            ok = all(_product(constants, a, b) == [den * x if a is b else 0 for x in a]
+                     for a in values for b in values)
+        yield label, ok
 
 
 def _pseudoinverse(max_n, tau, tau2, deep):

@@ -241,16 +241,18 @@ def test_verify_pseudoinverse_checks_excluded_shapes_at_an_explicit_tau(capsys):
     assert out.splitlines() == _pseudoinverse_lines(4, lambda n: "tau=2" if n >= 4 else "symbolic")
 
 
+@pytest.mark.parametrize("tau", [Fraction(5, 2), Fraction(0)], ids=str)
 @pytest.mark.parametrize("suite", ["oid", "stability", "pseudoinverse"])
-def test_an_explicit_tau_replaces_the_symbolic_proof_from_n_4_on(suite):
+def test_an_explicit_tau_replaces_the_symbolic_proof_from_n_4_on(suite, tau):
+    # at tau = 0 the identities still hold, if with many coefficients zero
     default = list(verify.run(suite, 4))
     assert all(ok and label.endswith("(symbolic)") for label, ok in default)
-    explicit = list(verify.run(suite, 4, Fraction(5, 2)))
+    explicit = list(verify.run(suite, 4, tau))
     assert all(ok for _, ok in explicit)
-    assert [label.replace("(tau=5/2)", "(symbolic)") for label, _ in explicit] == [
+    assert [label.replace(f"(tau={tau})", "(symbolic)") for label, _ in explicit] == [
         label for label, _ in default
     ]
-    assert [label.endswith("(tau=5/2)") for label, _ in explicit] == [
+    assert [label.endswith(f"(tau={tau})") for label, _ in explicit] == [
         " n=4 " in label for label, _ in explicit
     ]
 
@@ -352,6 +354,17 @@ def test_verify_suite_fails_on_injected_fault(capsys, monkeypatch, suite):
     assert "FAIL" in out
 
 
+def test_oid_fails_on_an_injected_fault_at_tau_0(capsys, monkeypatch):
+    # tau = 0 makes the product zero, but not a vacuous pass: the extra
+    # transposition survives it
+    n, name, corrupt = INJECTED["oid"]
+    monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
+    code, out, err = run_cli(capsys, "verify", "--suite", "oid", "--n", "4", "--tau", "0")
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL odd JM expansion n=4 (tau=0)"
+    assert "Traceback" not in err
+
+
 def _two_types_swapped(type_row):
     """Type rows with the types of elements 0 and 1 swapped."""
     def corrupted(group, n):
@@ -371,16 +384,26 @@ def _typed_against_basis_1(type_row):
     return corrupted
 
 
+def _row_entries_swapped(type_algebra):
+    """Type algebras whose row 0 has the types of elements 0 and 1 swapped."""
+    def corrupted(group, n):
+        algebra = type_algebra(group, n)
+        row = algebra.row
+        return algebra._replace(row=[row[1], row[0], *row[2:]]) if len(row) > 1 else algebra
+    return corrupted
+
+
 def _last_element_missing(elements):
     """H_n lists without their last element."""
     return lambda n: elements(n)[:-1]
 
 
-# faults in the two paths that types and P_H now take: the type row, and H_n
+# faults in the paths that types and P_H take: the type row or the type
+# algebra's row 0, and H_n
 SHARED_PATH_FAULTS = {
     "doubling": (2, "hyperoctahedral_elements", _last_element_missing),
     "jucys": (3, "_type_row", _two_types_swapped),
-    "central": (3, "_type_row", _two_types_swapped),
+    "central": (3, "_type_algebra", _row_entries_swapped),
     "oid": (2, "_type_row", _typed_against_basis_1),
     "stability": (2, "_type_row", _typed_against_basis_1),
 }
@@ -393,6 +416,35 @@ def test_verify_suite_fails_on_a_fault_in_its_type_row_or_h_n(capsys, monkeypatc
     code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--n", str(n))
     assert code == 1
     assert "FAIL" in out
+
+
+def _constant_raised_at_3(type_algebra):
+    """The class algebra of S_3 with one structure constant raised by 1."""
+    def corrupted(group, n):
+        algebra = type_algebra(group, n)
+        if n != 3:
+            return algebra
+        constants = [Counter(c) for c in algebra.constants]
+        constants[1][next(iter(constants[1]))] += 1
+        return algebra._replace(constants=constants)
+    return corrupted
+
+
+def _unproven_at_3(type_algebra):
+    """No type algebra at n = 3, as when its structure proof fails."""
+    return lambda group, n: None if n == 3 else type_algebra(group, n)
+
+
+@pytest.mark.parametrize("corrupt", [_constant_raised_at_3, _unproven_at_3],
+                         ids=["constant raised", "no algebra"])
+def test_central_fails_on_a_fault_in_its_class_algebra(capsys, monkeypatch, corrupt):
+    monkeypatch.setattr(verify, "_type_algebra", corrupt(verify._type_algebra))
+    code, out, err = run_cli(capsys, "verify", "--suite", "central", "--n", "3")
+    assert code == 1
+    assert out.splitlines() == ["ok   central idempotents, both routes n=1",
+                                "ok   central idempotents, both routes n=2",
+                                "FAIL central idempotents, both routes n=3"]
+    assert "Traceback" not in err
 
 
 def _plus_coset_difference(product):

@@ -184,6 +184,7 @@ UNCALLED_BY_DESIGN = {
     "exactmat.TypeRows.__getitem__": "wgbench/tracer.py reads the rows in _table_unitary_post",
     "exactmat.TypeRows.__len__": "wgbench/tracer.py reads the rows in _table_unitary_post",
     "exactmat.WeingartenTable.weingarten": "wgbench/tracer.py reads it in _table_unitary_post",
+    "groupalg.AlgebraElement.__len__": "wgbench/tracer.py counts the factors' terms in _algebra_mul_post",
 }
 
 # runs `script` with ARGS bound to the arguments after it, and writes the
